@@ -65,21 +65,6 @@ void BM_MakeTruncatedPoisson(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeTruncatedPoisson)->Arg(5)->Arg(50)->Arg(500);
 
-void BM_TruncatedPoissonCache(benchmark::State& state) {
-  // The DP's access pattern: 51 rates queried once per layer, 24 layers.
-  auto acceptance = choice::LogitAcceptance::Paper2014();
-  for (auto _ : state) {
-    stats::TruncatedPoissonCache cache(1e-9);
-    for (int t = 0; t < 24; ++t) {
-      for (int c = 0; c <= 50; ++c) {
-        benchmark::DoNotOptimize(
-            cache.Get(6100.0 * acceptance.ProbabilityAt(c)));
-      }
-    }
-  }
-}
-BENCHMARK(BM_TruncatedPoissonCache)->Unit(benchmark::kMillisecond);
-
 void BM_SamplePoisson(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0)) / 10.0;
   Rng rng(1);

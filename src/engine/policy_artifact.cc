@@ -1,11 +1,11 @@
 #include "engine/policy_artifact.h"
 
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
 #include "pricing/controller.h"
 #include "pricing/serialization.h"
+#include "util/hexfloat.h"
 #include "util/macros.h"
 #include "util/stringf.h"
 
@@ -14,52 +14,6 @@ namespace crowdprice::engine {
 namespace {
 
 constexpr char kHeader[] = "crowdprice-artifact v1";
-
-// Hex-float formatting for lossless double round trips (same convention as
-// pricing/serialization).
-std::string Hex(double v) { return StringF("%a", v); }
-
-Result<double> ParseDouble(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad number '%s'", what, token.c_str()));
-  }
-  return v;
-}
-
-Result<long> ParseInt(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const long v = std::strtol(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad integer '%s'", what, token.c_str()));
-  }
-  return v;
-}
-
-Result<std::string> NextLine(std::istringstream& stream, const char* what) {
-  std::string line;
-  if (!std::getline(stream, line)) {
-    return Status::InvalidArgument(
-        StringF("artifact truncated: expected %s", what));
-  }
-  return line;
-}
-
-Result<std::vector<std::string>> Tokens(const std::string& line,
-                                        size_t expected, const char* what) {
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
-  if (tokens.size() != expected) {
-    return Status::InvalidArgument(StringF("%s: expected %zu fields, found %zu",
-                                           what, expected, tokens.size()));
-  }
-  return tokens;
-}
 
 }  // namespace
 
@@ -227,7 +181,7 @@ Result<std::string> PolicyArtifact::Serialize() const {
   switch (kind()) {
     case PolicyKind::kDeadlineDp: {
       const DeadlinePolicy& p = std::get<DeadlinePolicy>(payload_);
-      out << "deadline-meta " << Hex(p.penalty_used) << " " << p.dp_solves
+      out << "deadline-meta " << FormatHex(p.penalty_used) << " " << p.dp_solves
           << "\n";
       out << pricing::SerializePlan(p.plan);
       return out.str();
@@ -235,8 +189,8 @@ Result<std::string> PolicyArtifact::Serialize() const {
     case PolicyKind::kBudgetStatic: {
       const auto& a = std::get<pricing::StaticPriceAssignment>(payload_);
       out << "budget-meta " << a.allocations.size() << " "
-          << Hex(a.expected_worker_arrivals) << " " << Hex(a.total_cost_cents)
-          << "\n";
+          << FormatHex(a.expected_worker_arrivals) << " "
+          << FormatHex(a.total_cost_cents) << "\n";
       for (const pricing::PriceAllocation& alloc : a.allocations) {
         out << alloc.price_cents << " " << alloc.count << "\n";
       }
@@ -244,19 +198,20 @@ Result<std::string> PolicyArtifact::Serialize() const {
     }
     case PolicyKind::kFixedPrice: {
       const auto& f = std::get<pricing::FixedPriceSolution>(payload_);
-      out << "fixed " << f.price_cents << " " << Hex(f.expected_remaining)
-          << " " << Hex(f.prob_finish) << " " << Hex(f.expected_cost_cents)
-          << "\n";
+      out << "fixed " << f.price_cents << " " << FormatHex(f.expected_remaining)
+          << " " << FormatHex(f.prob_finish) << " "
+          << FormatHex(f.expected_cost_cents) << "\n";
       return out.str();
     }
     case PolicyKind::kTradeoff: {
       const auto& s = std::get<pricing::TradeoffSolution>(payload_);
-      out << "tradeoff " << s.price_cents << " " << Hex(s.objective_per_task)
-          << " " << Hex(s.expected_latency_per_task) << " "
+      out << "tradeoff " << s.price_cents << " "
+          << FormatHex(s.objective_per_task) << " "
+          << FormatHex(s.expected_latency_per_task) << " "
           << s.objective_curve.size() << "\n";
       for (size_t i = 0; i < s.objective_curve.size(); ++i) {
         if (i > 0) out << " ";
-        out << Hex(s.objective_curve[i]);
+        out << FormatHex(s.objective_curve[i]);
       }
       if (!s.objective_curve.empty()) out << "\n";
       return out.str();
@@ -266,11 +221,11 @@ Result<std::string> PolicyArtifact::Serialize() const {
       const pricing::MultiTypeProblem& p = plan.problem();
       out << "multitype-meta " << p.num_tasks_1 << " " << p.num_tasks_2
           << " " << p.num_intervals << " " << p.max_price_cents << " "
-          << p.price_stride << " " << Hex(p.penalty_1_cents) << " "
-          << Hex(p.penalty_2_cents) << " " << Hex(p.truncation_epsilon)
-          << "\n";
+          << p.price_stride << " " << FormatHex(p.penalty_1_cents) << " "
+          << FormatHex(p.penalty_2_cents) << " "
+          << FormatHex(p.truncation_epsilon) << "\n";
       out << "lambdas";
-      for (double lam : plan.interval_lambdas()) out << " " << Hex(lam);
+      for (double lam : plan.interval_lambdas()) out << " " << FormatHex(lam);
       out << "\n";
       out << "policy\n";
       for (int n1 = 0; n1 <= p.num_tasks_1; ++n1) {
@@ -287,7 +242,7 @@ Result<std::string> PolicyArtifact::Serialize() const {
         for (int n2 = 0; n2 <= p.num_tasks_2; ++n2) {
           for (int t = 0; t <= p.num_intervals; ++t) {
             if (t > 0) out << " ";
-            out << Hex(plan.opt()[plan.StateIndex(n1, n2, t)]);
+            out << FormatHex(plan.opt()[plan.StateIndex(n1, n2, t)]);
           }
           out << "\n";
         }
@@ -297,23 +252,25 @@ Result<std::string> PolicyArtifact::Serialize() const {
     case PolicyKind::kAdaptive: {
       const AdaptivePolicy& p = std::get<AdaptivePolicy>(payload_);
       out << "adaptive-meta " << p.problem.num_tasks << " "
-          << p.problem.num_intervals << " " << Hex(p.problem.penalty_cents)
-          << " " << Hex(p.problem.extra_penalty_alpha) << " "
-          << Hex(p.problem.truncation_epsilon) << " " << Hex(p.horizon_hours)
-          << "\n";
+          << p.problem.num_intervals << " "
+          << FormatHex(p.problem.penalty_cents) << " "
+          << FormatHex(p.problem.extra_penalty_alpha) << " "
+          << FormatHex(p.problem.truncation_epsilon) << " "
+          << FormatHex(p.horizon_hours) << "\n";
       out << "adaptive-options " << p.options.resolve_every << " "
-          << Hex(p.options.prior_weight) << " " << Hex(p.options.min_factor)
-          << " " << Hex(p.options.max_factor) << " "
+          << FormatHex(p.options.prior_weight) << " "
+          << FormatHex(p.options.min_factor) << " "
+          << FormatHex(p.options.max_factor) << " "
           << (p.options.dp_options.monotone_price_search ? 1 : 0) << " "
           << (p.options.dp_options.time_monotonicity_pruning ? 1 : 0) << " "
           << p.options.dp_options.num_threads << "\n";
       out << "lambdas";
-      for (double lam : p.believed_lambdas) out << " " << Hex(lam);
+      for (double lam : p.believed_lambdas) out << " " << FormatHex(lam);
       out << "\n";
       out << "actions " << p.actions.size() << "\n";
       for (const pricing::PricingAction& a : p.actions.actions()) {
-        out << Hex(a.cost_per_task_cents) << " " << a.bundle << " "
-            << Hex(a.acceptance) << "\n";
+        out << FormatHex(a.cost_per_task_cents) << " " << a.bundle << " "
+            << FormatHex(a.acceptance) << "\n";
       }
       return out.str();
     }
@@ -321,76 +278,73 @@ Result<std::string> PolicyArtifact::Serialize() const {
   return Status::Internal("unknown artifact kind");
 }
 
-Result<PolicyArtifact> PolicyArtifact::Deserialize(const std::string& text) {
-  std::istringstream stream(text);
-  CP_ASSIGN_OR_RETURN(std::string header, NextLine(stream, "header"));
+Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
+  LineReader reader(text, "artifact");
+  CP_ASSIGN_OR_RETURN(auto header, reader.Next("header"));
   if (header != kHeader) {
     return Status::InvalidArgument(
-        StringF("unsupported artifact header '%s'", header.c_str()));
+        StringF("unsupported artifact header '%.*s'",
+                static_cast<int>(header.size()), header.data()));
   }
-  CP_ASSIGN_OR_RETURN(std::string kind_line, NextLine(stream, "kind line"));
+  CP_ASSIGN_OR_RETURN(auto kind_line, reader.Next("kind line"));
   CP_ASSIGN_OR_RETURN(auto ktokens, Tokens(kind_line, 2, "kind line"));
   if (ktokens[0] != "kind") {
     return Status::InvalidArgument("expected 'kind' line");
   }
-  const std::string& kind_name = ktokens[1];
+  const std::string_view kind_name = ktokens[1];
 
   if (kind_name == KindName(PolicyKind::kDeadlineDp)) {
-    CP_ASSIGN_OR_RETURN(std::string meta, NextLine(stream, "deadline-meta"));
+    CP_ASSIGN_OR_RETURN(auto meta, reader.Next("deadline-meta"));
     CP_ASSIGN_OR_RETURN(auto mtokens, Tokens(meta, 3, "deadline-meta"));
     if (mtokens[0] != "deadline-meta") {
       return Status::InvalidArgument("expected 'deadline-meta' line");
     }
     CP_ASSIGN_OR_RETURN(double penalty_used,
                         ParseDouble(mtokens[1], "penalty_used"));
-    CP_ASSIGN_OR_RETURN(long solves, ParseInt(mtokens[2], "dp_solves"));
-    std::string rest((std::istreambuf_iterator<char>(stream)),
-                     std::istreambuf_iterator<char>());
+    CP_ASSIGN_OR_RETURN(const int solves,
+                        ParseInt<int>(mtokens[2], "dp_solves"));
     CP_ASSIGN_OR_RETURN(pricing::DeadlinePlan plan,
-                        pricing::DeserializePlan(rest));
-    return PolicyArtifact(DeadlinePolicy{std::move(plan), penalty_used,
-                                         static_cast<int>(solves),
-                                         std::nullopt});
+                        pricing::DeserializePlan(reader.Rest()));
+    return PolicyArtifact(
+        DeadlinePolicy{std::move(plan), penalty_used, solves, std::nullopt});
   }
 
   if (kind_name == KindName(PolicyKind::kBudgetStatic)) {
-    CP_ASSIGN_OR_RETURN(std::string meta, NextLine(stream, "budget-meta"));
+    CP_ASSIGN_OR_RETURN(auto meta, reader.Next("budget-meta"));
     CP_ASSIGN_OR_RETURN(auto mtokens, Tokens(meta, 4, "budget-meta"));
     if (mtokens[0] != "budget-meta") {
       return Status::InvalidArgument("expected 'budget-meta' line");
     }
-    CP_ASSIGN_OR_RETURN(long count, ParseInt(mtokens[1], "allocation count"));
+    CP_ASSIGN_OR_RETURN(const int count,
+                        ParseInt<int>(mtokens[1], "allocation count"));
     if (count < 0 || count > (1 << 20)) {
       return Status::InvalidArgument(
-          StringF("implausible allocation count %ld", count));
+          StringF("implausible allocation count %d", count));
     }
     pricing::StaticPriceAssignment assignment;
     CP_ASSIGN_OR_RETURN(assignment.expected_worker_arrivals,
                         ParseDouble(mtokens[2], "expected workers"));
     CP_ASSIGN_OR_RETURN(assignment.total_cost_cents,
                         ParseDouble(mtokens[3], "total cost"));
-    for (long i = 0; i < count; ++i) {
-      CP_ASSIGN_OR_RETURN(std::string line, NextLine(stream, "allocation"));
+    for (int i = 0; i < count; ++i) {
+      CP_ASSIGN_OR_RETURN(auto line, reader.Next("allocation"));
       CP_ASSIGN_OR_RETURN(auto tokens, Tokens(line, 2, "allocation"));
       pricing::PriceAllocation alloc;
-      CP_ASSIGN_OR_RETURN(long price, ParseInt(tokens[0], "price"));
-      CP_ASSIGN_OR_RETURN(long task_count, ParseInt(tokens[1], "count"));
-      alloc.price_cents = static_cast<int>(price);
-      alloc.count = task_count;
+      CP_ASSIGN_OR_RETURN(alloc.price_cents, ParseInt<int>(tokens[0], "price"));
+      CP_ASSIGN_OR_RETURN(alloc.count, ParseInt<int64_t>(tokens[1], "count"));
       assignment.allocations.push_back(alloc);
     }
     return PolicyArtifact(std::move(assignment));
   }
 
   if (kind_name == KindName(PolicyKind::kFixedPrice)) {
-    CP_ASSIGN_OR_RETURN(std::string line, NextLine(stream, "fixed line"));
+    CP_ASSIGN_OR_RETURN(auto line, reader.Next("fixed line"));
     CP_ASSIGN_OR_RETURN(auto tokens, Tokens(line, 5, "fixed line"));
     if (tokens[0] != "fixed") {
       return Status::InvalidArgument("expected 'fixed' line");
     }
     pricing::FixedPriceSolution fixed;
-    CP_ASSIGN_OR_RETURN(long price, ParseInt(tokens[1], "price"));
-    fixed.price_cents = static_cast<int>(price);
+    CP_ASSIGN_OR_RETURN(fixed.price_cents, ParseInt<int>(tokens[1], "price"));
     CP_ASSIGN_OR_RETURN(fixed.expected_remaining,
                         ParseDouble(tokens[2], "expected remaining"));
     CP_ASSIGN_OR_RETURN(fixed.prob_finish,
@@ -401,29 +355,29 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(const std::string& text) {
   }
 
   if (kind_name == KindName(PolicyKind::kTradeoff)) {
-    CP_ASSIGN_OR_RETURN(std::string line, NextLine(stream, "tradeoff line"));
+    CP_ASSIGN_OR_RETURN(auto line, reader.Next("tradeoff line"));
     CP_ASSIGN_OR_RETURN(auto tokens, Tokens(line, 5, "tradeoff line"));
     if (tokens[0] != "tradeoff") {
       return Status::InvalidArgument("expected 'tradeoff' line");
     }
     pricing::TradeoffSolution sol;
-    CP_ASSIGN_OR_RETURN(long price, ParseInt(tokens[1], "price"));
-    sol.price_cents = static_cast<int>(price);
+    CP_ASSIGN_OR_RETURN(sol.price_cents, ParseInt<int>(tokens[1], "price"));
     CP_ASSIGN_OR_RETURN(sol.objective_per_task,
                         ParseDouble(tokens[2], "objective"));
     CP_ASSIGN_OR_RETURN(sol.expected_latency_per_task,
                         ParseDouble(tokens[3], "latency"));
-    CP_ASSIGN_OR_RETURN(long curve, ParseInt(tokens[4], "curve size"));
+    CP_ASSIGN_OR_RETURN(const int curve,
+                        ParseInt<int>(tokens[4], "curve size"));
     if (curve < 0 || curve > (1 << 20)) {
       return Status::InvalidArgument(
-          StringF("implausible curve size %ld", curve));
+          StringF("implausible curve size %d", curve));
     }
     if (curve > 0) {
-      CP_ASSIGN_OR_RETURN(std::string curve_line, NextLine(stream, "curve"));
+      CP_ASSIGN_OR_RETURN(auto curve_line, reader.Next("curve"));
       CP_ASSIGN_OR_RETURN(
           auto values, Tokens(curve_line, static_cast<size_t>(curve), "curve"));
       sol.objective_curve.reserve(static_cast<size_t>(curve));
-      for (const std::string& v : values) {
+      for (const std::string_view v : values) {
         CP_ASSIGN_OR_RETURN(double x, ParseDouble(v, "curve value"));
         sol.objective_curve.push_back(x);
       }
@@ -432,22 +386,22 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(const std::string& text) {
   }
 
   if (kind_name == KindName(PolicyKind::kMultiType)) {
-    CP_ASSIGN_OR_RETURN(std::string meta, NextLine(stream, "multitype-meta"));
+    CP_ASSIGN_OR_RETURN(auto meta, reader.Next("multitype-meta"));
     CP_ASSIGN_OR_RETURN(auto mtokens, Tokens(meta, 9, "multitype-meta"));
     if (mtokens[0] != "multitype-meta") {
       return Status::InvalidArgument("expected 'multitype-meta' line");
     }
     pricing::MultiTypeProblem problem;
-    CP_ASSIGN_OR_RETURN(long n1, ParseInt(mtokens[1], "num_tasks_1"));
-    CP_ASSIGN_OR_RETURN(long n2, ParseInt(mtokens[2], "num_tasks_2"));
-    CP_ASSIGN_OR_RETURN(long nt, ParseInt(mtokens[3], "num_intervals"));
-    CP_ASSIGN_OR_RETURN(long max_price, ParseInt(mtokens[4], "max_price"));
-    CP_ASSIGN_OR_RETURN(long stride, ParseInt(mtokens[5], "price_stride"));
-    problem.num_tasks_1 = static_cast<int>(n1);
-    problem.num_tasks_2 = static_cast<int>(n2);
-    problem.num_intervals = static_cast<int>(nt);
-    problem.max_price_cents = static_cast<int>(max_price);
-    problem.price_stride = static_cast<int>(stride);
+    CP_ASSIGN_OR_RETURN(problem.num_tasks_1,
+                        ParseInt<int>(mtokens[1], "num_tasks_1"));
+    CP_ASSIGN_OR_RETURN(problem.num_tasks_2,
+                        ParseInt<int>(mtokens[2], "num_tasks_2"));
+    CP_ASSIGN_OR_RETURN(problem.num_intervals,
+                        ParseInt<int>(mtokens[3], "num_intervals"));
+    CP_ASSIGN_OR_RETURN(problem.max_price_cents,
+                        ParseInt<int>(mtokens[4], "max_price"));
+    CP_ASSIGN_OR_RETURN(problem.price_stride,
+                        ParseInt<int>(mtokens[5], "price_stride"));
     CP_ASSIGN_OR_RETURN(problem.penalty_1_cents,
                         ParseDouble(mtokens[6], "penalty_1"));
     CP_ASSIGN_OR_RETURN(problem.penalty_2_cents,
@@ -458,17 +412,18 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(const std::string& text) {
     // Bound the state-table size before the plan constructor allocates it:
     // a crafted meta line must not trigger a huge allocation (same spirit
     // as the tradeoff curve and budget allocation caps).
-    const long long states = (static_cast<long long>(n1) + 1) *
-                             (static_cast<long long>(n2) + 1) *
-                             (static_cast<long long>(nt) + 1);
+    const long long states =
+        (static_cast<long long>(problem.num_tasks_1) + 1) *
+        (static_cast<long long>(problem.num_tasks_2) + 1) *
+        (static_cast<long long>(problem.num_intervals) + 1);
     if (states > (1LL << 24)) {
       return Status::InvalidArgument(
-          StringF("implausible multitype dimensions: %ld x %ld x %ld "
-                  "states",
-                  n1, n2, nt));
+          StringF("implausible multitype dimensions: %d x %d x %d states",
+                  problem.num_tasks_1, problem.num_tasks_2,
+                  problem.num_intervals));
     }
 
-    CP_ASSIGN_OR_RETURN(std::string lambda_line, NextLine(stream, "lambdas"));
+    CP_ASSIGN_OR_RETURN(auto lambda_line, reader.Next("lambdas"));
     CP_ASSIGN_OR_RETURN(
         auto ltokens,
         Tokens(lambda_line, static_cast<size_t>(problem.num_intervals) + 1,
@@ -483,41 +438,39 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(const std::string& text) {
     }
     pricing::MultiTypePlan plan(problem, std::move(lambdas));
 
-    CP_ASSIGN_OR_RETURN(std::string policy_marker,
-                        NextLine(stream, "policy marker"));
+    CP_ASSIGN_OR_RETURN(auto policy_marker, reader.Next("policy marker"));
     if (policy_marker != "policy") {
       return Status::InvalidArgument("expected 'policy' marker");
     }
-    constexpr long kMaxPacked = 4096L * 4096L;
+    constexpr int kMaxPacked = 4096 * 4096;
     for (int r1 = 0; r1 <= problem.num_tasks_1; ++r1) {
       for (int r2 = 0; r2 <= problem.num_tasks_2; ++r2) {
-        CP_ASSIGN_OR_RETURN(std::string line, NextLine(stream, "policy row"));
+        CP_ASSIGN_OR_RETURN(auto line, reader.Next("policy row"));
         CP_ASSIGN_OR_RETURN(
             auto tokens,
             Tokens(line, static_cast<size_t>(problem.num_intervals),
                    "policy row"));
         for (int t = 0; t < problem.num_intervals; ++t) {
           CP_ASSIGN_OR_RETURN(
-              long packed,
-              ParseInt(tokens[static_cast<size_t>(t)], "policy entry"));
+              const int packed,
+              ParseInt<int>(tokens[static_cast<size_t>(t)], "policy entry"));
           if (packed < -1 || packed >= kMaxPacked) {
             return Status::InvalidArgument(
-                StringF("policy entry %ld out of range at (%d, %d, t=%d)",
+                StringF("policy entry %d out of range at (%d, %d, t=%d)",
                         packed, r1, r2, t));
           }
-          plan.policy()[plan.PolicyIndex(r1, r2, t)] =
-              static_cast<int32_t>(packed);
+          plan.policy()[plan.PolicyIndex(r1, r2, t)] = packed;
         }
       }
     }
 
-    CP_ASSIGN_OR_RETURN(std::string opt_marker, NextLine(stream, "opt marker"));
+    CP_ASSIGN_OR_RETURN(auto opt_marker, reader.Next("opt marker"));
     if (opt_marker != "opt") {
       return Status::InvalidArgument("expected 'opt' marker");
     }
     for (int r1 = 0; r1 <= problem.num_tasks_1; ++r1) {
       for (int r2 = 0; r2 <= problem.num_tasks_2; ++r2) {
-        CP_ASSIGN_OR_RETURN(std::string line, NextLine(stream, "opt row"));
+        CP_ASSIGN_OR_RETURN(auto line, reader.Next("opt row"));
         CP_ASSIGN_OR_RETURN(
             auto tokens,
             Tokens(line, static_cast<size_t>(problem.num_intervals) + 1,
@@ -534,17 +487,16 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(const std::string& text) {
   }
 
   if (kind_name == KindName(PolicyKind::kAdaptive)) {
-    CP_ASSIGN_OR_RETURN(std::string meta, NextLine(stream, "adaptive-meta"));
+    CP_ASSIGN_OR_RETURN(auto meta, reader.Next("adaptive-meta"));
     CP_ASSIGN_OR_RETURN(auto mtokens, Tokens(meta, 7, "adaptive-meta"));
     if (mtokens[0] != "adaptive-meta") {
       return Status::InvalidArgument("expected 'adaptive-meta' line");
     }
     pricing::DeadlineProblem problem;
-    CP_ASSIGN_OR_RETURN(long num_tasks, ParseInt(mtokens[1], "num_tasks"));
-    CP_ASSIGN_OR_RETURN(long num_intervals,
-                        ParseInt(mtokens[2], "num_intervals"));
-    problem.num_tasks = static_cast<int>(num_tasks);
-    problem.num_intervals = static_cast<int>(num_intervals);
+    CP_ASSIGN_OR_RETURN(problem.num_tasks,
+                        ParseInt<int>(mtokens[1], "num_tasks"));
+    CP_ASSIGN_OR_RETURN(problem.num_intervals,
+                        ParseInt<int>(mtokens[2], "num_intervals"));
     CP_ASSIGN_OR_RETURN(problem.penalty_cents,
                         ParseDouble(mtokens[3], "penalty"));
     CP_ASSIGN_OR_RETURN(problem.extra_penalty_alpha,
@@ -555,36 +507,38 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(const std::string& text) {
     CP_ASSIGN_OR_RETURN(horizon_hours, ParseDouble(mtokens[6], "horizon"));
     CP_RETURN_IF_ERROR(problem.Validate());
 
-    CP_ASSIGN_OR_RETURN(std::string opts, NextLine(stream, "adaptive-options"));
+    CP_ASSIGN_OR_RETURN(auto opts, reader.Next("adaptive-options"));
     CP_ASSIGN_OR_RETURN(auto otokens, Tokens(opts, 8, "adaptive-options"));
     if (otokens[0] != "adaptive-options") {
       return Status::InvalidArgument("expected 'adaptive-options' line");
     }
     pricing::AdaptiveOptions options;
-    CP_ASSIGN_OR_RETURN(long resolve_every,
-                        ParseInt(otokens[1], "resolve_every"));
-    options.resolve_every = static_cast<int>(resolve_every);
+    CP_ASSIGN_OR_RETURN(options.resolve_every,
+                        ParseInt<int>(otokens[1], "resolve_every"));
     CP_ASSIGN_OR_RETURN(options.prior_weight,
                         ParseDouble(otokens[2], "prior_weight"));
     CP_ASSIGN_OR_RETURN(options.min_factor,
                         ParseDouble(otokens[3], "min_factor"));
     CP_ASSIGN_OR_RETURN(options.max_factor,
                         ParseDouble(otokens[4], "max_factor"));
-    CP_ASSIGN_OR_RETURN(long monotone, ParseInt(otokens[5], "monotone"));
-    CP_ASSIGN_OR_RETURN(long time_prune, ParseInt(otokens[6], "time_prune"));
-    CP_ASSIGN_OR_RETURN(long num_threads, ParseInt(otokens[7], "num_threads"));
+    CP_ASSIGN_OR_RETURN(const int monotone,
+                        ParseInt<int>(otokens[5], "monotone"));
+    CP_ASSIGN_OR_RETURN(const int time_prune,
+                        ParseInt<int>(otokens[6], "time_prune"));
+    CP_ASSIGN_OR_RETURN(const int num_threads,
+                        ParseInt<int>(otokens[7], "num_threads"));
     // The controller's Create does not inspect dp_options, so reject a
     // corrupt thread count here rather than at the first mid-campaign
     // re-solve (0 = auto, like DpOptions).
     if (num_threads < 0 || num_threads > (1 << 12)) {
       return Status::InvalidArgument(
-          StringF("implausible num_threads %ld", num_threads));
+          StringF("implausible num_threads %d", num_threads));
     }
     options.dp_options.monotone_price_search = monotone != 0;
     options.dp_options.time_monotonicity_pruning = time_prune != 0;
-    options.dp_options.num_threads = static_cast<int>(num_threads);
+    options.dp_options.num_threads = num_threads;
 
-    CP_ASSIGN_OR_RETURN(std::string lambda_line, NextLine(stream, "lambdas"));
+    CP_ASSIGN_OR_RETURN(auto lambda_line, reader.Next("lambdas"));
     CP_ASSIGN_OR_RETURN(
         auto ltokens,
         Tokens(lambda_line, static_cast<size_t>(problem.num_intervals) + 1,
@@ -598,25 +552,25 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(const std::string& text) {
       believed_lambdas.push_back(lam);
     }
 
-    CP_ASSIGN_OR_RETURN(std::string actions_line, NextLine(stream, "actions"));
+    CP_ASSIGN_OR_RETURN(auto actions_line, reader.Next("actions"));
     CP_ASSIGN_OR_RETURN(auto atokens, Tokens(actions_line, 2, "actions line"));
     if (atokens[0] != "actions") {
       return Status::InvalidArgument("expected 'actions' line");
     }
-    CP_ASSIGN_OR_RETURN(long num_actions, ParseInt(atokens[1], "action count"));
+    CP_ASSIGN_OR_RETURN(const int num_actions,
+                        ParseInt<int>(atokens[1], "action count"));
     if (num_actions < 1 || num_actions > (1 << 20)) {
       return Status::InvalidArgument(
-          StringF("implausible action count %ld", num_actions));
+          StringF("implausible action count %d", num_actions));
     }
     std::vector<pricing::PricingAction> actions;
-    for (long i = 0; i < num_actions; ++i) {
-      CP_ASSIGN_OR_RETURN(std::string line, NextLine(stream, "action"));
+    for (int i = 0; i < num_actions; ++i) {
+      CP_ASSIGN_OR_RETURN(auto line, reader.Next("action"));
       CP_ASSIGN_OR_RETURN(auto tokens, Tokens(line, 3, "action"));
       pricing::PricingAction a;
       CP_ASSIGN_OR_RETURN(a.cost_per_task_cents,
                           ParseDouble(tokens[0], "cost"));
-      CP_ASSIGN_OR_RETURN(long bundle, ParseInt(tokens[1], "bundle"));
-      a.bundle = static_cast<int>(bundle);
+      CP_ASSIGN_OR_RETURN(a.bundle, ParseInt<int>(tokens[1], "bundle"));
       CP_ASSIGN_OR_RETURN(a.acceptance, ParseDouble(tokens[2], "acceptance"));
       actions.push_back(a);
     }
@@ -634,7 +588,8 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(const std::string& text) {
   }
 
   return Status::InvalidArgument(
-      StringF("unknown artifact kind '%s'", kind_name.c_str()));
+      StringF("unknown artifact kind '%.*s'",
+              static_cast<int>(kind_name.size()), kind_name.data()));
 }
 
 }  // namespace crowdprice::engine

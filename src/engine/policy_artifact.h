@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "engine/policy_spec.h"
@@ -109,7 +110,7 @@ class PolicyArtifact {
   /// (believed lambdas, action set, options) -- a checkpoint of the
   /// re-planner's priors, not of any in-flight campaign state.
   Result<std::string> Serialize() const;
-  static Result<PolicyArtifact> Deserialize(const std::string& text);
+  static Result<PolicyArtifact> Deserialize(std::string_view text);
 
   // --- (c) score ----------------------------------------------------------
   /// Nominal policy evaluation (deadline kind): the cached one when

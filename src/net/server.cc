@@ -64,40 +64,46 @@ struct Conn {
   bool dead = false;  ///< Closed; workers must stop appending output.
 };
 
-/// The CampaignShardMap adapter behind Create(map, ...): small batches
-/// answer inline on the handler thread (the map's wait-free read path),
-/// big ones fan out per shard on the map's serving pool.
+/// Decide batches with at least this many requests fan out per shard on
+/// the map's serving pool; smaller ones answer inline on the handler
+/// thread. Pool regions serialize across concurrent callers, so the pool
+/// trades cross-connection concurrency for within-batch parallelism and
+/// only pays off on big batches.
+constexpr size_t kPoolBatchThreshold = 256;
+
+/// The CampaignShardMap adapter behind Create(map, ...). It decodes each
+/// request line, decides, and encodes each response line. A line whose
+/// body does not parse answers its own `err` line, so one bad request
+/// never costs its neighbours their answers.
 class MapSurface final : public ServingSurface {
  public:
-  MapSurface(serving::CampaignShardMap* map, size_t pool_batch_threshold)
-      : map_(map), pool_batch_threshold_(pool_batch_threshold) {}
+  explicit MapSurface(serving::CampaignShardMap* map) : map_(map) {}
 
-  std::vector<serving::DecideResponse> DecideBatch(
-      const std::vector<serving::DecideRequest>& requests) override {
-    if (requests.size() >= pool_batch_threshold_) {
-      // Big batches fan out per shard on the map's serving pool. Pool
-      // regions serialize across concurrent callers, so this path trades
-      // cross-connection concurrency for within-batch parallelism.
-      return map_->DecideBatch(requests);
-    }
-    // Small batches answer inline: each lookup is the map's wait-free
-    // RCU read path, so every handler thread prices concurrently with
-    // all the others and with any in-flight control op.
-    std::vector<serving::DecideResponse> responses;
-    responses.reserve(requests.size());
-    for (const serving::DecideRequest& request : requests) {
-      serving::DecideResponse response;
-      response.campaign_id = request.campaign_id;
-      Result<market::OfferSheet> sheet =
-          map_->Decide(request.campaign_id, request.request);
-      if (sheet.ok()) {
-        response.sheet = std::move(sheet).value();
-      } else {
-        response.status = sheet.status();
+  bool DecideBatchLines(const std::vector<std::string>& request_lines,
+                        std::vector<std::string>* response_lines) override {
+    response_lines->assign(request_lines.size(), std::string());
+    std::vector<serving::DecideRequest> requests;
+    std::vector<size_t> slots;  // request_lines index of each request
+    requests.reserve(request_lines.size());
+    slots.reserve(request_lines.size());
+    for (size_t i = 0; i < request_lines.size(); ++i) {
+      Result<serving::DecideRequest> request =
+          DeserializeDecideRequestLine(request_lines[i]);
+      if (request.ok()) {
+        requests.push_back(std::move(request).value());
+        slots.push_back(i);
+        continue;
       }
-      responses.push_back(std::move(response));
+      const Result<serving::CampaignId> id =
+          DecideLineCampaignId(request_lines[i]);
+      if (!id.ok()) return false;
+      (*response_lines)[i] = DecideErrorLine(*id, request.status());
     }
-    return responses;
+    const std::vector<serving::DecideResponse> responses = Decide(requests);
+    for (size_t r = 0; r < responses.size(); ++r) {
+      (*response_lines)[slots[r]] = SerializeDecideResponseLine(responses[r]);
+    }
+    return true;
   }
 
   Result<serving::ControlOutcome> Apply(serving::ControlOp op) override {
@@ -110,8 +116,29 @@ class MapSurface final : public ServingSurface {
   }
 
  private:
+  std::vector<serving::DecideResponse> Decide(
+      const std::vector<serving::DecideRequest>& requests) {
+    if (requests.size() >= kPoolBatchThreshold) {
+      return map_->DecideBatch(requests);
+    }
+    // Each inline lookup is the map's wait-free RCU read path, so every
+    // handler thread prices concurrently with all the others and with any
+    // in-flight control op.
+    std::vector<serving::DecideResponse> responses(requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      responses[i].campaign_id = requests[i].campaign_id;
+      Result<market::OfferSheet> sheet =
+          map_->Decide(requests[i].campaign_id, requests[i].request);
+      if (sheet.ok()) {
+        responses[i].sheet = std::move(sheet).value();
+      } else {
+        responses[i].status = sheet.status();
+      }
+    }
+    return responses;
+  }
+
   serving::CampaignShardMap* map_;
-  size_t pool_batch_threshold_;
 };
 
 }  // namespace
@@ -184,29 +211,22 @@ struct PricingServer::Impl {
 
   // --- worker side ------------------------------------------------------
 
+  /// The one decide path: split the payload into lines, let the surface
+  /// answer them, join the answers. A batch that cannot be split, or
+  /// holds a line with no readable campaign id, answers the whole-batch
+  /// InvalidArgument form.
   std::string HandleDecideBatch(const std::string& payload) {
-    // Line-splice fast path: surfaces that can answer wire lines
-    // verbatim (the router) skip the sheet parse + re-encode entirely.
-    // Any refusal -- malformed payload, unsupported surface, wrong line
-    // count -- falls through to the parsed path and its error handling.
     Result<std::vector<std::string>> lines =
         SplitDecideBatchPayload(payload, "decide batch");
-    if (lines.ok()) {
-      std::vector<std::string> response_lines;
-      if (surface->DecideBatchLines(*lines, &response_lines) &&
-          response_lines.size() == lines->size()) {
-        decide_requests.fetch_add(lines->size(), std::memory_order_relaxed);
-        return JoinDecideBatchPayload(response_lines);
-      }
-    }
-    Result<std::vector<serving::DecideRequest>> requests =
-        DeserializeDecideBatchRequest(payload);
-    if (!requests.ok()) {
+    std::vector<std::string> response_lines;
+    if (!lines.ok() || !surface->DecideBatchLines(*lines, &response_lines)) {
       protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      return SerializeBatchError(requests.status());
+      return SerializeBatchError(Status::InvalidArgument(
+          lines.ok() ? "decide batch: a line has no readable campaign id"
+                     : lines.status().message()));
     }
-    decide_requests.fetch_add(requests->size(), std::memory_order_relaxed);
-    return SerializeDecideBatchResponse(surface->DecideBatch(*requests));
+    decide_requests.fetch_add(lines->size(), std::memory_order_relaxed);
+    return JoinDecideBatchPayload(response_lines);
   }
 
   std::string HandleControl(const std::string& payload) {
@@ -657,8 +677,7 @@ Result<PricingServer> PricingServer::Create(serving::CampaignShardMap* map,
   }
   CP_RETURN_IF_ERROR(ValidateOptions(options));
   auto impl = std::make_unique<Impl>();
-  impl->owned_surface =
-      std::make_unique<MapSurface>(map, options.pool_batch_threshold);
+  impl->owned_surface = std::make_unique<MapSurface>(map);
   impl->surface = impl->owned_surface.get();
   impl->options = options;
   CP_ASSIGN_OR_RETURN(impl->transport_factory,

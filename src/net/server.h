@@ -4,14 +4,15 @@
 // crowdprice_serve exposes the surface's two planes over TCP (net/wire.h
 // frames):
 //
-//   - Serving plane: kDecideBatchRequest frames answer through
-//     ServingSurface::DecideBatch. Each connection's frames are handled
-//     in arrival order by a worker pool; over a shard map, small batches
-//     walk CampaignShardMap::Decide per request -- an RCU-guarded pointer
-//     chase with no locks -- so N connections price concurrently and a
-//     control op on one shard never stalls anyone, while batches at or
-//     above ServerOptions::pool_batch_threshold fan out per shard on the
-//     map's serving pool.
+//   - Serving plane: a kDecideBatchRequest payload is split into its body
+//     lines and answered through ServingSurface::DecideBatchLines, the
+//     one decide path for every surface. Each connection's frames are
+//     handled in arrival order by a worker pool. Over a shard map, each
+//     line is decoded, decided and encoded on the handler thread: batches
+//     under 256 requests walk CampaignShardMap::Decide per request -- an
+//     RCU-guarded pointer chase with no locks -- so N connections price
+//     concurrently and a control op on one shard never stalls anyone,
+//     while bigger batches fan out per shard on the map's serving pool.
 //   - Control plane: kControlRequest frames deserialize to a
 //     serving::ControlOp and funnel into ServingSurface::Apply (over a
 //     map, the same single writer surface ArrivalSchedule events use);
@@ -52,7 +53,12 @@
 // Malformed traffic never crashes the server: an unframeable byte stream
 // (bad magic/version/oversized length) counts in
 // ServerStats::protocol_errors and closes that connection; a well-framed
-// but unparseable payload gets an error response on the wire.
+// but unparseable payload gets an error response on the wire. In a decide
+// batch, a line with a readable campaign id but a bad body answers its
+// own `response <id> err` line (InvalidArgument) and the rest of the
+// batch is decided as usual; a batch that cannot be split, or holds a
+// line with no readable campaign id, answers the whole-batch `err` form
+// (InvalidArgument) and counts one protocol error.
 
 #ifndef CROWDPRICE_NET_SERVER_H_
 #define CROWDPRICE_NET_SERVER_H_
@@ -79,25 +85,15 @@ class ServingSurface {
  public:
   virtual ~ServingSurface() = default;
 
-  /// Answers a decide batch; responses align with `requests`
-  /// index-for-index, per-request failures riding in their response
-  /// status.
-  virtual std::vector<serving::DecideResponse> DecideBatch(
-      const std::vector<serving::DecideRequest>& requests) = 0;
-
-  /// Optional line-splice decide plane: answers wire body lines (no
-  /// trailing newlines) with exactly one response line per request line.
-  /// Returning false (the default) means unsupported and the server
-  /// falls back to the parsed DecideBatch path. The router overrides
-  /// this to forward slices verbatim -- canonical hex-float
-  /// serialization makes the splice bit-exact -- so a routing hop never
-  /// re-parses or re-encodes a sheet.
+  /// Answers a decide batch in wire body lines (net/wire.h, no trailing
+  /// newlines): on true, `*response_lines` holds exactly one response
+  /// line per request line, in request order. A line with a readable
+  /// campaign id (DecideLineCampaignId) always gets its own answer --
+  /// a bad body, an unknown campaign or an unreachable owner rides in
+  /// that line's `err` status. False means some line has no readable
+  /// campaign id; the server then answers the whole batch InvalidArgument.
   virtual bool DecideBatchLines(const std::vector<std::string>& request_lines,
-                                std::vector<std::string>* response_lines) {
-    static_cast<void>(request_lines);
-    static_cast<void>(response_lines);
-    return false;
-  }
+                                std::vector<std::string>* response_lines) = 0;
 
   /// Applies one lifecycle mutation.
   virtual Result<serving::ControlOutcome> Apply(serving::ControlOp op) = 0;
@@ -120,12 +116,6 @@ struct ServerOptions {
   /// Stop(): how long to wait for in-flight frames to drain before
   /// tearing the loop down anyway.
   int drain_timeout_ms = 5000;
-  /// Decide batches with at least this many requests are answered via
-  /// DecideBatch on the map's serving pool (per-shard fan-out); smaller
-  /// batches answer inline on the handler thread, wait-free. Applies to
-  /// map-backed servers only (surface-backed servers batch as they see
-  /// fit).
-  size_t pool_batch_threshold = 256;
   /// Shared-secret token. Empty disables auth; otherwise every
   /// connection must hello with exactly this token first (see the file
   /// comment).

@@ -8,9 +8,12 @@
 #include <openssl/err.h>
 #include <openssl/ssl.h>
 #include <openssl/x509.h>
+#include <pthread.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
+#include <ctime>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -33,6 +36,42 @@ std::string OpenSslErrors(const char* fallback) {
   return out.empty() ? fallback : out;
 }
 
+/// Keeps one OpenSSL call from raising SIGPIPE, whose default action
+/// kills the whole process: the socket BIO writes with write(2), which --
+/// unlike the plain transport's send(MSG_NOSIGNAL) -- has no per-call
+/// opt-out. SIGPIPE stays blocked on this thread for the guard's life, and
+/// one the call raised is consumed before the old mask comes back.
+class SigpipeGuard {
+ public:
+  SigpipeGuard() {
+    sigemptyset(&sigpipe_);
+    sigaddset(&sigpipe_, SIGPIPE);
+    sigset_t pending;
+    sigpending(&pending);
+    was_pending_ = sigismember(&pending, SIGPIPE) == 1;
+    pthread_sigmask(SIG_BLOCK, &sigpipe_, &old_mask_);
+  }
+
+  ~SigpipeGuard() {
+    sigset_t pending;
+    sigpending(&pending);
+    if (!was_pending_ && sigismember(&pending, SIGPIPE) == 1) {
+      const timespec now{0, 0};
+      while (sigtimedwait(&sigpipe_, nullptr, &now) < 0 && errno == EINTR) {
+      }
+    }
+    pthread_sigmask(SIG_SETMASK, &old_mask_, nullptr);
+  }
+
+  SigpipeGuard(const SigpipeGuard&) = delete;
+  SigpipeGuard& operator=(const SigpipeGuard&) = delete;
+
+ private:
+  sigset_t sigpipe_;
+  sigset_t old_mask_;
+  bool was_pending_ = false;
+};
+
 struct SslCtxDeleter {
   void operator()(SSL_CTX* ctx) const { SSL_CTX_free(ctx); }
 };
@@ -52,6 +91,7 @@ class TlsTransport final : public Transport {
 
   IoResult Handshake() override {
     if (ready_) return {IoOutcome::kOk, 0, Status::OK()};
+    const SigpipeGuard guard;
     ERR_clear_error();
     const int rc = SSL_do_handshake(ssl_);
     if (rc == 1) {
@@ -64,6 +104,8 @@ class TlsTransport final : public Transport {
   bool ready() const override { return ready_; }
 
   IoResult Read(char* out, size_t capacity) override {
+    // TLS 1.3 reads can write too (key updates, session tickets).
+    const SigpipeGuard guard;
     ERR_clear_error();
     size_t n = 0;
     if (SSL_read_ex(ssl_, out, capacity, &n) == 1) {
@@ -73,6 +115,7 @@ class TlsTransport final : public Transport {
   }
 
   IoResult Write(const char* data, size_t size) override {
+    const SigpipeGuard guard;
     ERR_clear_error();
     size_t n = 0;
     if (SSL_write_ex(ssl_, data, size, &n) == 1) {
@@ -84,7 +127,9 @@ class TlsTransport final : public Transport {
   void Shutdown() override {
     // One non-blocking close_notify attempt; a peer that already went
     // away makes this a no-op.
-    if (ready_) SSL_shutdown(ssl_);
+    if (!ready_) return;
+    const SigpipeGuard guard;
+    SSL_shutdown(ssl_);
   }
 
   int fd() const override { return fd_; }

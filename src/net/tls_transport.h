@@ -14,7 +14,8 @@
 // expired, not yet valid -- surfaces as kError with an Unauthenticated
 // status; transport-level failures (a plaintext peer, a torn
 // connection) carry Unavailable. Identity is CA possession, not
-// hostname: see TlsOptions in net/transport.h.
+// hostname: see TlsOptions in net/transport.h. Writing to a peer that has
+// gone is an error on that session, never a process-killing SIGPIPE.
 //
 // Built only when OpenSSL is available (CROWDPRICE_HAVE_OPENSSL,
 // wired by CMake); otherwise the factory functions return

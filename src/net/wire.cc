@@ -1,11 +1,11 @@
 #include "net/wire.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "engine/policy_artifact.h"
+#include "util/hexfloat.h"
 #include "util/macros.h"
 #include "util/status.h"
 #include "util/stringf.h"
@@ -17,120 +17,30 @@ namespace {
 /// Parse-side cap on batch sizes and per-request type counts: a hostile
 /// count field must not make the decoder allocate unboundedly before the
 /// payload length check would catch it.
-constexpr long kMaxBatchRequests = 1 << 20;
-constexpr long kMaxTaskTypes = 1 << 12;
+constexpr int kMaxBatchRequests = 1 << 20;
+constexpr int kMaxTaskTypes = 1 << 12;
 
-// Hex-float formatting for lossless double round trips (same idiom as
-// pricing/serialization.cc and the artifact codec).
-std::string Hex(double v) { return StringF("%a", v); }
-
-/// Line/byte reader over a payload. Unlike the plan codec's LineReader
-/// this one tracks an explicit offset, so control ops can pull a
-/// byte-counted artifact block out of the middle of the text.
-class Cursor {
- public:
-  explicit Cursor(const std::string& text) : text_(text) {}
-
-  Result<std::string> Line(const char* what) {
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument(
-          StringF("payload truncated: expected %s", what));
-    }
-    const size_t newline = text_.find('\n', pos_);
-    const size_t end = newline == std::string::npos ? text_.size() : newline;
-    std::string line = text_.substr(pos_, end - pos_);
-    pos_ = newline == std::string::npos ? text_.size() : newline + 1;
-    return line;
-  }
-
-  Result<std::string> Bytes(size_t n, const char* what) {
-    if (text_.size() - pos_ < n) {
-      return Status::InvalidArgument(
-          StringF("payload truncated: expected %zu bytes of %s, have %zu", n,
-                  what, text_.size() - pos_));
-    }
-    std::string bytes = text_.substr(pos_, n);
-    pos_ += n;
-    return bytes;
-  }
-
-  bool AtEnd() const { return pos_ >= text_.size(); }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-Status ExpectEnd(const Cursor& cursor, const char* what) {
-  if (!cursor.AtEnd()) {
-    return Status::InvalidArgument(
-        StringF("trailing bytes after %s", what));
-  }
-  return Status::OK();
-}
-
-/// Splits `line` into exactly `n` space-separated tokens plus the raw
-/// remainder (for trailing escaped messages). With rest == nullptr the
-/// line must hold exactly `n` tokens.
-Result<std::vector<std::string>> SplitN(const std::string& line, size_t n,
-                                        std::string* rest, const char* what) {
-  std::vector<std::string> tokens;
-  size_t pos = 0;
+/// Splits `line` into `n` leading tokens plus the raw remainder after
+/// their separator, so an escaped message keeps its own spacing.
+Result<std::vector<std::string_view>> SplitN(std::string_view line, size_t n,
+                                             std::string_view* rest,
+                                             const char* what) {
+  std::vector<std::string_view> tokens;
   while (tokens.size() < n) {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    const size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') ++pos;
-    if (pos == start) {
+    const std::string_view token = NextToken(&line);
+    if (token.empty()) {
       return Status::InvalidArgument(
           StringF("%s: expected %zu fields, found %zu", what, n,
                   tokens.size()));
     }
-    tokens.push_back(line.substr(start, pos - start));
+    tokens.push_back(token);
   }
-  if (rest != nullptr) {
-    if (pos < line.size() && line[pos] == ' ') ++pos;
-    *rest = line.substr(pos);
-  } else {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    if (pos != line.size()) {
-      return Status::InvalidArgument(
-          StringF("%s: unexpected trailing fields", what));
-    }
-  }
+  if (!line.empty()) line.remove_prefix(1);
+  *rest = line;
   return tokens;
 }
 
-Result<double> ParseDouble(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad number '%s'", what, token.c_str()));
-  }
-  return v;
-}
-
-Result<long> ParseInt(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const long v = std::strtol(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad integer '%s'", what, token.c_str()));
-  }
-  return v;
-}
-
-Result<uint64_t> ParseId(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0' || token[0] == '-') {
-    return Status::InvalidArgument(
-        StringF("%s: bad campaign id '%s'", what, token.c_str()));
-  }
-  return static_cast<uint64_t>(v);
-}
-
-std::string EscapeMessage(const std::string& message) {
+std::string EscapeMessage(std::string_view message) {
   std::string out;
   out.reserve(message.size());
   for (char c : message) {
@@ -151,7 +61,7 @@ std::string EscapeMessage(const std::string& message) {
   return out;
 }
 
-Result<std::string> UnescapeMessage(const std::string& escaped) {
+Result<std::string> UnescapeMessage(std::string_view escaped) {
   std::string out;
   out.reserve(escaped.size());
   for (size_t i = 0; i < escaped.size(); ++i) {
@@ -180,145 +90,138 @@ Result<std::string> UnescapeMessage(const std::string& escaped) {
   return out;
 }
 
+/// The status an `err` form transports, or the parse error when the
+/// fragment is malformed. Never OK, so callers return it either way.
+Status TransportedError(std::string_view fragment, const char* what) {
+  Status status;
+  CP_RETURN_IF_ERROR(DecodeStatusFragment(fragment, &status));
+  if (status.ok()) {
+    return Status::InvalidArgument(StringF("%s carries an OK status", what));
+  }
+  return status;
+}
+
+Status ExpectNoMoreFields(std::string_view rest, const char* what) {
+  if (!NextToken(&rest).empty()) {
+    return Status::InvalidArgument(
+        StringF("%s: unexpected trailing fields", what));
+  }
+  return Status::OK();
+}
+
 /// The `<now> <campaign> <k> <remaining...>` suffix shared by the single
 /// request line and batch request lines.
 void AppendRequestFields(const market::DecisionRequest& request,
-                         std::ostringstream* out) {
-  *out << Hex(request.now_hours) << " " << Hex(request.campaign_hours) << " "
-       << request.remaining.size();
-  for (int64_t n : request.remaining) *out << " " << n;
+                         std::string* out) {
+  AppendHex(request.now_hours, out);
+  *out += ' ';
+  AppendHex(request.campaign_hours, out);
+  *out += ' ';
+  *out += std::to_string(request.remaining.size());
+  for (int64_t n : request.remaining) {
+    *out += ' ';
+    *out += std::to_string(n);
+  }
 }
 
-Result<market::DecisionRequest> ParseRequestFields(
-    const std::vector<std::string>& tokens, size_t offset, const char* what) {
+/// Parses a request suffix; `rest` must hold exactly its fields.
+Result<market::DecisionRequest> ParseRequestFields(std::string_view rest,
+                                                   const char* what) {
   market::DecisionRequest request;
   CP_ASSIGN_OR_RETURN(request.now_hours,
-                      ParseDouble(tokens[offset], "now_hours"));
+                      ParseDouble(NextToken(&rest), "now_hours"));
   CP_ASSIGN_OR_RETURN(request.campaign_hours,
-                      ParseDouble(tokens[offset + 1], "campaign_hours"));
-  CP_ASSIGN_OR_RETURN(long num_types,
-                      ParseInt(tokens[offset + 2], "num task types"));
+                      ParseDouble(NextToken(&rest), "campaign_hours"));
+  CP_ASSIGN_OR_RETURN(const int num_types,
+                      ParseInt<int>(NextToken(&rest), "num task types"));
   if (num_types < 0 || num_types > kMaxTaskTypes) {
     return Status::InvalidArgument(
-        StringF("%s: task type count %ld out of range", what, num_types));
+        StringF("%s: task type count %d out of range", what, num_types));
   }
-  if (tokens.size() != offset + 3 + static_cast<size_t>(num_types)) {
-    return Status::InvalidArgument(
-        StringF("%s: expected %zu fields, found %zu", what,
-                offset + 3 + static_cast<size_t>(num_types), tokens.size()));
-  }
-  request.remaining.reserve(static_cast<size_t>(num_types));
-  for (long i = 0; i < num_types; ++i) {
-    CP_ASSIGN_OR_RETURN(
-        long remaining,
-        ParseInt(tokens[offset + 3 + static_cast<size_t>(i)], "remaining"));
+  for (int i = 0; i < num_types; ++i) {
+    CP_ASSIGN_OR_RETURN(const int64_t remaining,
+                        ParseInt<int64_t>(NextToken(&rest), "remaining"));
     request.remaining.push_back(remaining);
   }
+  CP_RETURN_IF_ERROR(ExpectNoMoreFields(rest, what));
   return request;
 }
 
 /// The `<k> <price> <group> ...` suffix shared by the sheet line and ok
 /// response lines.
-void AppendSheetFields(const market::OfferSheet& sheet,
-                       std::ostringstream* out) {
-  *out << sheet.offers.size();
+void AppendSheetFields(const market::OfferSheet& sheet, std::string* out) {
+  *out += std::to_string(sheet.offers.size());
   for (const market::Offer& offer : sheet.offers) {
-    *out << " " << Hex(offer.per_task_reward_cents) << " "
-         << offer.group_size;
+    *out += ' ';
+    AppendHex(offer.per_task_reward_cents, out);
+    *out += ' ';
+    *out += std::to_string(offer.group_size);
   }
 }
 
-Result<market::OfferSheet> ParseSheetFields(
-    const std::vector<std::string>& tokens, size_t offset, const char* what) {
+/// Parses a sheet suffix; `rest` must hold exactly its fields.
+Result<market::OfferSheet> ParseSheetFields(std::string_view rest,
+                                            const char* what) {
   market::OfferSheet sheet;
-  CP_ASSIGN_OR_RETURN(long num_offers,
-                      ParseInt(tokens[offset], "num offers"));
+  CP_ASSIGN_OR_RETURN(const int num_offers,
+                      ParseInt<int>(NextToken(&rest), "num offers"));
   if (num_offers < 0 || num_offers > kMaxTaskTypes) {
     return Status::InvalidArgument(
-        StringF("%s: offer count %ld out of range", what, num_offers));
+        StringF("%s: offer count %d out of range", what, num_offers));
   }
-  if (tokens.size() != offset + 1 + 2 * static_cast<size_t>(num_offers)) {
-    return Status::InvalidArgument(
-        StringF("%s: expected %zu fields, found %zu", what,
-                offset + 1 + 2 * static_cast<size_t>(num_offers),
-                tokens.size()));
-  }
-  sheet.offers.reserve(static_cast<size_t>(num_offers));
-  for (long i = 0; i < num_offers; ++i) {
+  for (int i = 0; i < num_offers; ++i) {
     market::Offer offer;
-    const size_t base = offset + 1 + 2 * static_cast<size_t>(i);
-    CP_ASSIGN_OR_RETURN(offer.per_task_reward_cents,
-                        ParseDouble(tokens[base], "per_task_reward_cents"));
-    CP_ASSIGN_OR_RETURN(long group, ParseInt(tokens[base + 1], "group_size"));
-    offer.group_size = static_cast<int>(group);
+    CP_ASSIGN_OR_RETURN(
+        offer.per_task_reward_cents,
+        ParseDouble(NextToken(&rest), "per_task_reward_cents"));
+    CP_ASSIGN_OR_RETURN(offer.group_size,
+                        ParseInt<int>(NextToken(&rest), "group_size"));
     sheet.offers.push_back(offer);
   }
+  CP_RETURN_IF_ERROR(ExpectNoMoreFields(rest, what));
   return sheet;
 }
 
-std::string SerializeDecideRequestLine(const serving::DecideRequest& request) {
-  std::ostringstream out;
-  out << "request " << request.campaign_id << " ";
-  AppendRequestFields(request.request, &out);
-  out << "\n";
-  return out.str();
+void AppendDecideRequestLine(const serving::DecideRequest& request,
+                             std::string* out) {
+  *out += "request ";
+  *out += std::to_string(request.campaign_id);
+  *out += ' ';
+  AppendRequestFields(request.request, out);
 }
 
-Result<serving::DecideRequest> ParseDecideRequestLine(const std::string& line,
-                                                      const char* what) {
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
-  if (tokens.size() < 5 || tokens[0] != "request") {
-    return Status::InvalidArgument(
-        StringF("%s: expected 'request <id> <now> <campaign> <k> ...'", what));
-  }
-  serving::DecideRequest request;
-  CP_ASSIGN_OR_RETURN(request.campaign_id, ParseId(tokens[1], what));
-  CP_ASSIGN_OR_RETURN(request.request, ParseRequestFields(tokens, 2, what));
-  return request;
-}
-
-std::string SerializeDecideResponseLine(
-    const serving::DecideResponse& response) {
-  std::ostringstream out;
-  out << "response " << response.campaign_id;
+void AppendDecideResponseLine(const serving::DecideResponse& response,
+                              std::string* out) {
+  *out += "response ";
+  *out += std::to_string(response.campaign_id);
   if (response.status.ok()) {
-    out << " ok ";
-    AppendSheetFields(response.sheet, &out);
+    *out += " ok ";
+    AppendSheetFields(response.sheet, out);
   } else {
-    out << " err " << EncodeStatusFragment(response.status);
+    *out += " err ";
+    *out += EncodeStatusFragment(response.status);
   }
-  out << "\n";
-  return out.str();
 }
 
-Result<serving::DecideResponse> ParseDecideResponseLine(
-    const std::string& line, const char* what) {
-  std::string rest;
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> head,
-                      SplitN(line, 3, &rest, what));
-  if (head[0] != "response") {
+Result<serving::DecideResponse> DeserializeDecideResponseLine(
+    std::string_view line) {
+  const char* what = "decide response line";
+  if (NextToken(&line) != "response") {
     return Status::InvalidArgument(
         StringF("%s: expected 'response <id> ok|err ...'", what));
   }
   serving::DecideResponse response;
-  CP_ASSIGN_OR_RETURN(response.campaign_id, ParseId(head[1], what));
-  if (head[2] == "ok") {
-    std::istringstream ss(rest);
-    std::vector<std::string> tokens;
-    std::string token;
-    while (ss >> token) tokens.push_back(token);
-    if (tokens.empty()) {
-      return Status::InvalidArgument(
-          StringF("%s: ok response missing sheet fields", what));
-    }
-    CP_ASSIGN_OR_RETURN(response.sheet, ParseSheetFields(tokens, 0, what));
+  CP_ASSIGN_OR_RETURN(response.campaign_id,
+                      ParseInt<uint64_t>(NextToken(&line), "campaign id"));
+  const std::string_view verdict = NextToken(&line);
+  if (verdict == "ok") {
+    CP_ASSIGN_OR_RETURN(response.sheet, ParseSheetFields(line, what));
     return response;
   }
-  if (head[2] == "err") {
-    CP_RETURN_IF_ERROR(DecodeStatusFragment(rest, &response.status));
+  if (verdict == "err") {
+    // One separator, then the fragment; its message keeps its own spacing.
+    if (!line.empty()) line.remove_prefix(1);
+    CP_RETURN_IF_ERROR(DecodeStatusFragment(line, &response.status));
     if (response.status.ok()) {
       return Status::InvalidArgument(
           StringF("%s: err response carries an OK status", what));
@@ -326,7 +229,74 @@ Result<serving::DecideResponse> ParseDecideResponseLine(
     return response;
   }
   return Status::InvalidArgument(
-      StringF("%s: expected 'ok' or 'err', got '%s'", what, head[2].c_str()));
+      StringF("%s: expected 'ok' or 'err', got '%.*s'", what,
+              static_cast<int>(verdict.size()), verdict.data()));
+}
+
+std::string BatchHeader(size_t lines) {
+  return "decide-batch " + std::to_string(lines) + "\n";
+}
+
+/// Reads a decide-batch payload: the `decide-batch <n>` header, then n body
+/// lines, each turned into a T by `parse`. A payload in the whole-batch
+/// `err` form surfaces as that Status. The one batch-header parser; the
+/// vector grows as lines arrive, so a lying count allocates nothing.
+template <typename T, typename Parse>
+Result<std::vector<T>> ReadBatch(const std::string& payload, const char* what,
+                                 Parse parse) {
+  LineReader reader(payload, "payload");
+  CP_ASSIGN_OR_RETURN(const std::string_view header, reader.Next(what));
+  std::string_view rest;
+  CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> head,
+                      SplitN(header, 1, &rest, what));
+  if (head[0] == "err") {
+    CP_RETURN_IF_ERROR(reader.ExpectEnd(what));
+    return TransportedError(rest, "batch error");
+  }
+  CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> fields,
+                      Tokens(header, 2, what));
+  if (fields[0] != "decide-batch") {
+    return Status::InvalidArgument(
+        StringF("%s: expected 'decide-batch <n>' or 'err ...'", what));
+  }
+  CP_ASSIGN_OR_RETURN(const int count, ParseInt<int>(fields[1], what));
+  if (count < 0 || count > kMaxBatchRequests) {
+    return Status::InvalidArgument(
+        StringF("%s: batch size %d out of range [0, %d]", what, count,
+                kMaxBatchRequests));
+  }
+  std::vector<T> items;
+  for (int i = 0; i < count; ++i) {
+    CP_ASSIGN_OR_RETURN(const std::string_view line, reader.Next(what));
+    CP_ASSIGN_OR_RETURN(T item, parse(line));
+    items.push_back(std::move(item));
+  }
+  CP_RETURN_IF_ERROR(reader.ExpectEnd(what));
+  return items;
+}
+
+/// Reads a payload that must hold exactly one line.
+Result<std::string_view> SoleLine(const std::string& text, const char* what) {
+  LineReader reader(text, "payload");
+  CP_ASSIGN_OR_RETURN(const std::string_view line, reader.Next(what));
+  CP_RETURN_IF_ERROR(reader.ExpectEnd(what));
+  return line;
+}
+
+Result<std::shared_ptr<const engine::PolicyArtifact>> ReadArtifactBlock(
+    LineReader* reader, std::string_view marker, std::string_view count,
+    const char* what) {
+  if (marker != "artifact") {
+    return Status::InvalidArgument(
+        StringF("%s: expected 'artifact <bytes>'", what));
+  }
+  CP_ASSIGN_OR_RETURN(const uint64_t bytes,
+                      ParseInt<uint64_t>(count, "artifact byte count"));
+  CP_ASSIGN_OR_RETURN(const std::string_view blob,
+                      reader->Bytes(bytes, "artifact"));
+  CP_ASSIGN_OR_RETURN(engine::PolicyArtifact artifact,
+                      engine::PolicyArtifact::Deserialize(blob));
+  return std::make_shared<const engine::PolicyArtifact>(std::move(artifact));
 }
 
 }  // namespace
@@ -401,15 +371,15 @@ std::string EncodeStatusFragment(const Status& status) {
                  EscapeMessage(status.message()).c_str());
 }
 
-Status DecodeStatusFragment(const std::string& fragment, Status* decoded) {
-  std::string rest;
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> head,
+Status DecodeStatusFragment(std::string_view fragment, Status* decoded) {
+  std::string_view rest;
+  CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> head,
                       SplitN(fragment, 1, &rest, "status fragment"));
-  CP_ASSIGN_OR_RETURN(long value, ParseInt(head[0], "status code"));
+  CP_ASSIGN_OR_RETURN(const int value, ParseInt<int>(head[0], "status code"));
   StatusCode code = StatusCode::kOk;
-  if (!StatusCodeFromInt(static_cast<int>(value), &code)) {
+  if (!StatusCodeFromInt(value, &code)) {
     return Status::InvalidArgument(
-        StringF("unknown status code %ld on the wire", value));
+        StringF("unknown status code %d on the wire", value));
   }
   CP_ASSIGN_OR_RETURN(std::string message, UnescapeMessage(rest));
   if (code == StatusCode::kOk) {
@@ -424,61 +394,49 @@ Status DecodeStatusFragment(const std::string& fragment, Status* decoded) {
 }
 
 std::string SerializeDecisionRequest(const market::DecisionRequest& request) {
-  std::ostringstream out;
-  out << "request ";
+  std::string out = "request ";
   AppendRequestFields(request, &out);
-  out << "\n";
-  return out.str();
+  out += '\n';
+  return out;
 }
 
 Result<market::DecisionRequest> DeserializeDecisionRequest(
     const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("request line"));
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "request line"));
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
-  if (tokens.size() < 4 || tokens[0] != "request") {
+  CP_ASSIGN_OR_RETURN(std::string_view line, SoleLine(text, "request line"));
+  if (NextToken(&line) != "request") {
     return Status::InvalidArgument(
         "expected 'request <now> <campaign> <k> ...'");
   }
-  return ParseRequestFields(tokens, 1, "request line");
+  return ParseRequestFields(line, "request line");
 }
 
 std::string SerializeOfferSheet(const market::OfferSheet& sheet) {
-  std::ostringstream out;
-  out << "sheet ";
+  std::string out = "sheet ";
   AppendSheetFields(sheet, &out);
-  out << "\n";
-  return out.str();
+  out += '\n';
+  return out;
 }
 
 Result<market::OfferSheet> DeserializeOfferSheet(const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("sheet line"));
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "sheet line"));
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
-  if (tokens.size() < 2 || tokens[0] != "sheet") {
+  CP_ASSIGN_OR_RETURN(std::string_view line, SoleLine(text, "sheet line"));
+  if (NextToken(&line) != "sheet") {
     return Status::InvalidArgument("expected 'sheet <k> ...'");
   }
-  return ParseSheetFields(tokens, 1, "sheet line");
+  return ParseSheetFields(line, "sheet line");
 }
 
 std::string SerializeDecideResponse(const serving::DecideResponse& response) {
-  return SerializeDecideResponseLine(response);
+  std::string out;
+  AppendDecideResponseLine(response, &out);
+  out += '\n';
+  return out;
 }
 
 Result<serving::DecideResponse> DeserializeDecideResponse(
     const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("response line"));
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "response line"));
-  return ParseDecideResponseLine(line, "response line");
+  CP_ASSIGN_OR_RETURN(const std::string_view line,
+                      SoleLine(text, "response line"));
+  return DeserializeDecideResponseLine(line);
 }
 
 Result<std::string> SerializeControlOp(const serving::ControlOp& op) {
@@ -499,8 +457,9 @@ Result<std::string> SerializeControlOp(const serving::ControlOp& op) {
       // verb so a plain admit's wire form is unchanged.
       if (op.id != 0) out << "-at " << op.id;
       out << " " << op.limits.total_tasks << " "
-          << Hex(op.limits.deadline_hours) << " " << Hex(op.limits.admit_hours)
-          << " artifact " << blob.size() << "\n"
+          << FormatHex(op.limits.deadline_hours) << " "
+          << FormatHex(op.limits.admit_hours) << " artifact " << blob.size()
+          << "\n"
           << blob;
       return out.str();
     }
@@ -517,7 +476,7 @@ Result<std::string> SerializeControlOp(const serving::ControlOp& op) {
       out << "control retire " << op.id << "\n";
       return out.str();
     case serving::ControlOp::Kind::kTick:
-      out << "control tick " << op.id << " " << Hex(op.now_hours) << " "
+      out << "control tick " << op.id << " " << FormatHex(op.now_hours) << " "
           << op.remaining_tasks << "\n";
       return out.str();
   }
@@ -525,40 +484,14 @@ Result<std::string> SerializeControlOp(const serving::ControlOp& op) {
       StringF("unknown control op kind %d", static_cast<int>(op.kind)));
 }
 
-namespace {
-
-Result<std::shared_ptr<const engine::PolicyArtifact>> ReadArtifactBlock(
-    Cursor* cursor, const std::string& marker, const std::string& count,
-    const char* what) {
-  if (marker != "artifact") {
-    return Status::InvalidArgument(
-        StringF("%s: expected 'artifact <bytes>'", what));
-  }
-  CP_ASSIGN_OR_RETURN(long bytes, ParseInt(count, "artifact byte count"));
-  if (bytes < 0) {
-    return Status::InvalidArgument(
-        StringF("%s: negative artifact byte count", what));
-  }
-  CP_ASSIGN_OR_RETURN(std::string blob,
-                      cursor->Bytes(static_cast<size_t>(bytes), "artifact"));
-  CP_ASSIGN_OR_RETURN(engine::PolicyArtifact artifact,
-                      engine::PolicyArtifact::Deserialize(blob));
-  return std::make_shared<const engine::PolicyArtifact>(std::move(artifact));
-}
-
-}  // namespace
-
 Result<serving::ControlOp> DeserializeControlOp(const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("control line"));
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
+  LineReader reader(text, "payload");
+  CP_ASSIGN_OR_RETURN(const std::string_view line, reader.Next("control line"));
+  const std::vector<std::string_view> tokens = Tokens(line);
   if (tokens.size() < 2 || tokens[0] != "control") {
     return Status::InvalidArgument("expected 'control <verb> ...'");
   }
-  const std::string& verb = tokens[1];
+  const std::string_view verb = tokens[1];
   if (verb == "admit" || verb == "admit-at") {
     // admit-at (the migration re-admit) is admit plus a leading target id.
     const bool with_id = verb == "admit-at";
@@ -572,7 +505,7 @@ Result<serving::ControlOp> DeserializeControlOp(const std::string& text) {
     }
     serving::CampaignId id = 0;
     if (with_id) {
-      CP_ASSIGN_OR_RETURN(id, ParseId(tokens[2], "control admit-at"));
+      CP_ASSIGN_OR_RETURN(id, ParseInt<uint64_t>(tokens[2], "campaign id"));
       if (id == 0) {
         return Status::InvalidArgument(
             "control admit-at: id 0 means 'assign fresh' and cannot be "
@@ -580,16 +513,16 @@ Result<serving::ControlOp> DeserializeControlOp(const std::string& text) {
       }
     }
     serving::CampaignLimits limits;
-    CP_ASSIGN_OR_RETURN(long total, ParseInt(tokens[base], "total_tasks"));
-    limits.total_tasks = total;
+    CP_ASSIGN_OR_RETURN(limits.total_tasks,
+                        ParseInt<int64_t>(tokens[base], "total_tasks"));
     CP_ASSIGN_OR_RETURN(limits.deadline_hours,
                         ParseDouble(tokens[base + 1], "deadline_hours"));
     CP_ASSIGN_OR_RETURN(limits.admit_hours,
                         ParseDouble(tokens[base + 2], "admit_hours"));
     CP_ASSIGN_OR_RETURN(std::shared_ptr<const engine::PolicyArtifact> artifact,
-                        ReadArtifactBlock(&cursor, tokens[base + 3],
+                        ReadArtifactBlock(&reader, tokens[base + 3],
                                           tokens[base + 4], "control admit"));
-    CP_RETURN_IF_ERROR(ExpectEnd(cursor, "control admit"));
+    CP_RETURN_IF_ERROR(reader.ExpectEnd("control admit"));
     if (with_id) {
       return serving::ControlOp::AdmitSharedWithId(id, std::move(artifact),
                                                    limits);
@@ -601,21 +534,21 @@ Result<serving::ControlOp> DeserializeControlOp(const std::string& text) {
       return Status::InvalidArgument(
           "expected 'control swap <id> artifact <bytes>'");
     }
-    CP_ASSIGN_OR_RETURN(serving::CampaignId id,
-                        ParseId(tokens[2], "control swap"));
+    CP_ASSIGN_OR_RETURN(const serving::CampaignId id,
+                        ParseInt<uint64_t>(tokens[2], "campaign id"));
     CP_ASSIGN_OR_RETURN(
         std::shared_ptr<const engine::PolicyArtifact> artifact,
-        ReadArtifactBlock(&cursor, tokens[3], tokens[4], "control swap"));
-    CP_RETURN_IF_ERROR(ExpectEnd(cursor, "control swap"));
+        ReadArtifactBlock(&reader, tokens[3], tokens[4], "control swap"));
+    CP_RETURN_IF_ERROR(reader.ExpectEnd("control swap"));
     return serving::ControlOp::SwapArtifactShared(id, std::move(artifact));
   }
   if (verb == "retire") {
     if (tokens.size() != 3) {
       return Status::InvalidArgument("expected 'control retire <id>'");
     }
-    CP_ASSIGN_OR_RETURN(serving::CampaignId id,
-                        ParseId(tokens[2], "control retire"));
-    CP_RETURN_IF_ERROR(ExpectEnd(cursor, "control retire"));
+    CP_ASSIGN_OR_RETURN(const serving::CampaignId id,
+                        ParseInt<uint64_t>(tokens[2], "campaign id"));
+    CP_RETURN_IF_ERROR(reader.ExpectEnd("control retire"));
     return serving::ControlOp::Retire(id);
   }
   if (verb == "tick") {
@@ -623,17 +556,18 @@ Result<serving::ControlOp> DeserializeControlOp(const std::string& text) {
       return Status::InvalidArgument(
           "expected 'control tick <id> <now> <remaining>'");
     }
-    CP_ASSIGN_OR_RETURN(serving::CampaignId id,
-                        ParseId(tokens[2], "control tick"));
-    CP_ASSIGN_OR_RETURN(double now_hours,
+    CP_ASSIGN_OR_RETURN(const serving::CampaignId id,
+                        ParseInt<uint64_t>(tokens[2], "campaign id"));
+    CP_ASSIGN_OR_RETURN(const double now_hours,
                         ParseDouble(tokens[3], "now_hours"));
-    CP_ASSIGN_OR_RETURN(long remaining,
-                        ParseInt(tokens[4], "remaining_tasks"));
-    CP_RETURN_IF_ERROR(ExpectEnd(cursor, "control tick"));
+    CP_ASSIGN_OR_RETURN(const int64_t remaining,
+                        ParseInt<int64_t>(tokens[4], "remaining_tasks"));
+    CP_RETURN_IF_ERROR(reader.ExpectEnd("control tick"));
     return serving::ControlOp::Tick(id, now_hours, remaining);
   }
   return Status::InvalidArgument(
-      StringF("unknown control verb '%s'", verb.c_str()));
+      StringF("unknown control verb '%.*s'", static_cast<int>(verb.size()),
+              verb.data()));
 }
 
 std::string SerializeControlAck(const Result<serving::ControlOutcome>& ack) {
@@ -648,86 +582,81 @@ std::string SerializeControlAck(const Result<serving::ControlOutcome>& ack) {
 
 Result<serving::ControlOutcome> DeserializeControlAck(
     const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("control-ack line"));
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "control-ack line"));
-  std::string rest;
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> head,
+  CP_ASSIGN_OR_RETURN(const std::string_view line,
+                      SoleLine(text, "control-ack line"));
+  std::string_view rest;
+  CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> head,
                       SplitN(line, 2, &rest, "control-ack line"));
   if (head[0] != "control-ack") {
     return Status::InvalidArgument("expected 'control-ack ok|err ...'");
   }
   if (head[1] == "ok") {
-    CP_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                        SplitN(rest, 2, nullptr, "control-ack outcome"));
+    CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> fields,
+                        Tokens(rest, 2, "control-ack outcome"));
     serving::ControlOutcome outcome;
-    CP_ASSIGN_OR_RETURN(outcome.id, ParseId(fields[0], "control-ack"));
-    CP_ASSIGN_OR_RETURN(long state, ParseInt(fields[1], "campaign state"));
-    if (state < static_cast<long>(serving::CampaignState::kLive) ||
-        state > static_cast<long>(serving::CampaignState::kRetiredExplicit)) {
+    CP_ASSIGN_OR_RETURN(outcome.id,
+                        ParseInt<uint64_t>(fields[0], "campaign id"));
+    CP_ASSIGN_OR_RETURN(const int state,
+                        ParseInt<int>(fields[1], "campaign state"));
+    if (state < static_cast<int>(serving::CampaignState::kLive) ||
+        state > static_cast<int>(serving::CampaignState::kRetiredExplicit)) {
       return Status::InvalidArgument(
-          StringF("unknown campaign state %ld on the wire", state));
+          StringF("unknown campaign state %d on the wire", state));
     }
     outcome.state = static_cast<serving::CampaignState>(state);
     return outcome;
   }
-  if (head[1] == "err") {
-    Status status;
-    CP_RETURN_IF_ERROR(DecodeStatusFragment(rest, &status));
-    if (status.ok()) {
-      return Status::InvalidArgument("err ack carries an OK status");
-    }
-    return status;
-  }
+  if (head[1] == "err") return TransportedError(rest, "err ack");
   return Status::InvalidArgument(
-      StringF("expected 'ok' or 'err', got '%s'", head[1].c_str()));
+      StringF("expected 'ok' or 'err', got '%.*s'",
+              static_cast<int>(head[1].size()), head[1].data()));
+}
+
+Result<serving::DecideRequest> DeserializeDecideRequestLine(
+    std::string_view line) {
+  const char* what = "decide request line";
+  if (NextToken(&line) != "request") {
+    return Status::InvalidArgument(
+        StringF("%s: expected 'request <id> <now> <campaign> <k> ...'", what));
+  }
+  serving::DecideRequest request;
+  CP_ASSIGN_OR_RETURN(request.campaign_id,
+                      ParseInt<uint64_t>(NextToken(&line), "campaign id"));
+  CP_ASSIGN_OR_RETURN(request.request, ParseRequestFields(line, what));
+  return request;
+}
+
+std::string SerializeDecideResponseLine(
+    const serving::DecideResponse& response) {
+  std::string out;
+  AppendDecideResponseLine(response, &out);
+  return out;
 }
 
 std::string SerializeDecideBatchRequest(
     const std::vector<serving::DecideRequest>& requests) {
-  std::ostringstream out;
-  out << "decide-batch " << requests.size() << "\n";
+  std::string out = BatchHeader(requests.size());
   for (const serving::DecideRequest& request : requests) {
-    out << SerializeDecideRequestLine(request);
+    AppendDecideRequestLine(request, &out);
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 Result<std::vector<serving::DecideRequest>> DeserializeDecideBatchRequest(
     const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string header, cursor.Line("batch header"));
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                      SplitN(header, 2, nullptr, "batch header"));
-  if (fields[0] != "decide-batch") {
-    return Status::InvalidArgument("expected 'decide-batch <n>'");
-  }
-  CP_ASSIGN_OR_RETURN(long count, ParseInt(fields[1], "batch size"));
-  if (count < 0 || count > kMaxBatchRequests) {
-    return Status::InvalidArgument(
-        StringF("batch size %ld out of range [0, %ld]", count,
-                kMaxBatchRequests));
-  }
-  std::vector<serving::DecideRequest> requests;
-  requests.reserve(static_cast<size_t>(count));
-  for (long i = 0; i < count; ++i) {
-    CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("batch request line"));
-    CP_ASSIGN_OR_RETURN(serving::DecideRequest request,
-                        ParseDecideRequestLine(line, "batch request line"));
-    requests.push_back(std::move(request));
-  }
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "decide batch"));
-  return requests;
+  return ReadBatch<serving::DecideRequest>(text, "decide batch",
+                                           DeserializeDecideRequestLine);
 }
 
 std::string SerializeDecideBatchResponse(
     const std::vector<serving::DecideResponse>& responses) {
-  std::ostringstream out;
-  out << "decide-batch " << responses.size() << "\n";
+  std::string out = BatchHeader(responses.size());
   for (const serving::DecideResponse& response : responses) {
-    out << SerializeDecideResponseLine(response);
+    AppendDecideResponseLine(response, &out);
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 std::string SerializeBatchError(const Status& status) {
@@ -736,104 +665,37 @@ std::string SerializeBatchError(const Status& status) {
 
 Result<std::vector<serving::DecideResponse>> DeserializeDecideBatchResponse(
     const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string header, cursor.Line("batch header"));
-  // The whole-batch error form: `err <code> <message>`.
-  if (header.rfind("err", 0) == 0 &&
-      (header.size() == 3 || header[3] == ' ')) {
-    CP_RETURN_IF_ERROR(ExpectEnd(cursor, "batch error"));
-    std::string rest;
-    CP_ASSIGN_OR_RETURN(std::vector<std::string> head,
-                        SplitN(header, 1, &rest, "batch error"));
-    static_cast<void>(head);
-    Status status;
-    CP_RETURN_IF_ERROR(DecodeStatusFragment(rest, &status));
-    if (status.ok()) {
-      return Status::InvalidArgument("batch error carries an OK status");
-    }
-    return status;
-  }
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                      SplitN(header, 2, nullptr, "batch header"));
-  if (fields[0] != "decide-batch") {
-    return Status::InvalidArgument("expected 'decide-batch <n>' or 'err ...'");
-  }
-  CP_ASSIGN_OR_RETURN(long count, ParseInt(fields[1], "batch size"));
-  if (count < 0 || count > kMaxBatchRequests) {
-    return Status::InvalidArgument(
-        StringF("batch size %ld out of range [0, %ld]", count,
-                kMaxBatchRequests));
-  }
-  std::vector<serving::DecideResponse> responses;
-  responses.reserve(static_cast<size_t>(count));
-  for (long i = 0; i < count; ++i) {
-    CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("batch response line"));
-    CP_ASSIGN_OR_RETURN(serving::DecideResponse response,
-                        ParseDecideResponseLine(line, "batch response line"));
-    responses.push_back(std::move(response));
-  }
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "decide batch"));
-  return responses;
+  return ReadBatch<serving::DecideResponse>(text, "decide batch",
+                                            DeserializeDecideResponseLine);
 }
 
 Result<std::vector<std::string>> SplitDecideBatchPayload(
     const std::string& payload, const char* what) {
-  Cursor cursor(payload);
-  CP_ASSIGN_OR_RETURN(std::string header, cursor.Line(what));
-  // The whole-batch error form: `err <code> <message>`.
-  if (header.rfind("err", 0) == 0 &&
-      (header.size() == 3 || header[3] == ' ')) {
-    CP_RETURN_IF_ERROR(ExpectEnd(cursor, what));
-    std::string rest;
-    CP_ASSIGN_OR_RETURN(std::vector<std::string> head,
-                        SplitN(header, 1, &rest, what));
-    static_cast<void>(head);
-    Status status;
-    CP_RETURN_IF_ERROR(DecodeStatusFragment(rest, &status));
-    if (status.ok()) {
-      return Status::InvalidArgument(
-          StringF("%s: batch error carries an OK status", what));
-    }
-    return status;
-  }
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                      SplitN(header, 2, nullptr, what));
-  if (fields[0] != "decide-batch") {
-    return Status::InvalidArgument(
-        StringF("%s: expected 'decide-batch <n>'", what));
-  }
-  CP_ASSIGN_OR_RETURN(long count, ParseInt(fields[1], what));
-  if (count < 0 || count > kMaxBatchRequests) {
-    return Status::InvalidArgument(
-        StringF("%s: batch size %ld out of range [0, %ld]", what, count,
-                kMaxBatchRequests));
-  }
-  std::vector<std::string> lines;
-  lines.reserve(static_cast<size_t>(count));
-  for (long i = 0; i < count; ++i) {
-    CP_ASSIGN_OR_RETURN(std::string line, cursor.Line(what));
-    lines.push_back(std::move(line));
-  }
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, what));
-  return lines;
+  return ReadBatch<std::string>(
+      payload, what, [](std::string_view line) -> Result<std::string> {
+        return std::string(line);
+      });
 }
 
 std::string JoinDecideBatchPayload(const std::vector<std::string>& lines) {
-  std::ostringstream out;
-  out << "decide-batch " << lines.size() << "\n";
-  for (const std::string& line : lines) out << line << "\n";
-  return out.str();
+  std::string out = BatchHeader(lines.size());
+  size_t bytes = out.size();
+  for (const std::string& line : lines) bytes += line.size() + 1;
+  out.reserve(bytes);
+  for (const std::string& line : lines) {
+    out += line;
+    out += '\n';
+  }
+  return out;
 }
 
-Result<serving::CampaignId> DecideLineCampaignId(const std::string& line) {
-  std::string rest;
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> head,
-                      SplitN(line, 2, &rest, "decide line"));
-  if (head[0] != "request" && head[0] != "response") {
+Result<serving::CampaignId> DecideLineCampaignId(std::string_view line) {
+  const std::string_view keyword = NextToken(&line);
+  if (keyword != "request" && keyword != "response") {
     return Status::InvalidArgument(
         "expected 'request <id> ...' or 'response <id> ...'");
   }
-  return ParseId(head[1], "decide line");
+  return ParseInt<uint64_t>(NextToken(&line), "campaign id");
 }
 
 std::string DecideErrorLine(serving::CampaignId id, const Status& status) {
@@ -841,9 +703,7 @@ std::string DecideErrorLine(serving::CampaignId id, const Status& status) {
   response.campaign_id = id;
   response.status =
       status.ok() ? Status::Unavailable("backend unavailable") : status;
-  std::string line = SerializeDecideResponseLine(response);
-  if (!line.empty() && line.back() == '\n') line.pop_back();
-  return line;
+  return SerializeDecideResponseLine(response);
 }
 
 std::string SerializePingRequest() { return "ping\n"; }
@@ -870,19 +730,19 @@ std::string SerializeHelloRequest(const HelloRequest& hello) {
 }
 
 Result<HelloRequest> DeserializeHelloRequest(const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("hello line"));
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "hello line"));
-  std::string rest;
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> head,
+  CP_ASSIGN_OR_RETURN(const std::string_view line,
+                      SoleLine(text, "hello line"));
+  std::string_view rest;
+  CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> head,
                       SplitN(line, 2, &rest, "hello line"));
   if (head[0] != "hello") {
     return Status::InvalidArgument("expected 'hello <version> <token>'");
   }
-  CP_ASSIGN_OR_RETURN(long version, ParseInt(head[1], "hello version"));
+  CP_ASSIGN_OR_RETURN(const int version,
+                      ParseInt<int>(head[1], "hello version"));
   if (version < 0 || version > 0xffff) {
     return Status::InvalidArgument(
-        StringF("hello version %ld out of range", version));
+        StringF("hello version %d out of range", version));
   }
   HelloRequest hello;
   hello.version = static_cast<uint16_t>(version);
@@ -897,11 +757,10 @@ std::string SerializeHelloAck(const Status& verdict) {
 }
 
 Status DeserializeHelloAck(const std::string& text, Status* verdict) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("hello-ack line"));
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "hello-ack line"));
-  std::string rest;
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> head,
+  CP_ASSIGN_OR_RETURN(const std::string_view line,
+                      SoleLine(text, "hello-ack line"));
+  std::string_view rest;
+  CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> head,
                       SplitN(line, 2, &rest, "hello-ack line"));
   if (head[0] != "hello-ack") {
     return Status::InvalidArgument("expected 'hello-ack ok|err ...'");
@@ -923,7 +782,8 @@ Status DeserializeHelloAck(const std::string& text, Status* verdict) {
     return Status::OK();
   }
   return Status::InvalidArgument(
-      StringF("expected 'ok' or 'err', got '%s'", head[1].c_str()));
+      StringF("expected 'ok' or 'err', got '%.*s'",
+              static_cast<int>(head[1].size()), head[1].data()));
 }
 
 std::string SerializeExportRequest(serving::CampaignId id) {
@@ -931,15 +791,14 @@ std::string SerializeExportRequest(serving::CampaignId id) {
 }
 
 Result<serving::CampaignId> DeserializeExportRequest(const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("export line"));
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "export line"));
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                      SplitN(line, 2, nullptr, "export line"));
+  CP_ASSIGN_OR_RETURN(const std::string_view line,
+                      SoleLine(text, "export line"));
+  CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> fields,
+                      Tokens(line, 2, "export line"));
   if (fields[0] != "export") {
     return Status::InvalidArgument("expected 'export <id>'");
   }
-  return ParseId(fields[1], "export line");
+  return ParseInt<uint64_t>(fields[1], "campaign id");
 }
 
 Result<std::string> SerializeExportResponse(
@@ -954,8 +813,8 @@ Result<std::string> SerializeExportResponse(
   CP_ASSIGN_OR_RETURN(std::string blob, response->artifact->Serialize());
   std::ostringstream out;
   out << "export ok " << response->id << " " << response->limits.total_tasks
-      << " " << Hex(response->limits.deadline_hours) << " "
-      << Hex(response->limits.admit_hours) << " artifact " << blob.size()
+      << " " << FormatHex(response->limits.deadline_hours) << " "
+      << FormatHex(response->limits.admit_hours) << " artifact " << blob.size()
       << "\n"
       << blob;
   return out.str();
@@ -963,44 +822,41 @@ Result<std::string> SerializeExportResponse(
 
 Result<serving::CampaignExport> DeserializeExportResponse(
     const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("export response"));
-  std::string rest;
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> head,
+  LineReader reader(text, "payload");
+  CP_ASSIGN_OR_RETURN(const std::string_view line,
+                      reader.Next("export response"));
+  std::string_view rest;
+  CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> head,
                       SplitN(line, 2, &rest, "export response"));
   if (head[0] != "export") {
     return Status::InvalidArgument("expected 'export ok|err ...'");
   }
   if (head[1] == "err") {
-    CP_RETURN_IF_ERROR(ExpectEnd(cursor, "export error"));
-    Status status;
-    CP_RETURN_IF_ERROR(DecodeStatusFragment(rest, &status));
-    if (status.ok()) {
-      return Status::InvalidArgument("export error carries an OK status");
-    }
-    return status;
+    CP_RETURN_IF_ERROR(reader.ExpectEnd("export error"));
+    return TransportedError(rest, "export error");
   }
   if (head[1] != "ok") {
     return Status::InvalidArgument(
-        StringF("expected 'ok' or 'err', got '%s'", head[1].c_str()));
+        StringF("expected 'ok' or 'err', got '%.*s'",
+                static_cast<int>(head[1].size()), head[1].data()));
   }
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                      SplitN(rest, 6, nullptr, "export response"));
+  CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> fields,
+                      Tokens(rest, 6, "export response"));
   serving::CampaignExport out;
-  CP_ASSIGN_OR_RETURN(out.id, ParseId(fields[0], "export response"));
+  CP_ASSIGN_OR_RETURN(out.id, ParseInt<uint64_t>(fields[0], "campaign id"));
   if (out.id == 0) {
     return Status::InvalidArgument("export response carries id 0");
   }
-  CP_ASSIGN_OR_RETURN(long total, ParseInt(fields[1], "total_tasks"));
-  out.limits.total_tasks = total;
+  CP_ASSIGN_OR_RETURN(out.limits.total_tasks,
+                      ParseInt<int64_t>(fields[1], "total_tasks"));
   CP_ASSIGN_OR_RETURN(out.limits.deadline_hours,
                       ParseDouble(fields[2], "deadline_hours"));
   CP_ASSIGN_OR_RETURN(out.limits.admit_hours,
                       ParseDouble(fields[3], "admit_hours"));
   CP_ASSIGN_OR_RETURN(out.artifact,
-                      ReadArtifactBlock(&cursor, fields[4], fields[5],
+                      ReadArtifactBlock(&reader, fields[4], fields[5],
                                         "export response"));
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "export response"));
+  CP_RETURN_IF_ERROR(reader.ExpectEnd("export response"));
   return out;
 }
 

@@ -12,18 +12,18 @@
 //   12      n     payload
 //
 // Payloads are the same line-oriented hex-float text the artifact and
-// plan codecs use (pricing/serialization.cc, engine/policy_artifact.cc):
-// doubles print as %a and parse with strtod, so every value round-trips
-// bit-exactly, and admit/swap control ops embed the artifact's own
-// Serialize() text verbatim as a byte-counted block. Statuses cross the
+// plan codecs use, through the one codec in util/hexfloat.h: doubles print
+// in printf's %a form and parse back with std::from_chars, so every value
+// round-trips bit-exactly, and admit/swap control ops embed the artifact's
+// own Serialize() text verbatim as a byte-counted block. Statuses cross the
 // wire as `int(code) <escaped message>` -- code and message both survive
 // the round trip, so a server-side NotFound reaches the client as
 // NotFound (util::StatusCodeFromInt guards unknown codes).
 //
 // Every Deserialize* returns a Status error on malformed input
-// (truncated, oversized, bad version, bad numbers) -- never crashes --
-// which is what lets the server treat every byte off the socket as
-// hostile.
+// (truncated, oversized, bad version, bad numbers, integers outside their
+// field's type) -- never crashes -- which is what lets the server treat
+// every byte off the socket as hostile.
 
 #ifndef CROWDPRICE_NET_WIRE_H_
 #define CROWDPRICE_NET_WIRE_H_
@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "market/types.h"
@@ -101,7 +102,7 @@ std::string EncodeStatusFragment(const Status& status);
 /// `*decoded`. The return value is the parse status (Result<Status> would
 /// conflate the two): InvalidArgument on unknown code integers or bad
 /// escapes, OK when `*decoded` holds the transported status.
-Status DecodeStatusFragment(const std::string& fragment, Status* decoded);
+Status DecodeStatusFragment(std::string_view fragment, Status* decoded);
 
 // --- Single-object payload codecs ----------------------------------------
 // Each Serialize emits one '\n'-terminated line ("request ...",
@@ -136,52 +137,62 @@ Result<serving::ControlOp> DeserializeControlOp(const std::string& text);
 std::string SerializeControlAck(const Result<serving::ControlOutcome>& ack);
 Result<serving::ControlOutcome> DeserializeControlAck(const std::string& text);
 
-// --- Batch payload codecs -------------------------------------------------
+// --- Decide batch codecs ---------------------------------------------------
+//
+// A decide batch payload is a `decide-batch <n>` header and n body lines,
+// one per request (or response, index-for-index). The body lines are the
+// unit every layer works in: the server hands them to
+// ServingSurface::DecideBatchLines, and the router splices them through
+// its hop verbatim -- serialization is canonical (hex-float fields round
+// trip bit-exactly), so forwarding a line is identical to decoding and
+// re-encoding it. The batch codecs below are the per-line codec plus the
+// one batch header reader and writer that Split and Join use.
 
-/// kDecideBatchRequest payload: `decide-batch <n>` then one request line
-/// per entry (campaign id + the market::DecisionRequest fields).
+/// Parses one request body line (no trailing newline):
+/// `request <id> <now> <campaign> <k> <remaining...>`.
+Result<serving::DecideRequest> DeserializeDecideRequestLine(
+    std::string_view line);
+
+/// One response body line (no trailing newline):
+/// `response <id> ok <k> <price> <group>...` or
+/// `response <id> err <status fragment>`.
+std::string SerializeDecideResponseLine(
+    const serving::DecideResponse& response);
+
+/// Splits a decide-batch payload (request or response form) into its body
+/// lines, returned without trailing newlines. A payload in the whole-batch
+/// `err ...` form surfaces as that Status.
+Result<std::vector<std::string>> SplitDecideBatchPayload(
+    const std::string& payload, const char* what);
+
+/// Builds a decide-batch payload around body lines.
+std::string JoinDecideBatchPayload(const std::vector<std::string>& lines);
+
+/// The campaign id a request/response line belongs to, read from its
+/// first two tokens without touching the numeric fields (what the router
+/// shards on). A line this fails on has no readable campaign id.
+Result<serving::CampaignId> DecideLineCampaignId(std::string_view line);
+
+/// One `response <id> err ...` body line (no trailing newline) carrying
+/// `status` (Unavailable when `status` is OK) -- the answer for a line
+/// that could not be decided or forwarded.
+std::string DecideErrorLine(serving::CampaignId id, const Status& status);
+
+/// kDecideBatchRequest payload: the request lines, joined.
 std::string SerializeDecideBatchRequest(
     const std::vector<serving::DecideRequest>& requests);
 Result<std::vector<serving::DecideRequest>> DeserializeDecideBatchRequest(
     const std::string& text);
 
-/// kDecideBatchResponse payload: `decide-batch <n>` then one response
-/// line per request, aligned index-for-index with the request batch.
-/// Per-request failures ride in their response line's status; a batch
-/// the server could not parse at all comes back as the SerializeBatchError
-/// form, which DeserializeDecideBatchResponse surfaces as that Status.
+/// kDecideBatchResponse payload: the response lines, joined. Per-request
+/// failures ride in their response line's status; a batch the server
+/// could not read at all comes back as the SerializeBatchError form,
+/// which DeserializeDecideBatchResponse surfaces as that Status.
 std::string SerializeDecideBatchResponse(
     const std::vector<serving::DecideResponse>& responses);
 std::string SerializeBatchError(const Status& status);
 Result<std::vector<serving::DecideResponse>> DeserializeDecideBatchResponse(
     const std::string& text);
-
-// --- Batch line splicing ---------------------------------------------------
-//
-// The router's zero-reparse fast path: because serialization is canonical
-// (hex-float fields round trip bit-exactly), forwarding a batch's body
-// lines verbatim is identical to decoding and re-encoding them. These
-// helpers split a `decide-batch <n>` payload into its n body lines and
-// rejoin them, so a routing hop costs a line scan instead of a full
-// sheet parse.
-
-/// Splits a decide-batch payload (request or response form) into its body
-/// lines, returned without trailing newlines. A response payload in the
-/// whole-batch `err ...` form surfaces as that Status.
-Result<std::vector<std::string>> SplitDecideBatchPayload(
-    const std::string& payload, const char* what);
-
-/// Rebuilds a decide-batch payload around body lines from
-/// SplitDecideBatchPayload (or DecideErrorLine).
-std::string JoinDecideBatchPayload(const std::vector<std::string>& lines);
-
-/// The campaign id a request/response line belongs to, parsed without
-/// touching the numeric fields (what the router shards on).
-Result<serving::CampaignId> DecideLineCampaignId(const std::string& line);
-
-/// One `response <id> err ...` body line (no trailing newline) carrying
-/// `status` -- the router's answer for a slice it could not forward.
-std::string DecideErrorLine(serving::CampaignId id, const Status& status);
 
 // --- Health probes ---------------------------------------------------------
 

@@ -1,11 +1,10 @@
 #include "pricing/serialization.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "util/hexfloat.h"
 #include "util/macros.h"
 #include "util/stringf.h"
 
@@ -15,60 +14,6 @@ namespace {
 
 constexpr char kHeader[] = "crowdprice-plan v1";
 
-// Hex-float formatting for lossless double round trips.
-std::string Hex(double v) { return StringF("%a", v); }
-
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : stream_(text) {}
-
-  Result<std::string> Next(const char* what) {
-    std::string line;
-    if (!std::getline(stream_, line)) {
-      return Status::InvalidArgument(
-          StringF("plan truncated: expected %s", what));
-    }
-    return line;
-  }
-
- private:
-  std::istringstream stream_;
-};
-
-Result<std::vector<std::string>> Tokens(const std::string& line,
-                                        size_t expected, const char* what) {
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
-  if (tokens.size() != expected) {
-    return Status::InvalidArgument(
-        StringF("%s: expected %zu fields, found %zu", what, expected,
-                tokens.size()));
-  }
-  return tokens;
-}
-
-Result<double> ParseDouble(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad number '%s'", what, token.c_str()));
-  }
-  return v;
-}
-
-Result<long> ParseInt(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const long v = std::strtol(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad integer '%s'", what, token.c_str()));
-  }
-  return v;
-}
-
 }  // namespace
 
 std::string SerializePlan(const DeadlinePlan& plan) {
@@ -76,15 +21,15 @@ std::string SerializePlan(const DeadlinePlan& plan) {
   const DeadlineProblem& p = plan.problem();
   out << kHeader << "\n";
   out << "problem " << p.num_tasks << " " << p.num_intervals << " "
-      << Hex(p.penalty_cents) << " " << Hex(p.extra_penalty_alpha) << " "
-      << Hex(p.truncation_epsilon) << "\n";
+      << FormatHex(p.penalty_cents) << " " << FormatHex(p.extra_penalty_alpha)
+      << " " << FormatHex(p.truncation_epsilon) << "\n";
   out << "lambdas";
-  for (double lam : plan.interval_lambdas()) out << " " << Hex(lam);
+  for (double lam : plan.interval_lambdas()) out << " " << FormatHex(lam);
   out << "\n";
   out << "actions " << plan.actions().size() << "\n";
   for (const PricingAction& a : plan.actions().actions()) {
-    out << Hex(a.cost_per_task_cents) << " " << a.bundle << " "
-        << Hex(a.acceptance) << "\n";
+    out << FormatHex(a.cost_per_task_cents) << " " << a.bundle << " "
+        << FormatHex(a.acceptance) << "\n";
   }
   out << "policy\n";
   for (int n = 1; n <= p.num_tasks; ++n) {
@@ -98,32 +43,32 @@ std::string SerializePlan(const DeadlinePlan& plan) {
   for (int n = 0; n <= p.num_tasks; ++n) {
     for (int t = 0; t <= p.num_intervals; ++t) {
       if (t > 0) out << " ";
-      out << Hex(plan.OptUnchecked(n, t));
+      out << FormatHex(plan.OptUnchecked(n, t));
     }
     out << "\n";
   }
   return out.str();
 }
 
-Result<DeadlinePlan> DeserializePlan(const std::string& text) {
-  LineReader reader(text);
-  CP_ASSIGN_OR_RETURN(std::string header, reader.Next("header"));
+Result<DeadlinePlan> DeserializePlan(std::string_view text) {
+  LineReader reader(text, "plan");
+  CP_ASSIGN_OR_RETURN(auto header, reader.Next("header"));
   if (header != kHeader) {
     return Status::InvalidArgument(
-        StringF("unsupported plan header '%s'", header.c_str()));
+        StringF("unsupported plan header '%.*s'",
+                static_cast<int>(header.size()), header.data()));
   }
 
-  CP_ASSIGN_OR_RETURN(std::string problem_line, reader.Next("problem line"));
+  CP_ASSIGN_OR_RETURN(auto problem_line, reader.Next("problem line"));
   CP_ASSIGN_OR_RETURN(auto ptokens, Tokens(problem_line, 6, "problem line"));
   if (ptokens[0] != "problem") {
     return Status::InvalidArgument("expected 'problem' line");
   }
   DeadlineProblem problem;
-  CP_ASSIGN_OR_RETURN(long num_tasks, ParseInt(ptokens[1], "num_tasks"));
-  CP_ASSIGN_OR_RETURN(long num_intervals,
-                      ParseInt(ptokens[2], "num_intervals"));
-  problem.num_tasks = static_cast<int>(num_tasks);
-  problem.num_intervals = static_cast<int>(num_intervals);
+  CP_ASSIGN_OR_RETURN(problem.num_tasks,
+                      ParseInt<int>(ptokens[1], "num_tasks"));
+  CP_ASSIGN_OR_RETURN(problem.num_intervals,
+                      ParseInt<int>(ptokens[2], "num_intervals"));
   CP_ASSIGN_OR_RETURN(problem.penalty_cents,
                       ParseDouble(ptokens[3], "penalty"));
   CP_ASSIGN_OR_RETURN(problem.extra_penalty_alpha,
@@ -132,7 +77,7 @@ Result<DeadlinePlan> DeserializePlan(const std::string& text) {
                       ParseDouble(ptokens[5], "epsilon"));
   CP_RETURN_IF_ERROR(problem.Validate());
 
-  CP_ASSIGN_OR_RETURN(std::string lambda_line, reader.Next("lambdas line"));
+  CP_ASSIGN_OR_RETURN(auto lambda_line, reader.Next("lambdas line"));
   CP_ASSIGN_OR_RETURN(
       auto ltokens,
       Tokens(lambda_line, static_cast<size_t>(problem.num_intervals) + 1,
@@ -146,24 +91,24 @@ Result<DeadlinePlan> DeserializePlan(const std::string& text) {
     lambdas.push_back(lam);
   }
 
-  CP_ASSIGN_OR_RETURN(std::string actions_line, reader.Next("actions line"));
+  CP_ASSIGN_OR_RETURN(auto actions_line, reader.Next("actions line"));
   CP_ASSIGN_OR_RETURN(auto atokens, Tokens(actions_line, 2, "actions line"));
   if (atokens[0] != "actions") {
     return Status::InvalidArgument("expected 'actions' line");
   }
-  CP_ASSIGN_OR_RETURN(long num_actions, ParseInt(atokens[1], "action count"));
+  CP_ASSIGN_OR_RETURN(const int num_actions,
+                      ParseInt<int>(atokens[1], "action count"));
   if (num_actions < 1 || num_actions > (1 << 20)) {
     return Status::InvalidArgument(
-        StringF("implausible action count %ld", num_actions));
+        StringF("implausible action count %d", num_actions));
   }
   std::vector<PricingAction> actions;
-  for (long i = 0; i < num_actions; ++i) {
-    CP_ASSIGN_OR_RETURN(std::string line, reader.Next("action"));
+  for (int i = 0; i < num_actions; ++i) {
+    CP_ASSIGN_OR_RETURN(auto line, reader.Next("action"));
     CP_ASSIGN_OR_RETURN(auto tokens, Tokens(line, 3, "action"));
     PricingAction a;
     CP_ASSIGN_OR_RETURN(a.cost_per_task_cents, ParseDouble(tokens[0], "cost"));
-    CP_ASSIGN_OR_RETURN(long bundle, ParseInt(tokens[1], "bundle"));
-    a.bundle = static_cast<int>(bundle);
+    CP_ASSIGN_OR_RETURN(a.bundle, ParseInt<int>(tokens[1], "bundle"));
     CP_ASSIGN_OR_RETURN(a.acceptance, ParseDouble(tokens[2], "acceptance"));
     actions.push_back(a);
   }
@@ -174,32 +119,33 @@ Result<DeadlinePlan> DeserializePlan(const std::string& text) {
 
   DeadlinePlan plan(problem, std::move(action_set), std::move(lambdas));
 
-  CP_ASSIGN_OR_RETURN(std::string policy_marker, reader.Next("policy marker"));
+  CP_ASSIGN_OR_RETURN(auto policy_marker, reader.Next("policy marker"));
   if (policy_marker != "policy") {
     return Status::InvalidArgument("expected 'policy' marker");
   }
   for (int n = 1; n <= problem.num_tasks; ++n) {
-    CP_ASSIGN_OR_RETURN(std::string line, reader.Next("policy row"));
+    CP_ASSIGN_OR_RETURN(auto line, reader.Next("policy row"));
     CP_ASSIGN_OR_RETURN(
         auto tokens,
         Tokens(line, static_cast<size_t>(problem.num_intervals), "policy row"));
     for (int t = 0; t < problem.num_intervals; ++t) {
       CP_ASSIGN_OR_RETURN(
-          long idx, ParseInt(tokens[static_cast<size_t>(t)], "policy index"));
+          const int idx,
+          ParseInt<int>(tokens[static_cast<size_t>(t)], "policy index"));
       if (idx < -1 || idx >= num_actions) {
         return Status::InvalidArgument(StringF(
-            "policy index %ld out of range at (n=%d, t=%d)", idx, n, t));
+            "policy index %d out of range at (n=%d, t=%d)", idx, n, t));
       }
-      plan.SetActionIndex(n, t, static_cast<int>(idx));
+      plan.SetActionIndex(n, t, idx);
     }
   }
 
-  CP_ASSIGN_OR_RETURN(std::string opt_marker, reader.Next("opt marker"));
+  CP_ASSIGN_OR_RETURN(auto opt_marker, reader.Next("opt marker"));
   if (opt_marker != "opt") {
     return Status::InvalidArgument("expected 'opt' marker");
   }
   for (int n = 0; n <= problem.num_tasks; ++n) {
-    CP_ASSIGN_OR_RETURN(std::string line, reader.Next("opt row"));
+    CP_ASSIGN_OR_RETURN(auto line, reader.Next("opt row"));
     CP_ASSIGN_OR_RETURN(auto tokens,
                         Tokens(line,
                                static_cast<size_t>(problem.num_intervals) + 1,

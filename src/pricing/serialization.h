@@ -9,6 +9,7 @@
 #define CROWDPRICE_PRICING_SERIALIZATION_H_
 
 #include <string>
+#include <string_view>
 
 #include "pricing/plan.h"
 #include "util/result.h"
@@ -21,8 +22,8 @@ std::string SerializePlan(const DeadlinePlan& plan);
 
 /// Parses a string produced by SerializePlan. Bit-exact: every price,
 /// probability and value round-trips. Rejects unknown versions, truncated
-/// input, and inconsistent dimensions.
-Result<DeadlinePlan> DeserializePlan(const std::string& text);
+/// input, inconsistent dimensions, and numbers outside their field's type.
+Result<DeadlinePlan> DeserializePlan(std::string_view text);
 
 }  // namespace crowdprice::pricing
 

@@ -4,13 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
+#include "util/hexfloat.h"
 #include "util/macros.h"
 #include "util/stringf.h"
 
@@ -31,13 +32,13 @@ Result<Endpoint> ParseEndpoint(const std::string& name) {
   }
   Endpoint endpoint;
   endpoint.host = name.substr(0, colon);
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(name.c_str() + colon + 1, &end, 10);
-  if (end == nullptr || *end != '\0' || port == 0 || port > 65535) {
+  const Result<uint64_t> port =
+      ParseInt<uint64_t>(std::string_view(name).substr(colon + 1), "port");
+  if (!port.ok() || *port == 0 || *port > 65535) {
     return Status::InvalidArgument(
         StringF("backend '%s' has a bad port", name.c_str()));
   }
-  endpoint.port = static_cast<uint16_t>(port);
+  endpoint.port = static_cast<uint16_t>(*port);
   return endpoint;
 }
 

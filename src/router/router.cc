@@ -20,8 +20,6 @@ using serving::CampaignId;
 using serving::CampaignState;
 using serving::ControlOp;
 using serving::ControlOutcome;
-using serving::DecideRequest;
-using serving::DecideResponse;
 
 }  // namespace
 
@@ -63,98 +61,10 @@ struct CampaignRouter::Impl {
     }
   }
 
-  /// Forwards one backend's slice of a decide batch and scatters the
-  /// responses back to their original indices; a transport failure (after
-  /// the pool's retries) answers every request in the slice Unavailable.
-  void ForwardSlice(const std::string& backend,
-                    const std::vector<DecideRequest>& requests,
-                    const std::vector<size_t>& indices,
-                    std::vector<DecideResponse>& responses) {
-    std::vector<DecideRequest> slice;
-    slice.reserve(indices.size());
-    for (const size_t index : indices) slice.push_back(requests[index]);
-
-    std::vector<DecideResponse> answered;
-    const Status status =
-        pool.WithClient(backend, [&](net::PricingClient& client) {
-          CP_ASSIGN_OR_RETURN(answered, client.DecideBatch(slice));
-          return Status::OK();
-        });
-    if (status.ok() && answered.size() == indices.size()) {
-      for (size_t i = 0; i < indices.size(); ++i) {
-        responses[indices[i]] = std::move(answered[i]);
-      }
-      return;
-    }
-    const Status failure =
-        status.ok() ? Status::Internal("backend answered a misaligned batch")
-                    : status;
-    for (const size_t index : indices) {
-      responses[index].campaign_id = requests[index].campaign_id;
-      responses[index].status = failure;
-      unavailable.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  std::vector<DecideResponse> DecideBatch(
-      const std::vector<DecideRequest>& requests) {
-    std::shared_lock<std::shared_mutex> drain(drain_mu);
-    decide_requests.fetch_add(requests.size(), std::memory_order_relaxed);
-    std::vector<DecideResponse> responses(requests.size());
-    if (placement.empty()) {
-      for (size_t i = 0; i < requests.size(); ++i) {
-        responses[i].campaign_id = requests[i].campaign_id;
-        responses[i].status =
-            Status::Unavailable("router has no backends to route to");
-      }
-      unavailable.fetch_add(requests.size(), std::memory_order_relaxed);
-      return responses;
-    }
-
-    // Group request indices by owning backend, preserving arrival order
-    // within each group (reassembly is by index, so order is cosmetic --
-    // but deterministic slices make the wire traffic reproducible).
-    std::unordered_map<std::string, size_t> group_of;
-    std::vector<std::pair<std::string, std::vector<size_t>>> groups;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const std::string owner =
-          placement.OwnerOf(requests[i].campaign_id).value();
-      const auto [it, inserted] = group_of.try_emplace(owner, groups.size());
-      if (inserted) groups.emplace_back(owner, std::vector<size_t>());
-      groups[it->second].second.push_back(i);
-    }
-
-    if (groups.empty()) return responses;  // Empty batch.
-
-    // Forward every group concurrently, the first inline on this thread.
-    // On a single-core host the spawned forwarders cannot overlap anyway,
-    // so the per-batch thread cost is pure tail latency: forward
-    // sequentially instead.
-    static const bool parallel_forward =
-        std::thread::hardware_concurrency() > 1;
-    if (parallel_forward) {
-      std::vector<std::thread> forwarders;
-      forwarders.reserve(groups.size());
-      for (size_t g = 1; g < groups.size(); ++g) {
-        forwarders.emplace_back([this, &groups, &requests, &responses, g] {
-          ForwardSlice(groups[g].first, requests, groups[g].second,
-                       responses);
-        });
-      }
-      ForwardSlice(groups[0].first, requests, groups[0].second, responses);
-      for (std::thread& forwarder : forwarders) forwarder.join();
-    } else {
-      for (const auto& [backend, indices] : groups) {
-        ForwardSlice(backend, requests, indices, responses);
-      }
-    }
-    return responses;
-  }
-
-  /// Line-splice sibling of ForwardSlice: forwards a backend's slice of
-  /// wire body lines verbatim and scatters the response lines back; a
-  /// transport failure (after the pool's retries) answers every line in
-  /// the slice with a serialized Unavailable response.
+  /// Forwards a backend's slice of wire body lines verbatim and scatters
+  /// the response lines back; a transport failure (after the pool's
+  /// retries) answers every line in the slice with a serialized
+  /// Unavailable response.
   void ForwardSliceLines(const std::string& backend,
                          const std::vector<std::string>& request_lines,
                          const std::vector<CampaignId>& ids,
@@ -187,9 +97,10 @@ struct CampaignRouter::Impl {
 
   bool DecideBatchLines(const std::vector<std::string>& request_lines,
                         std::vector<std::string>* response_lines) {
-    // Extract every campaign id up front; a line this helper cannot read
-    // defers the whole batch to the parsed path, which owns the error
-    // semantics for malformed requests.
+    // Extract every campaign id up front; a line without one fails the
+    // whole batch. Any other malformed line still goes to its owner, whose
+    // own `err` answer splices back unchanged -- so a routed batch answers
+    // byte for byte what the same lines answer sent direct.
     std::vector<CampaignId> ids;
     ids.reserve(request_lines.size());
     for (const std::string& line : request_lines) {
@@ -223,6 +134,10 @@ struct CampaignRouter::Impl {
     }
     if (groups.empty()) return true;  // Empty batch.
 
+    // Forward every group concurrently, the first inline on this thread.
+    // On a single-core host the spawned forwarders cannot overlap anyway,
+    // so the per-batch thread cost is pure tail latency: forward
+    // sequentially instead.
     static const bool parallel_forward =
         std::thread::hardware_concurrency() > 1;
     if (parallel_forward) {
@@ -451,11 +366,6 @@ Result<CampaignRouter> CampaignRouter::Create(
   impl->options = options;
   impl->placement = std::move(placement);
   return CampaignRouter(std::move(impl));
-}
-
-std::vector<DecideResponse> CampaignRouter::DecideBatch(
-    const std::vector<DecideRequest>& requests) {
-  return impl_->DecideBatch(requests);
 }
 
 bool CampaignRouter::DecideBatchLines(

@@ -10,11 +10,13 @@
 //     Admits assign router-wide ids and place the campaign on its owner
 //     via the explicit-id admit (`control admit-at`), so ids stay stable
 //     as campaigns move.
-//   - Decide fan-out: DecideBatch splits a mixed batch by owning backend,
-//     forwards each backend's slice concurrently over the pool's leased
-//     connections, and reassembles responses in request order. Sheets
-//     pass through byte-for-byte (the wire is hex-float exact), so a
-//     routed decide is bit-identical to a direct one.
+//   - Decide fan-out: DecideBatchLines splits a batch's wire lines by
+//     owning backend, forwards each backend's slice verbatim and
+//     concurrently over the pool's leased connections, and splices the
+//     response lines back in request order without parsing a sheet. The
+//     wire is canonical hex-float text, so a routed answer is byte-for-
+//     byte the direct one -- per-line `err` answers (a bad request body,
+//     an unknown campaign) included.
 //   - Failover: the BackendPool (router/backend_pool.h) health-probes
 //     every backend, retries Unavailable outcomes with bounded backoff,
 //     and marks repeat offenders down. A request whose owner is down (or
@@ -80,16 +82,12 @@ class CampaignRouter final : public net::ServingSurface {
 
   // --- net::ServingSurface ----------------------------------------------
 
-  /// Fan-out by owning backend (see file comment). Requests whose owner
-  /// cannot be reached answer Unavailable in their response status; the
-  /// batch itself always returns, aligned index-for-index.
-  std::vector<serving::DecideResponse> DecideBatch(
-      const std::vector<serving::DecideRequest>& requests) override;
-
-  /// Zero-reparse fan-out: routes pre-serialized wire body lines to their
-  /// owners and splices the response lines back in request order, never
-  /// parsing a sheet. Returns false (deferring to the parsed path) when
-  /// any line's campaign id cannot be extracted.
+  /// Fan-out by owning backend (see file comment): routes wire body lines
+  /// to their owners and splices the response lines back in request
+  /// order. Lines whose owner cannot be reached answer Unavailable `err`
+  /// lines (counted in stats().unavailable); lines the owner rejects carry
+  /// the owner's own answer. Returns false, routing nothing, when any
+  /// line has no readable campaign id.
   bool DecideBatchLines(const std::vector<std::string>& request_lines,
                         std::vector<std::string>* response_lines) override;
 

@@ -161,26 +161,6 @@ double SnapRate(double lambda) {
   return std::bit_cast<double>(QuantizedRateKey(lambda));
 }
 
-Result<const TruncatedPoisson*> TruncatedPoissonCache::Get(double lambda) {
-  CP_RETURN_IF_ERROR(ValidateLambda(lambda, "TruncatedPoissonCache::Get"));
-  const uint64_t key = QuantizedRateKey(lambda);
-  auto it = tables_.find(key);
-  if (it != tables_.end()) {
-    ++hits_;
-    return &it->second;
-  }
-  // Build at the exact first-seen rate: the quantized key only decides
-  // SHARING, so exact repeats (the overwhelmingly common case) observe
-  // tables bit-identical to a per-rate cache, and plans stay bit-stable
-  // across this keying change.
-  CP_ASSIGN_OR_RETURN(TruncatedPoisson tp,
-                      MakeTruncatedPoisson(lambda, epsilon_));
-  ++misses_;
-  // unordered_map references are stable across rehashes, so handing out a
-  // pointer into the map is safe for the cache's lifetime.
-  return &tables_.emplace(key, std::move(tp)).first->second;
-}
-
 int SamplePoisson(Rng& rng, double lambda) {
   if (!(lambda > 0.0)) return 0;
   if (lambda < 10.0) return SamplePoissonInversion(rng, lambda);

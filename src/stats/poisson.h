@@ -6,7 +6,6 @@
 #define CROWDPRICE_STATS_POISSON_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/result.h"
@@ -59,33 +58,6 @@ Result<TruncatedPoisson> MakeTruncatedPoisson(double lambda, double epsilon);
 /// exact repeats). lambda must be finite and >= 0.
 uint64_t QuantizedRateKey(double lambda);
 double SnapRate(double lambda);
-
-/// Memoizes MakeTruncatedPoisson tables for one truncation epsilon, keyed
-/// by the quantized rate (QuantizedRateKey) and built at the exact
-/// first-seen rate, so near-equal rates share one table. The deadline DP
-/// requests one table per (interval, action) pair; whenever the arrival
-/// trace repeats a rate (constant or periodic profiles, adaptive
-/// re-solves), the table is built once and shared. Returned pointers stay
-/// valid for the cache's lifetime. Not thread-safe; the solvers populate
-/// it before fanning out to workers.
-class TruncatedPoissonCache {
- public:
-  /// epsilon must lie in (0, 1) (validated on first Get).
-  explicit TruncatedPoissonCache(double epsilon) : epsilon_(epsilon) {}
-
-  /// The truncated table for lambda's bucket, built on first use.
-  Result<const TruncatedPoisson*> Get(double lambda);
-
-  size_t entries() const { return tables_.size(); }
-  int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
-
- private:
-  double epsilon_;
-  std::unordered_map<uint64_t, TruncatedPoisson> tables_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-};
 
 /// Samples from Pois(lambda) using sequential inversion for lambda < 10 and
 /// Hormann's PTRS transformed-rejection method otherwise. Deterministic

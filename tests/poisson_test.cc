@@ -172,30 +172,6 @@ TEST(QuantizedRateKeyTest, NearEqualRatesShareABucket) {
   }
 }
 
-TEST(TruncatedPoissonCacheTest, NearEqualRatesShareOneTable) {
-  TruncatedPoissonCache cache(1e-9);
-  const double rate = 6100.0 * 0.31728394612873;
-  auto a = cache.Get(rate);
-  ASSERT_TRUE(a.ok());
-  auto b = cache.Get(rate * (1.0 + 1e-15));
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);  // literally the same table
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.misses(), 1);
-  EXPECT_EQ(cache.hits(), 1);
-  // A genuinely different rate still gets its own table.
-  auto c = cache.Get(rate * 1.5);
-  ASSERT_TRUE(c.ok());
-  EXPECT_NE(*a, *c);
-  EXPECT_EQ(cache.entries(), 2u);
-}
-
-TEST(TruncatedPoissonCacheTest, RejectsInvalidRates) {
-  TruncatedPoissonCache cache(1e-9);
-  EXPECT_TRUE(cache.Get(-1.0).status().IsInvalidArgument());
-  EXPECT_TRUE(cache.Get(std::nan("")).status().IsInvalidArgument());
-}
-
 class PoissonSamplerTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(PoissonSamplerTest, MomentsMatch) {

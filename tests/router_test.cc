@@ -80,6 +80,21 @@ struct Backend {
   }
 };
 
+/// Decides `requests` through the router's line surface -- the one decide
+/// path every server uses -- and decodes the spliced answers.
+std::vector<DecideResponse> RouteDecides(
+    CampaignRouter& router, const std::vector<DecideRequest>& requests) {
+  const std::vector<std::string> lines =
+      net::SplitDecideBatchPayload(net::SerializeDecideBatchRequest(requests),
+                                   "batch")
+          .value();
+  std::vector<std::string> answers;
+  EXPECT_TRUE(router.DecideBatchLines(lines, &answers));
+  return net::DeserializeDecideBatchResponse(
+             net::JoinDecideBatchPayload(answers))
+      .value();
+}
+
 /// Pool options tuned for tests: no background probes (ProbeNow drives
 /// them), one quick retry, tiny backoff so failover asserts run fast.
 BackendPoolOptions TestPoolOptions() {
@@ -215,6 +230,98 @@ TEST(CampaignRouterTest, RoutedDecidesAreBitIdenticalToDirectDecides) {
   ASSERT_TRUE(front->Stop().ok());
 }
 
+TEST(CampaignRouterTest, MalformedLinesAnswerTheSameRoutedAndDirect) {
+  // Routed: a router over two backends, fronted by its own server.
+  // Direct: one standalone node holding the same campaigns under the same
+  // ids. Both must answer the same lines with the same bytes.
+  Backend b0 = Backend::Start();
+  Backend b1 = Backend::Start();
+  Backend solo = Backend::Start();
+  RouterOptions router_options;
+  router_options.pool = TestPoolOptions();
+  auto router = CampaignRouter::Create({b0.name, b1.name}, router_options);
+  ASSERT_TRUE(router.ok());
+  ServerOptions options;
+  options.num_workers = 2;
+  auto front = PricingServer::Create(&router.value(), options);
+  ASSERT_TRUE(front.ok());
+  ASSERT_TRUE(front->Start().ok());
+  auto routed = PricingClient::Connect("127.0.0.1", front->port());
+  auto direct = PricingClient::Connect("127.0.0.1", solo.server->port());
+  ASSERT_TRUE(routed.ok());
+  ASSERT_TRUE(direct.ok());
+
+  const auto artifact =
+      std::make_shared<const engine::PolicyArtifact>(SmallDeadlineArtifact());
+  std::vector<CampaignId> ids;
+  for (int i = 0; i < 8; ++i) {
+    const auto admitted =
+        router->Apply(ControlOp::AdmitShared(artifact, SmallLimits()));
+    ASSERT_TRUE(admitted.ok()) << admitted.status();
+    ids.push_back(admitted->id);
+    ASSERT_TRUE(solo.map
+                    ->Apply(ControlOp::AdmitSharedWithId(admitted->id,
+                                                         artifact,
+                                                         SmallLimits()))
+                    .ok());
+  }
+  ASSERT_GT(b0.map->live_campaigns(), 0u);
+  ASSERT_GT(b1.map->live_campaigns(), 0u);
+
+  // The bad line targets a campaign whose owner also answers good lines:
+  // its neighbours on that backend must keep their answers.
+  const PlacementTable placement = router->placement();
+  const std::string fuller = b0.map->live_campaigns() >= 4 ? b0.name : b1.name;
+  CampaignId bad_id = 0;
+  for (const CampaignId id : ids) {
+    if (placement.OwnerOf(id).value() == fuller) bad_id = id;
+  }
+  ASSERT_NE(bad_id, 0u);
+
+  std::vector<DecideRequest> requests;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    requests.push_back(DecideRequest::Single(
+        ids[i], 0.25 * static_cast<double>(i), 3 + static_cast<int>(i)));
+  }
+  requests.push_back(DecideRequest::Single(999999, 0.0, 5));
+  std::vector<std::string> lines =
+      net::SplitDecideBatchPayload(net::SerializeDecideBatchRequest(requests),
+                                   "batch")
+          .value();
+  lines.insert(lines.begin(), "request " + std::to_string(bad_id) + " garbage");
+
+  const auto routed_lines = routed->DecideBatchLines(lines);
+  const auto direct_lines = direct->DecideBatchLines(lines);
+  ASSERT_TRUE(routed_lines.ok()) << routed_lines.status();
+  ASSERT_TRUE(direct_lines.ok()) << direct_lines.status();
+  EXPECT_EQ(net::JoinDecideBatchPayload(*routed_lines),
+            net::JoinDecideBatchPayload(*direct_lines));
+
+  const auto answers = net::DeserializeDecideBatchResponse(
+      net::JoinDecideBatchPayload(*routed_lines));
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  ASSERT_EQ(answers->size(), lines.size());
+  EXPECT_EQ((*answers)[0].campaign_id, bad_id);
+  EXPECT_TRUE((*answers)[0].status.IsInvalidArgument()) << (*answers)[0].status;
+  for (size_t i = 1; i + 1 < answers->size(); ++i) {
+    EXPECT_TRUE((*answers)[i].status.ok()) << "line " << i << ": "
+                                           << (*answers)[i].status;
+  }
+  EXPECT_TRUE(answers->back().status.IsNotFound()) << answers->back().status;
+  EXPECT_EQ(router->stats().unavailable, 0u);
+  EXPECT_EQ(solo.server->stats().protocol_errors, 0u);
+
+  // A line with no readable campaign id fails the whole batch, both ways,
+  // and counts one protocol error.
+  lines.push_back("garbage");
+  EXPECT_TRUE(routed->DecideBatchLines(lines).status().IsInvalidArgument());
+  EXPECT_TRUE(direct->DecideBatchLines(lines).status().IsInvalidArgument());
+  EXPECT_EQ(router->stats().unavailable, 0u);
+  EXPECT_EQ(solo.server->stats().protocol_errors, 1u);
+
+  ASSERT_TRUE(front->Stop().ok());
+}
+
 TEST(CampaignRouterTest, ControlPlaneRoutesByOwner) {
   Backend b0 = Backend::Start();
   Backend b1 = Backend::Start();
@@ -238,7 +345,7 @@ TEST(CampaignRouterTest, ControlPlaneRoutesByOwner) {
   ASSERT_TRUE(
       router->Apply(ControlOp::SwapArtifactShared(id, swap_artifact)).ok());
   const auto swapped =
-      router->DecideBatch({DecideRequest::Single(id, 1.0, 5)});
+      RouteDecides(*router, {DecideRequest::Single(id, 1.0, 5)});
   ASSERT_TRUE(swapped[0].status.ok());
   EXPECT_DOUBLE_EQ(swapped[0].sheet.offers[0].per_task_reward_cents, 77.0);
 
@@ -291,7 +398,7 @@ TEST(CampaignRouterTest, KilledBackendFailsOverToCleanUnavailable) {
   for (const CampaignId id : ids) {
     batch.push_back(DecideRequest::Single(id, 1.0, 5));
   }
-  const std::vector<DecideResponse> responses = router->DecideBatch(batch);
+  const std::vector<DecideResponse> responses = RouteDecides(*router, batch);
   ASSERT_EQ(responses.size(), batch.size());
   for (size_t i = 0; i < ids.size(); ++i) {
     const std::string owner = placement.OwnerOf(ids[i]).value();
@@ -445,7 +552,8 @@ TEST(CampaignRouterTest, LiveRebalanceMigratesExactlyTheDiff) {
     limits.admit_hours = 0.5 * (i % 4);
     ids.push_back(
         router->Apply(ControlOp::AdmitShared(artifact, limits))->id);
-    const auto responses = router->DecideBatch(
+    const auto responses = RouteDecides(
+        *router,
         {DecideRequest::Single(ids.back(), limits.admit_hours + 1.0, 7)});
     ASSERT_TRUE(responses[0].status.ok());
     before.push_back(responses[0].sheet);
@@ -474,8 +582,8 @@ TEST(CampaignRouterTest, LiveRebalanceMigratesExactlyTheDiff) {
   // Every campaign -- moved or not -- answers exactly what it answered
   // before the rebalance (same id, same limits, same policy bytes).
   for (size_t i = 0; i < ids.size(); ++i) {
-    const auto responses = router->DecideBatch(
-        {DecideRequest::Single(ids[i], 0.5 * (i % 4) + 1.0, 7)});
+    const auto responses = RouteDecides(
+        *router, {DecideRequest::Single(ids[i], 0.5 * (i % 4) + 1.0, 7)});
     ASSERT_TRUE(responses[0].status.ok()) << responses[0].status;
     ASSERT_EQ(responses[0].sheet.offers.size(), before[i].offers.size());
     for (size_t o = 0; o < before[i].offers.size(); ++o) {
@@ -505,7 +613,7 @@ TEST(CampaignRouterTest, EmptyRouterAnswersUnavailable) {
   auto router = CampaignRouter::Create({}, router_options);
   ASSERT_TRUE(router.ok());
   const auto responses =
-      router->DecideBatch({DecideRequest::Single(1, 1.0, 5)});
+      RouteDecides(*router, {DecideRequest::Single(1, 1.0, 5)});
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_TRUE(responses[0].status.IsUnavailable());
   const auto artifact =

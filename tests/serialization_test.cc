@@ -123,6 +123,16 @@ TEST(SerializationTest, RejectsGarbageNumbers) {
   EXPECT_FALSE(DeserializePlan(text).ok());
 }
 
+TEST(SerializationTest, RejectsCountsTheirFieldCannotHold) {
+  // 4294967297 is 2^32 + 1, which a narrowing cast to int reads as a
+  // 1-task plan.
+  std::string text = SerializePlan(SolveSample(1, 1));
+  const size_t pos = text.find("problem 1 1 ");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, std::strlen("problem 1"), "problem 4294967297");
+  EXPECT_TRUE(DeserializePlan(text).status().IsInvalidArgument());
+}
+
 TEST(SerializationTest, RandomMutationsNeverCrash) {
   // Fuzz-style robustness: flip bytes, truncate, and duplicate slices of a
   // valid plan; the parser must return (ok or error) without crashing, and
@@ -565,6 +575,30 @@ TEST(WireSerializationTest, MalformedPayloadsAreStatusErrorsNeverCrashes) {
       DeserializeControlOp("control swap 3 artifact 5000\nshort\n").ok());
   // Unknown status code integers in err lines.
   EXPECT_FALSE(DeserializeControlAck("control-ack err 42 boom\n").ok());
+}
+
+TEST(WireSerializationTest, NumbersOutsideTheirFieldAreRejected) {
+  // 4294967298 narrowed to int would be group_size 2.
+  EXPECT_TRUE(DeserializeOfferSheet("sheet 1 0x1p+3 4294967298\n")
+                  .status()
+                  .IsInvalidArgument());
+  // Past INT64_MAX: an error, not a value clamped to INT64_MAX.
+  EXPECT_TRUE(
+      DeserializeDecisionRequest("request 0x0p+0 0x0p+0 1 "
+                                 "99999999999999999999999\n")
+          .status()
+          .IsInvalidArgument());
+  // A double that overflows is out of range too, not +inf.
+  EXPECT_TRUE(DeserializeDecisionRequest("request 1e999 0x0p+0 1 5\n")
+                  .status()
+                  .IsInvalidArgument());
+  // Every in-range spelling strtod/strtol took still parses.
+  const auto lenient =
+      DeserializeDecisionRequest("request +2.5 -0x1p+1 1 +7\n");
+  ASSERT_TRUE(lenient.ok()) << lenient.status();
+  EXPECT_EQ(lenient->now_hours, 2.5);
+  EXPECT_EQ(lenient->campaign_hours, -2.0);
+  EXPECT_EQ(lenient->remaining, std::vector<int64_t>{7});
 }
 
 TEST(WireSerializationTest, PingAndHelloRoundTrip) {

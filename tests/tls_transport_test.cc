@@ -7,6 +7,8 @@
 // in-process (tests/tls_test_util.h); every test skips cleanly on a
 // build without OpenSSL.
 
+#include <sys/socket.h>
+
 #include <chrono>
 #include <memory>
 #include <string>
@@ -155,6 +157,41 @@ TEST(TlsTransportTest, HandshakeSucceedsAndServesBitExactDecides) {
     }
   }
   EXPECT_EQ(harness.server->stats().tls_handshake_failures, 0u);
+}
+
+TEST(TlsTransportTest, WritingToAVanishedPeerFailsWithoutSigpipe) {
+  // OpenSSL writes with write(2), which raises SIGPIPE once the peer has
+  // gone; left to its default action that signal kills the whole server.
+  ASSERT_TRUE(TlsSupported());
+  tls_test::TestCa ca;
+  const tls_test::TestIdentity leaf = ca.MintLeaf("server");
+  TlsOptions server_tls;
+  server_tls.cert_file = leaf.cert_file;
+  server_tls.key_file = leaf.key_file;
+  TlsOptions client_tls;
+  client_tls.ca_file = ca.ca_file();
+  auto server_factory = MakeTlsServerTransportFactory(server_tls);
+  auto client_factory = MakeTlsClientTransportFactory(client_tls);
+  ASSERT_TRUE(server_factory.ok()) << server_factory.status();
+  ASSERT_TRUE(client_factory.ok()) << client_factory.status();
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
+  std::unique_ptr<Transport> server = (*server_factory)->Wrap(fds[0]);
+  std::unique_ptr<Transport> client = (*client_factory)->Wrap(fds[1]);
+  ASSERT_NE(server, nullptr);
+  ASSERT_NE(client, nullptr);
+  for (int step = 0; step < 100 && !(server->ready() && client->ready());
+       ++step) {
+    client->Handshake();
+    server->Handshake();
+  }
+  ASSERT_TRUE(server->ready() && client->ready());
+
+  client.reset();  // The peer vanishes without a close_notify.
+  const std::string payload(4096, 'x');
+  const IoResult wrote = server->Write(payload.data(), payload.size());
+  EXPECT_NE(wrote.outcome, IoOutcome::kOk);
+  server->Shutdown();  // Its close_notify must not raise SIGPIPE either.
 }
 
 TEST(TlsTransportTest, WrongCaIsUnauthenticated) {
