@@ -1,6 +1,7 @@
 #include "engine/policy_artifact.h"
 
-#include <sstream>
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "pricing/controller.h"
@@ -175,104 +176,131 @@ Status PolicyArtifact::PrecomputeEvaluation(
 }
 
 Result<std::string> PolicyArtifact::Serialize() const {
-  std::ostringstream out;
-  out << kHeader << "\n";
-  out << "kind " << KindName(kind()) << "\n";
+  std::string out = kHeader;
+  out += "\nkind ";
+  out += KindName(kind());
+  out += '\n';
+  // Field appenders: `sep`, then the value (hex float or base 10). A field
+  // that opens its line passes an empty `sep`.
+  const auto hex = [&out](double v, const char* sep = " ") {
+    out += sep;
+    AppendHex(v, &out);
+  };
+  const auto num = [&out](auto v, const char* sep = " ") {
+    out += sep;
+    out += std::to_string(v);
+  };
   switch (kind()) {
     case PolicyKind::kDeadlineDp: {
       const DeadlinePolicy& p = std::get<DeadlinePolicy>(payload_);
-      out << "deadline-meta " << FormatHex(p.penalty_used) << " " << p.dp_solves
-          << "\n";
-      out << pricing::SerializePlan(p.plan);
-      return out.str();
+      out += "deadline-meta";
+      hex(p.penalty_used);
+      num(p.dp_solves);
+      out += '\n';
+      pricing::AppendPlan(p.plan, &out);
+      return out;
     }
     case PolicyKind::kBudgetStatic: {
       const auto& a = std::get<pricing::StaticPriceAssignment>(payload_);
-      out << "budget-meta " << a.allocations.size() << " "
-          << FormatHex(a.expected_worker_arrivals) << " "
-          << FormatHex(a.total_cost_cents) << "\n";
+      out += "budget-meta";
+      num(a.allocations.size());
+      hex(a.expected_worker_arrivals);
+      hex(a.total_cost_cents);
+      out += '\n';
       for (const pricing::PriceAllocation& alloc : a.allocations) {
-        out << alloc.price_cents << " " << alloc.count << "\n";
+        num(alloc.price_cents, "");
+        num(alloc.count);
+        out += '\n';
       }
-      return out.str();
+      return out;
     }
     case PolicyKind::kFixedPrice: {
       const auto& f = std::get<pricing::FixedPriceSolution>(payload_);
-      out << "fixed " << f.price_cents << " " << FormatHex(f.expected_remaining)
-          << " " << FormatHex(f.prob_finish) << " "
-          << FormatHex(f.expected_cost_cents) << "\n";
-      return out.str();
+      out += "fixed";
+      num(f.price_cents);
+      hex(f.expected_remaining);
+      hex(f.prob_finish);
+      hex(f.expected_cost_cents);
+      out += '\n';
+      return out;
     }
     case PolicyKind::kTradeoff: {
       const auto& s = std::get<pricing::TradeoffSolution>(payload_);
-      out << "tradeoff " << s.price_cents << " "
-          << FormatHex(s.objective_per_task) << " "
-          << FormatHex(s.expected_latency_per_task) << " "
-          << s.objective_curve.size() << "\n";
+      out += "tradeoff";
+      num(s.price_cents);
+      hex(s.objective_per_task);
+      hex(s.expected_latency_per_task);
+      num(s.objective_curve.size());
+      out += '\n';
       for (size_t i = 0; i < s.objective_curve.size(); ++i) {
-        if (i > 0) out << " ";
-        out << FormatHex(s.objective_curve[i]);
+        hex(s.objective_curve[i], i > 0 ? " " : "");
       }
-      if (!s.objective_curve.empty()) out << "\n";
-      return out.str();
+      if (!s.objective_curve.empty()) out += '\n';
+      return out;
     }
     case PolicyKind::kMultiType: {
       const auto& plan = std::get<pricing::MultiTypePlan>(payload_);
       const pricing::MultiTypeProblem& p = plan.problem();
-      out << "multitype-meta " << p.num_tasks_1 << " " << p.num_tasks_2
-          << " " << p.num_intervals << " " << p.max_price_cents << " "
-          << p.price_stride << " " << FormatHex(p.penalty_1_cents) << " "
-          << FormatHex(p.penalty_2_cents) << " "
-          << FormatHex(p.truncation_epsilon) << "\n";
-      out << "lambdas";
-      for (double lam : plan.interval_lambdas()) out << " " << FormatHex(lam);
-      out << "\n";
-      out << "policy\n";
+      out += "multitype-meta";
+      num(p.num_tasks_1);
+      num(p.num_tasks_2);
+      num(p.num_intervals);
+      num(p.max_price_cents);
+      num(p.price_stride);
+      hex(p.penalty_1_cents);
+      hex(p.penalty_2_cents);
+      hex(p.truncation_epsilon);
+      out += "\nlambdas";
+      for (double lam : plan.interval_lambdas()) hex(lam);
+      out += "\npolicy\n";
       for (int n1 = 0; n1 <= p.num_tasks_1; ++n1) {
         for (int n2 = 0; n2 <= p.num_tasks_2; ++n2) {
           for (int t = 0; t < p.num_intervals; ++t) {
-            if (t > 0) out << " ";
-            out << plan.policy()[plan.PolicyIndex(n1, n2, t)];
+            num(plan.policy()[plan.PolicyIndex(n1, n2, t)], t > 0 ? " " : "");
           }
-          out << "\n";
+          out += '\n';
         }
       }
-      out << "opt\n";
+      out += "opt\n";
       for (int n1 = 0; n1 <= p.num_tasks_1; ++n1) {
         for (int n2 = 0; n2 <= p.num_tasks_2; ++n2) {
           for (int t = 0; t <= p.num_intervals; ++t) {
-            if (t > 0) out << " ";
-            out << FormatHex(plan.opt()[plan.StateIndex(n1, n2, t)]);
+            hex(plan.opt()[plan.StateIndex(n1, n2, t)], t > 0 ? " " : "");
           }
-          out << "\n";
+          out += '\n';
         }
       }
-      return out.str();
+      return out;
     }
     case PolicyKind::kAdaptive: {
       const AdaptivePolicy& p = std::get<AdaptivePolicy>(payload_);
-      out << "adaptive-meta " << p.problem.num_tasks << " "
-          << p.problem.num_intervals << " "
-          << FormatHex(p.problem.penalty_cents) << " "
-          << FormatHex(p.problem.extra_penalty_alpha) << " "
-          << FormatHex(p.problem.truncation_epsilon) << " "
-          << FormatHex(p.horizon_hours) << "\n";
-      out << "adaptive-options " << p.options.resolve_every << " "
-          << FormatHex(p.options.prior_weight) << " "
-          << FormatHex(p.options.min_factor) << " "
-          << FormatHex(p.options.max_factor) << " "
-          << (p.options.dp_options.monotone_price_search ? 1 : 0) << " "
-          << (p.options.dp_options.time_monotonicity_pruning ? 1 : 0) << " "
-          << p.options.dp_options.num_threads << "\n";
-      out << "lambdas";
-      for (double lam : p.believed_lambdas) out << " " << FormatHex(lam);
-      out << "\n";
-      out << "actions " << p.actions.size() << "\n";
+      out += "adaptive-meta";
+      num(p.problem.num_tasks);
+      num(p.problem.num_intervals);
+      hex(p.problem.penalty_cents);
+      hex(p.problem.extra_penalty_alpha);
+      hex(p.problem.truncation_epsilon);
+      hex(p.horizon_hours);
+      out += "\nadaptive-options";
+      num(p.options.resolve_every);
+      hex(p.options.prior_weight);
+      hex(p.options.min_factor);
+      hex(p.options.max_factor);
+      num(p.options.dp_options.monotone_price_search ? 1 : 0);
+      num(p.options.dp_options.time_monotonicity_pruning ? 1 : 0);
+      num(p.options.dp_options.num_threads);
+      out += "\nlambdas";
+      for (double lam : p.believed_lambdas) hex(lam);
+      out += "\nactions";
+      num(p.actions.size());
+      out += '\n';
       for (const pricing::PricingAction& a : p.actions.actions()) {
-        out << FormatHex(a.cost_per_task_cents) << " " << a.bundle << " "
-            << FormatHex(a.acceptance) << "\n";
+        hex(a.cost_per_task_cents, "");
+        num(a.bundle);
+        hex(a.acceptance);
+        out += '\n';
       }
-      return out.str();
+      return out;
     }
   }
   return Status::Internal("unknown artifact kind");
@@ -436,6 +464,12 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
       CP_ASSIGN_OR_RETURN(double lam, ParseDouble(ltokens[i], "lambda"));
       lambdas.push_back(lam);
     }
+    // The plan is sized from the meta line, so first check that the text
+    // left can hold the policy and opt tables it claims.
+    const auto intervals = static_cast<uint64_t>(problem.num_intervals);
+    const auto layer = static_cast<uint64_t>(states) / (intervals + 1);
+    const uint64_t entries = layer * intervals + layer * (intervals + 1);
+    CP_RETURN_IF_ERROR(reader.ExpectRoomFor(entries, "policy and opt"));
     pricing::MultiTypePlan plan(problem, std::move(lambdas));
 
     CP_ASSIGN_OR_RETURN(auto policy_marker, reader.Next("policy marker"));

@@ -365,11 +365,14 @@ Result<market::OfferSheet> PricingClient::Decide(
 
 Result<serving::ControlOutcome> PricingClient::Apply(
     const serving::ControlOp& op) {
-  CP_ASSIGN_OR_RETURN(std::string payload, SerializeControlOp(op));
-  CP_ASSIGN_OR_RETURN(std::string ack,
-                      impl_->RoundTrip(FrameType::kControlRequest, payload,
-                                       FrameType::kControlResponse));
+  CP_ASSIGN_OR_RETURN(const std::string payload, SerializeControlOp(op));
+  CP_ASSIGN_OR_RETURN(const std::string ack, ApplyPayload(payload));
   return DeserializeControlAck(ack);
+}
+
+Result<std::string> PricingClient::ApplyPayload(const std::string& payload) {
+  return impl_->RoundTrip(FrameType::kControlRequest, payload,
+                          FrameType::kControlResponse);
 }
 
 Result<serving::CampaignId> PricingClient::AdmitShared(
@@ -401,11 +404,13 @@ Result<serving::CampaignState> PricingClient::Tick(serving::CampaignId id,
 }
 
 Result<serving::CampaignExport> PricingClient::Export(serving::CampaignId id) {
-  CP_ASSIGN_OR_RETURN(
-      std::string payload,
-      impl_->RoundTrip(FrameType::kExportRequest, SerializeExportRequest(id),
-                       FrameType::kExportResponse));
+  CP_ASSIGN_OR_RETURN(const std::string payload, ExportPayload(id));
   return DeserializeExportResponse(payload);
+}
+
+Result<std::string> PricingClient::ExportPayload(serving::CampaignId id) {
+  return impl_->RoundTrip(FrameType::kExportRequest, SerializeExportRequest(id),
+                          FrameType::kExportResponse);
 }
 
 }  // namespace crowdprice::net

@@ -135,6 +135,11 @@ class PricingClient {
   /// admits cannot cross the wire (InvalidArgument).
   Result<serving::ControlOutcome> Apply(const serving::ControlOp& op);
 
+  /// Apply's raw round trip (the router's forwarding path): ships a
+  /// serialized control payload verbatim and returns the ack payload
+  /// unparsed. The call fails only on transport/protocol errors.
+  Result<std::string> ApplyPayload(const std::string& payload);
+
   /// Convenience wrappers over Apply, mirroring the control surface.
   Result<serving::CampaignId> AdmitShared(
       const std::shared_ptr<const engine::PolicyArtifact>& artifact,
@@ -149,6 +154,9 @@ class PricingClient {
   /// Serializes a live campaign off the server for migration: id, limits,
   /// and the artifact bytes, deserialized back into a shareable artifact.
   Result<serving::CampaignExport> Export(serving::CampaignId id);
+
+  /// Export's raw round trip: the export response payload, unparsed.
+  Result<std::string> ExportPayload(serving::CampaignId id);
 
  private:
   struct Impl;

@@ -106,13 +106,20 @@ class MapSurface final : public ServingSurface {
     return true;
   }
 
-  Result<serving::ControlOutcome> Apply(serving::ControlOp op) override {
-    return map_->Apply(std::move(op));
+  Result<std::string> ApplyControlPayload(const std::string& payload) override {
+    CP_ASSIGN_OR_RETURN(serving::ControlOp op, DeserializeControlOp(payload));
+    return SerializeControlAck(map_->Apply(std::move(op)));
   }
 
-  Result<serving::CampaignExport> ExportCampaign(
-      serving::CampaignId id) override {
-    return map_->ExportCampaign(id);
+  std::string ExportPayload(serving::CampaignId id) override {
+    // The err form always serializes, so the .value() cannot throw away a
+    // real export.
+    Result<std::string> response =
+        SerializeExportResponse(map_->ExportCampaign(id));
+    if (!response.ok()) {
+      return SerializeExportResponse(response.status()).value();
+    }
+    return std::move(response).value();
   }
 
  private:
@@ -230,30 +237,24 @@ struct PricingServer::Impl {
   }
 
   std::string HandleControl(const std::string& payload) {
-    Result<serving::ControlOp> op = DeserializeControlOp(payload);
-    if (!op.ok()) {
+    Result<std::string> ack = surface->ApplyControlPayload(payload);
+    if (!ack.ok()) {
       protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      return SerializeControlAck(op.status());
+      return SerializeControlAck(ack.status());
     }
     control_ops.fetch_add(1, std::memory_order_relaxed);
-    return SerializeControlAck(surface->Apply(std::move(op).value()));
+    return std::move(ack).value();
   }
 
   std::string HandleExport(const std::string& payload) {
-    // The err form of SerializeExportResponse always serializes, so the
-    // .value() calls below cannot throw away a real export.
     Result<serving::CampaignId> id = DeserializeExportRequest(payload);
     if (!id.ok()) {
       protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      // The err form always serializes.
       return SerializeExportResponse(id.status()).value();
     }
     control_ops.fetch_add(1, std::memory_order_relaxed);
-    Result<std::string> response =
-        SerializeExportResponse(surface->ExportCampaign(*id));
-    if (!response.ok()) {
-      return SerializeExportResponse(response.status()).value();
-    }
-    return std::move(response).value();
+    return surface->ExportPayload(*id);
   }
 
   /// Validates a hello and flips the connection to authed on success.

@@ -13,13 +13,18 @@
 //     RCU-guarded pointer chase with no locks -- so N connections price
 //     concurrently and a control op on one shard never stalls anyone,
 //     while bigger batches fan out per shard on the map's serving pool.
-//   - Control plane: kControlRequest frames deserialize to a
-//     serving::ControlOp and funnel into ServingSurface::Apply (over a
-//     map, the same single writer surface ArrivalSchedule events use);
-//     the outcome (or the server-side Status, NotFound included) rides
-//     back in the ack frame. kExportRequest frames serialize a live
-//     campaign for migration; kPingRequest frames answer pong without
-//     touching the surface (health probes).
+//   - Control plane: a kControlRequest payload goes to
+//     ServingSurface::ApplyControlPayload as it arrived, and the ack
+//     payload it returns goes back as it is. Over a shard map the payload
+//     decodes to a serving::ControlOp and funnels into
+//     CampaignShardMap::Apply (the same single writer surface
+//     ArrivalSchedule events use); the outcome, or the server-side Status
+//     (NotFound included), rides back in the ack. The router forwards the
+//     payload to the owning backend instead, so only the node that applies
+//     an artifact ever decodes it. kExportRequest frames answer
+//     ServingSurface::ExportPayload, a live campaign serialized for
+//     migration; kPingRequest frames answer pong without touching the
+//     surface (health probes).
 //
 // Auth: with ServerOptions::auth_token set, a connection must open with a
 // kHelloRequest carrying the matching token before any decide, control,
@@ -53,7 +58,10 @@
 // Malformed traffic never crashes the server: an unframeable byte stream
 // (bad magic/version/oversized length) counts in
 // ServerStats::protocol_errors and closes that connection; a well-framed
-// but unparseable payload gets an error response on the wire. In a decide
+// but unparseable payload gets an error response on the wire and counts
+// one protocol error on the node that could not read it (a control
+// payload whose artifact is corrupt counts on the backend that decodes
+// it, not on the router that forwarded it). In a decide
 // batch, a line with a readable campaign id but a bad body answers its
 // own `response <id> err` line (InvalidArgument) and the rest of the
 // batch is decided as usual; a batch that cannot be split, or holds a
@@ -76,10 +84,12 @@
 namespace crowdprice::net {
 
 /// What a PricingServer fronts: a decide plane, a control plane, and the
-/// migration export hook. CampaignShardMap satisfies it via the adapter
-/// inside PricingServer::Create(map, ...); router::CampaignRouter
-/// implements it directly, which is how the router speaks the same frame
-/// protocol to its own clients that it speaks to its backends.
+/// migration export hook, each in wire payloads (net/wire.h) so that a
+/// surface may forward bytes it never decodes. CampaignShardMap satisfies
+/// it via the adapter inside PricingServer::Create(map, ...), which
+/// decodes, applies and encodes; router::CampaignRouter implements it
+/// directly as a byte-level proxy, which is how the router speaks the same
+/// frame protocol to its own clients that it speaks to its backends.
 /// Implementations must be safe to call from many threads at once.
 class ServingSurface {
  public:
@@ -95,12 +105,17 @@ class ServingSurface {
   virtual bool DecideBatchLines(const std::vector<std::string>& request_lines,
                                 std::vector<std::string>* response_lines) = 0;
 
-  /// Applies one lifecycle mutation.
-  virtual Result<serving::ControlOutcome> Apply(serving::ControlOp op) = 0;
+  /// Applies one kControlRequest payload (a net/wire.h `control ...`
+  /// stanza) and returns the kControlResponse payload: the ack for the
+  /// applied outcome, or the err ack for a verdict such as NotFound. A
+  /// non-OK result means the payload is unreadable; the server then answers
+  /// the err ack and counts one protocol error.
+  virtual Result<std::string> ApplyControlPayload(
+      const std::string& payload) = 0;
 
-  /// Serializes a live campaign for migration.
-  virtual Result<serving::CampaignExport> ExportCampaign(
-      serving::CampaignId id) = 0;
+  /// The kExportResponse payload for campaign `id`: its `export ok` form,
+  /// or the `export err` form carrying why it cannot be exported.
+  virtual std::string ExportPayload(serving::CampaignId id) = 0;
 };
 
 struct ServerOptions {
@@ -131,7 +146,7 @@ struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t frames_received = 0;   ///< Well-framed frames handed to workers.
   uint64_t decide_requests = 0;   ///< Individual decide requests answered.
-  uint64_t control_ops = 0;       ///< Control frames applied to the map.
+  uint64_t control_ops = 0;       ///< Readable control + export frames.
   uint64_t protocol_errors = 0;   ///< Unframeable streams + bad payloads.
   /// Connections dropped because the transport handshake failed (a
   /// plaintext client against a TLS server, a rejected certificate).

@@ -1,7 +1,6 @@
 #include "net/wire.h"
 
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "engine/policy_artifact.h"
@@ -299,6 +298,29 @@ Result<std::shared_ptr<const engine::PolicyArtifact>> ReadArtifactBlock(
   return std::make_shared<const engine::PolicyArtifact>(std::move(artifact));
 }
 
+/// ` artifact <bytes>\n<blob>`: the byte-counted block admits, swaps and
+/// exports end with.
+void AppendArtifactBlock(const std::string& blob, std::string* out) {
+  *out += " artifact ";
+  *out += std::to_string(blob.size());
+  *out += '\n';
+  *out += blob;
+}
+
+/// ` <tasks> <deadline> <admit> artifact <bytes>\n<blob>`: what follows the
+/// verb of an admit and the id of an admit-at or an `export ok`, identical
+/// in all three so a router can turn one into another by its prefix alone.
+void AppendAdmitFields(const serving::CampaignLimits& limits,
+                       const std::string& blob, std::string* out) {
+  *out += ' ';
+  *out += std::to_string(limits.total_tasks);
+  *out += ' ';
+  AppendHex(limits.deadline_hours, out);
+  *out += ' ';
+  AppendHex(limits.admit_hours, out);
+  AppendArtifactBlock(blob, out);
+}
+
 }  // namespace
 
 void EncodeFrameHeader(const FrameHeader& header,
@@ -440,7 +462,7 @@ Result<serving::DecideResponse> DeserializeDecideResponse(
 }
 
 Result<std::string> SerializeControlOp(const serving::ControlOp& op) {
-  std::ostringstream out;
+  std::string out = "control ";
   switch (op.kind) {
     case serving::ControlOp::Kind::kAdmit: {
       if (op.controller != nullptr) {
@@ -451,123 +473,151 @@ Result<std::string> SerializeControlOp(const serving::ControlOp& op) {
       if (op.artifact == nullptr) {
         return Status::InvalidArgument("admit op carries no artifact");
       }
-      CP_ASSIGN_OR_RETURN(std::string blob, op.artifact->Serialize());
-      out << "control admit";
+      CP_ASSIGN_OR_RETURN(const std::string blob, op.artifact->Serialize());
       // Explicit-id admits (migration re-admits) carry their id in the
       // verb so a plain admit's wire form is unchanged.
-      if (op.id != 0) out << "-at " << op.id;
-      out << " " << op.limits.total_tasks << " "
-          << FormatHex(op.limits.deadline_hours) << " "
-          << FormatHex(op.limits.admit_hours) << " artifact " << blob.size()
-          << "\n"
-          << blob;
-      return out.str();
+      out += op.id != 0 ? "admit-at " + std::to_string(op.id) : "admit";
+      AppendAdmitFields(op.limits, blob, &out);
+      return out;
     }
     case serving::ControlOp::Kind::kSwapArtifact: {
       if (op.artifact == nullptr) {
         return Status::InvalidArgument("swap op carries no artifact");
       }
-      CP_ASSIGN_OR_RETURN(std::string blob, op.artifact->Serialize());
-      out << "control swap " << op.id << " artifact " << blob.size() << "\n"
-          << blob;
-      return out.str();
+      CP_ASSIGN_OR_RETURN(const std::string blob, op.artifact->Serialize());
+      out += "swap ";
+      out += std::to_string(op.id);
+      AppendArtifactBlock(blob, &out);
+      return out;
     }
     case serving::ControlOp::Kind::kRetire:
-      out << "control retire " << op.id << "\n";
-      return out.str();
+      out += "retire ";
+      out += std::to_string(op.id);
+      out += '\n';
+      return out;
     case serving::ControlOp::Kind::kTick:
-      out << "control tick " << op.id << " " << FormatHex(op.now_hours) << " "
-          << op.remaining_tasks << "\n";
-      return out.str();
+      out += "tick ";
+      out += std::to_string(op.id);
+      out += ' ';
+      AppendHex(op.now_hours, &out);
+      out += ' ';
+      out += std::to_string(op.remaining_tasks);
+      out += '\n';
+      return out;
   }
   return Status::InvalidArgument(
       StringF("unknown control op kind %d", static_cast<int>(op.kind)));
 }
 
-Result<serving::ControlOp> DeserializeControlOp(const std::string& text) {
-  LineReader reader(text, "payload");
-  CP_ASSIGN_OR_RETURN(const std::string_view line, reader.Next("control line"));
-  const std::vector<std::string_view> tokens = Tokens(line);
-  if (tokens.size() < 2 || tokens[0] != "control") {
+Result<ControlHeader> ReadControlHeader(std::string_view payload) {
+  // Only the first line: past it lies the artifact block, which a router
+  // forwards without reading.
+  std::string_view line = payload.substr(0, payload.find('\n'));
+  if (NextToken(&line) != "control") {
     return Status::InvalidArgument("expected 'control <verb> ...'");
   }
-  const std::string_view verb = tokens[1];
-  if (verb == "admit" || verb == "admit-at") {
-    // admit-at (the migration re-admit) is admit plus a leading target id.
-    const bool with_id = verb == "admit-at";
-    const size_t base = with_id ? 3 : 2;
-    if (tokens.size() != base + 5) {
-      return Status::InvalidArgument(
-          with_id ? "expected 'control admit-at <id> <tasks> <deadline> "
-                    "<admit> artifact <bytes>'"
-                  : "expected 'control admit <tasks> <deadline> <admit> "
-                    "artifact <bytes>'");
-    }
-    serving::CampaignId id = 0;
-    if (with_id) {
-      CP_ASSIGN_OR_RETURN(id, ParseInt<uint64_t>(tokens[2], "campaign id"));
-      if (id == 0) {
+  const std::string_view verb = NextToken(&line);
+  ControlHeader header;
+  if (verb == "admit") {
+    header.kind = serving::ControlOp::Kind::kAdmit;
+    header.fields_start = static_cast<size_t>(line.data() - payload.data());
+    return header;
+  }
+  if (verb == "admit-at") {
+    header.kind = serving::ControlOp::Kind::kAdmit;
+  } else if (verb == "swap") {
+    header.kind = serving::ControlOp::Kind::kSwapArtifact;
+  } else if (verb == "retire") {
+    header.kind = serving::ControlOp::Kind::kRetire;
+  } else if (verb == "tick") {
+    header.kind = serving::ControlOp::Kind::kTick;
+  } else {
+    return Status::InvalidArgument(
+        StringF("unknown control verb '%.*s'", static_cast<int>(verb.size()),
+                verb.data()));
+  }
+  CP_ASSIGN_OR_RETURN(header.id,
+                      ParseInt<uint64_t>(NextToken(&line), "campaign id"));
+  if (verb == "admit-at" && header.id == 0) {
+    return Status::InvalidArgument(
+        "control admit-at: id 0 means 'assign fresh' and cannot be placed "
+        "explicitly");
+  }
+  header.fields_start = static_cast<size_t>(line.data() - payload.data());
+  return header;
+}
+
+std::string PlaceAdmitAt(std::string_view admit, const ControlHeader& header,
+                         serving::CampaignId id) {
+  std::string out = "control admit-at " + std::to_string(id);
+  out += admit.substr(header.fields_start);
+  return out;
+}
+
+Result<serving::ControlOp> DeserializeControlOp(const std::string& text) {
+  CP_ASSIGN_OR_RETURN(const ControlHeader header, ReadControlHeader(text));
+  const serving::CampaignId id = header.id;
+  LineReader reader(text, "payload");
+  CP_ASSIGN_OR_RETURN(const std::string_view line, reader.Next("control line"));
+  const std::vector<std::string_view> fields =
+      Tokens(line.substr(header.fields_start));
+  switch (header.kind) {
+    case serving::ControlOp::Kind::kAdmit: {
+      if (fields.size() != 5) {
         return Status::InvalidArgument(
-            "control admit-at: id 0 means 'assign fresh' and cannot be "
-            "placed explicitly");
+            id != 0 ? "expected 'control admit-at <id> <tasks> <deadline> "
+                      "<admit> artifact <bytes>'"
+                    : "expected 'control admit <tasks> <deadline> <admit> "
+                      "artifact <bytes>'");
       }
+      serving::CampaignLimits limits;
+      CP_ASSIGN_OR_RETURN(limits.total_tasks,
+                          ParseInt<int64_t>(fields[0], "total_tasks"));
+      CP_ASSIGN_OR_RETURN(limits.deadline_hours,
+                          ParseDouble(fields[1], "deadline_hours"));
+      CP_ASSIGN_OR_RETURN(limits.admit_hours,
+                          ParseDouble(fields[2], "admit_hours"));
+      CP_ASSIGN_OR_RETURN(
+          std::shared_ptr<const engine::PolicyArtifact> artifact,
+          ReadArtifactBlock(&reader, fields[3], fields[4], "control admit"));
+      CP_RETURN_IF_ERROR(reader.ExpectEnd("control admit"));
+      if (id != 0) {
+        return serving::ControlOp::AdmitSharedWithId(id, std::move(artifact),
+                                                     limits);
+      }
+      return serving::ControlOp::AdmitShared(std::move(artifact), limits);
     }
-    serving::CampaignLimits limits;
-    CP_ASSIGN_OR_RETURN(limits.total_tasks,
-                        ParseInt<int64_t>(tokens[base], "total_tasks"));
-    CP_ASSIGN_OR_RETURN(limits.deadline_hours,
-                        ParseDouble(tokens[base + 1], "deadline_hours"));
-    CP_ASSIGN_OR_RETURN(limits.admit_hours,
-                        ParseDouble(tokens[base + 2], "admit_hours"));
-    CP_ASSIGN_OR_RETURN(std::shared_ptr<const engine::PolicyArtifact> artifact,
-                        ReadArtifactBlock(&reader, tokens[base + 3],
-                                          tokens[base + 4], "control admit"));
-    CP_RETURN_IF_ERROR(reader.ExpectEnd("control admit"));
-    if (with_id) {
-      return serving::ControlOp::AdmitSharedWithId(id, std::move(artifact),
-                                                   limits);
+    case serving::ControlOp::Kind::kSwapArtifact: {
+      if (fields.size() != 2) {
+        return Status::InvalidArgument(
+            "expected 'control swap <id> artifact <bytes>'");
+      }
+      CP_ASSIGN_OR_RETURN(
+          std::shared_ptr<const engine::PolicyArtifact> artifact,
+          ReadArtifactBlock(&reader, fields[0], fields[1], "control swap"));
+      CP_RETURN_IF_ERROR(reader.ExpectEnd("control swap"));
+      return serving::ControlOp::SwapArtifactShared(id, std::move(artifact));
     }
-    return serving::ControlOp::AdmitShared(std::move(artifact), limits);
+    case serving::ControlOp::Kind::kRetire:
+      if (!fields.empty()) {
+        return Status::InvalidArgument("expected 'control retire <id>'");
+      }
+      CP_RETURN_IF_ERROR(reader.ExpectEnd("control retire"));
+      return serving::ControlOp::Retire(id);
+    case serving::ControlOp::Kind::kTick: {
+      if (fields.size() != 2) {
+        return Status::InvalidArgument(
+            "expected 'control tick <id> <now> <remaining>'");
+      }
+      CP_ASSIGN_OR_RETURN(const double now_hours,
+                          ParseDouble(fields[0], "now_hours"));
+      CP_ASSIGN_OR_RETURN(const int64_t remaining,
+                          ParseInt<int64_t>(fields[1], "remaining_tasks"));
+      CP_RETURN_IF_ERROR(reader.ExpectEnd("control tick"));
+      return serving::ControlOp::Tick(id, now_hours, remaining);
+    }
   }
-  if (verb == "swap") {
-    if (tokens.size() != 5) {
-      return Status::InvalidArgument(
-          "expected 'control swap <id> artifact <bytes>'");
-    }
-    CP_ASSIGN_OR_RETURN(const serving::CampaignId id,
-                        ParseInt<uint64_t>(tokens[2], "campaign id"));
-    CP_ASSIGN_OR_RETURN(
-        std::shared_ptr<const engine::PolicyArtifact> artifact,
-        ReadArtifactBlock(&reader, tokens[3], tokens[4], "control swap"));
-    CP_RETURN_IF_ERROR(reader.ExpectEnd("control swap"));
-    return serving::ControlOp::SwapArtifactShared(id, std::move(artifact));
-  }
-  if (verb == "retire") {
-    if (tokens.size() != 3) {
-      return Status::InvalidArgument("expected 'control retire <id>'");
-    }
-    CP_ASSIGN_OR_RETURN(const serving::CampaignId id,
-                        ParseInt<uint64_t>(tokens[2], "campaign id"));
-    CP_RETURN_IF_ERROR(reader.ExpectEnd("control retire"));
-    return serving::ControlOp::Retire(id);
-  }
-  if (verb == "tick") {
-    if (tokens.size() != 5) {
-      return Status::InvalidArgument(
-          "expected 'control tick <id> <now> <remaining>'");
-    }
-    CP_ASSIGN_OR_RETURN(const serving::CampaignId id,
-                        ParseInt<uint64_t>(tokens[2], "campaign id"));
-    CP_ASSIGN_OR_RETURN(const double now_hours,
-                        ParseDouble(tokens[3], "now_hours"));
-    CP_ASSIGN_OR_RETURN(const int64_t remaining,
-                        ParseInt<int64_t>(tokens[4], "remaining_tasks"));
-    CP_RETURN_IF_ERROR(reader.ExpectEnd("control tick"));
-    return serving::ControlOp::Tick(id, now_hours, remaining);
-  }
-  return Status::InvalidArgument(
-      StringF("unknown control verb '%.*s'", static_cast<int>(verb.size()),
-              verb.data()));
+  return Status::Internal("unknown control op kind");
 }
 
 std::string SerializeControlAck(const Result<serving::ControlOutcome>& ack) {
@@ -810,29 +860,25 @@ Result<std::string> SerializeExportResponse(
   if (response->artifact == nullptr) {
     return Status::InvalidArgument("export carries no artifact");
   }
-  CP_ASSIGN_OR_RETURN(std::string blob, response->artifact->Serialize());
-  std::ostringstream out;
-  out << "export ok " << response->id << " " << response->limits.total_tasks
-      << " " << FormatHex(response->limits.deadline_hours) << " "
-      << FormatHex(response->limits.admit_hours) << " artifact " << blob.size()
-      << "\n"
-      << blob;
-  return out.str();
+  CP_ASSIGN_OR_RETURN(const std::string blob, response->artifact->Serialize());
+  std::string out = "export ok " + std::to_string(response->id);
+  AppendAdmitFields(response->limits, blob, &out);
+  return out;
 }
 
-Result<serving::CampaignExport> DeserializeExportResponse(
-    const std::string& text) {
-  LineReader reader(text, "payload");
-  CP_ASSIGN_OR_RETURN(const std::string_view line,
-                      reader.Next("export response"));
+Result<std::string> ExportToAdmitAt(std::string_view response) {
+  const size_t eol = response.find('\n');
   std::string_view rest;
-  CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> head,
-                      SplitN(line, 2, &rest, "export response"));
+  CP_ASSIGN_OR_RETURN(
+      const std::vector<std::string_view> head,
+      SplitN(response.substr(0, eol), 2, &rest, "export response"));
   if (head[0] != "export") {
     return Status::InvalidArgument("expected 'export ok|err ...'");
   }
   if (head[1] == "err") {
-    CP_RETURN_IF_ERROR(reader.ExpectEnd("export error"));
+    if (eol != std::string_view::npos && eol + 1 != response.size()) {
+      return Status::InvalidArgument("trailing bytes after export error");
+    }
     return TransportedError(rest, "export error");
   }
   if (head[1] != "ok") {
@@ -840,23 +886,27 @@ Result<serving::CampaignExport> DeserializeExportResponse(
         StringF("expected 'ok' or 'err', got '%.*s'",
                 static_cast<int>(head[1].size()), head[1].data()));
   }
-  CP_ASSIGN_OR_RETURN(const std::vector<std::string_view> fields,
-                      Tokens(rest, 6, "export response"));
-  serving::CampaignExport out;
-  CP_ASSIGN_OR_RETURN(out.id, ParseInt<uint64_t>(fields[0], "campaign id"));
-  if (out.id == 0) {
+  CP_ASSIGN_OR_RETURN(const serving::CampaignId id,
+                      ParseInt<uint64_t>(NextToken(&rest), "campaign id"));
+  if (id == 0) {
     return Status::InvalidArgument("export response carries id 0");
   }
-  CP_ASSIGN_OR_RETURN(out.limits.total_tasks,
-                      ParseInt<int64_t>(fields[1], "total_tasks"));
-  CP_ASSIGN_OR_RETURN(out.limits.deadline_hours,
-                      ParseDouble(fields[2], "deadline_hours"));
-  CP_ASSIGN_OR_RETURN(out.limits.admit_hours,
-                      ParseDouble(fields[3], "admit_hours"));
-  CP_ASSIGN_OR_RETURN(out.artifact,
-                      ReadArtifactBlock(&reader, fields[4], fields[5],
-                                        "export response"));
-  CP_RETURN_IF_ERROR(reader.ExpectEnd("export response"));
+  // Everything after the id -- the limits, the artifact byte count and the
+  // artifact block -- reads the same in both forms.
+  const auto fields_start = static_cast<size_t>(rest.data() - response.data());
+  std::string admit = "control admit-at " + std::to_string(id);
+  admit += response.substr(fields_start);
+  return admit;
+}
+
+Result<serving::CampaignExport> DeserializeExportResponse(
+    const std::string& text) {
+  CP_ASSIGN_OR_RETURN(const std::string admit, ExportToAdmitAt(text));
+  CP_ASSIGN_OR_RETURN(serving::ControlOp op, DeserializeControlOp(admit));
+  serving::CampaignExport out;
+  out.id = op.id;
+  out.limits = op.limits;
+  out.artifact = std::move(op.artifact);
   return out;
 }
 

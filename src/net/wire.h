@@ -15,7 +15,11 @@
 // plan codecs use, through the one codec in util/hexfloat.h: doubles print
 // in printf's %a form and parse back with std::from_chars, so every value
 // round-trips bit-exactly, and admit/swap control ops embed the artifact's
-// own Serialize() text verbatim as a byte-counted block. Statuses cross the
+// own Serialize() text verbatim as a byte-counted block. A control payload
+// opens with a header line a router can read alone (ReadControlHeader), and
+// its admit forms share their fields with `export ok`, so the router routes
+// and migrates by prefix rewrites without decoding an artifact. Every
+// encoder writes its text once, appending into one string. Statuses cross the
 // wire as `int(code) <escaped message>` -- code and message both survive
 // the round trip, so a server-side NotFound reaches the client as
 // NotFound (util::StatusCodeFromInt guards unknown codes).
@@ -129,6 +133,39 @@ Result<serving::DecideResponse> DeserializeDecideResponse(
 /// whole control surface, not just ArrivalSchedule's three events).
 Result<std::string> SerializeControlOp(const serving::ControlOp& op);
 Result<serving::ControlOp> DeserializeControlOp(const std::string& text);
+
+/// The header line of a control payload: `control <verb>`, then the target
+/// id for every verb but a plain admit.
+struct ControlHeader {
+  /// kAdmit covers both `admit` and `admit-at`.
+  serving::ControlOp::Kind kind = serving::ControlOp::Kind::kAdmit;
+  /// The target campaign; 0 for a plain admit (the router assigns one).
+  serving::CampaignId id = 0;
+  /// Offset of the rest of the payload: the fields after the verb (plain
+  /// admit) or the id, then any artifact block.
+  size_t fields_start = 0;
+};
+
+/// Reads a control payload's header line and nothing past it, so a router
+/// can route a control op without decoding its artifact. InvalidArgument
+/// on an unknown verb, or a missing or unreadable id (an admit-at id of 0
+/// included). The one reader of that line: DeserializeControlOp uses it.
+Result<ControlHeader> ReadControlHeader(std::string_view payload);
+
+// Prefix rewrites. The fields after `control admit`, after `control
+// admit-at <id>`, and after `export ok <id>` are the same bytes, so turning
+// one form into another copies them untouched and never reads the artifact.
+
+/// `control admit ...` -> `control admit-at <id> ...`: places a plain admit
+/// (whose header is `header`) under `id`.
+std::string PlaceAdmitAt(std::string_view admit, const ControlHeader& header,
+                         serving::CampaignId id);
+
+/// `export ok <id> ...` -> `control admit-at <id> ...`: the payload that
+/// re-admits an exported campaign under its id on another node. An `export
+/// err` payload returns the Status it carries; a malformed header (id 0
+/// included) fails InvalidArgument.
+Result<std::string> ExportToAdmitAt(std::string_view response);
 
 /// kControlResponse payload: the applied outcome, or the server-side
 /// error. Deserializing an err ack returns that transported Status

@@ -1,6 +1,6 @@
 #include "pricing/serialization.h"
 
-#include <sstream>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,38 +16,57 @@ constexpr char kHeader[] = "crowdprice-plan v1";
 
 }  // namespace
 
-std::string SerializePlan(const DeadlinePlan& plan) {
-  std::ostringstream out;
+void AppendPlan(const DeadlinePlan& plan, std::string* out) {
   const DeadlineProblem& p = plan.problem();
-  out << kHeader << "\n";
-  out << "problem " << p.num_tasks << " " << p.num_intervals << " "
-      << FormatHex(p.penalty_cents) << " " << FormatHex(p.extra_penalty_alpha)
-      << " " << FormatHex(p.truncation_epsilon) << "\n";
-  out << "lambdas";
-  for (double lam : plan.interval_lambdas()) out << " " << FormatHex(lam);
-  out << "\n";
-  out << "actions " << plan.actions().size() << "\n";
-  for (const PricingAction& a : plan.actions().actions()) {
-    out << FormatHex(a.cost_per_task_cents) << " " << a.bundle << " "
-        << FormatHex(a.acceptance) << "\n";
+  *out += kHeader;
+  *out += "\nproblem ";
+  *out += std::to_string(p.num_tasks);
+  *out += ' ';
+  *out += std::to_string(p.num_intervals);
+  *out += ' ';
+  AppendHex(p.penalty_cents, out);
+  *out += ' ';
+  AppendHex(p.extra_penalty_alpha, out);
+  *out += ' ';
+  AppendHex(p.truncation_epsilon, out);
+  *out += "\nlambdas";
+  for (double lam : plan.interval_lambdas()) {
+    *out += ' ';
+    AppendHex(lam, out);
   }
-  out << "policy\n";
+  *out += "\nactions ";
+  *out += std::to_string(plan.actions().size());
+  *out += '\n';
+  for (const PricingAction& a : plan.actions().actions()) {
+    AppendHex(a.cost_per_task_cents, out);
+    *out += ' ';
+    *out += std::to_string(a.bundle);
+    *out += ' ';
+    AppendHex(a.acceptance, out);
+    *out += '\n';
+  }
+  *out += "policy\n";
   for (int n = 1; n <= p.num_tasks; ++n) {
     for (int t = 0; t < p.num_intervals; ++t) {
-      if (t > 0) out << " ";
-      out << plan.ActionIndexUnchecked(n, t);
+      if (t > 0) *out += ' ';
+      *out += std::to_string(plan.ActionIndexUnchecked(n, t));
     }
-    out << "\n";
+    *out += '\n';
   }
-  out << "opt\n";
+  *out += "opt\n";
   for (int n = 0; n <= p.num_tasks; ++n) {
     for (int t = 0; t <= p.num_intervals; ++t) {
-      if (t > 0) out << " ";
-      out << FormatHex(plan.OptUnchecked(n, t));
+      if (t > 0) *out += ' ';
+      AppendHex(plan.OptUnchecked(n, t), out);
     }
-    out << "\n";
+    *out += '\n';
   }
-  return out.str();
+}
+
+std::string SerializePlan(const DeadlinePlan& plan) {
+  std::string out;
+  AppendPlan(plan, &out);
+  return out;
 }
 
 Result<DeadlinePlan> DeserializePlan(std::string_view text) {
@@ -117,6 +136,12 @@ Result<DeadlinePlan> DeserializePlan(std::string_view text) {
     return Status::Internal("action set changed size during validation");
   }
 
+  // The plan is sized from the header, so first check that the text left
+  // can hold the policy and opt tables it claims.
+  const auto tasks = static_cast<uint64_t>(problem.num_tasks);
+  const auto intervals = static_cast<uint64_t>(problem.num_intervals);
+  const uint64_t entries = tasks * intervals + (tasks + 1) * (intervals + 1);
+  CP_RETURN_IF_ERROR(reader.ExpectRoomFor(entries, "policy and opt"));
   DeadlinePlan plan(problem, std::move(action_set), std::move(lambdas));
 
   CP_ASSIGN_OR_RETURN(auto policy_marker, reader.Next("policy marker"));

@@ -20,9 +20,14 @@ namespace crowdprice::pricing {
 /// policy and value tables) to a self-contained string.
 std::string SerializePlan(const DeadlinePlan& plan);
 
+/// SerializePlan's text, appended to `*out` (how an artifact embeds its
+/// plan without a second copy).
+void AppendPlan(const DeadlinePlan& plan, std::string* out);
+
 /// Parses a string produced by SerializePlan. Bit-exact: every price,
 /// probability and value round-trips. Rejects unknown versions, truncated
-/// input, inconsistent dimensions, and numbers outside their field's type.
+/// input, inconsistent dimensions, numbers outside their field's type, and
+/// tables larger than the text left could hold (before allocating them).
 Result<DeadlinePlan> DeserializePlan(std::string_view text);
 
 }  // namespace crowdprice::pricing

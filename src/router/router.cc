@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "net/wire.h"
 #include "util/macros.h"
 #include "util/stringf.h"
 
@@ -20,6 +21,11 @@ using serving::CampaignId;
 using serving::CampaignState;
 using serving::ControlOp;
 using serving::ControlOutcome;
+
+std::string RetirePayload(CampaignId id) {
+  // A retire always serializes.
+  return net::SerializeControlOp(ControlOp::Retire(id)).value();
+}
 
 }  // namespace
 
@@ -162,47 +168,53 @@ struct CampaignRouter::Impl {
     return true;
   }
 
-  /// Routes one control op to `backend`. Server-side verdicts (NotFound,
-  /// FailedPrecondition, ...) are final; transport failures retry inside
-  /// the pool and surface as Unavailable.
+  /// Forwards one control payload to `backend` and returns its parsed
+  /// ack; `*ack` receives the ack to answer with -- the owner's own bytes,
+  /// or an err ack when the owner could not be reached. Server-side
+  /// verdicts (NotFound, InvalidArgument, ...) are final; transport
+  /// failures and Unavailable verdicts retry inside the pool.
   Result<ControlOutcome> ApplyAt(const std::string& backend,
-                                 const ControlOp& op) {
+                                 const std::string& payload,
+                                 std::string* ack) {
     Result<ControlOutcome> outcome =
         Status::Internal("control op was never forwarded");
     const Status status =
         pool.WithClient(backend, [&](net::PricingClient& client) {
-          Result<ControlOutcome> applied = client.Apply(op);
-          if (!applied.ok() && applied.status().IsUnavailable()) {
-            return applied.status();  // Transport-level: let the pool retry.
+          CP_ASSIGN_OR_RETURN(*ack, client.ApplyPayload(payload));
+          outcome = net::DeserializeControlAck(*ack);
+          if (!outcome.ok() && outcome.status().IsUnavailable()) {
+            return outcome.status();  // Retried like a transport failure.
           }
-          outcome = std::move(applied);
           return Status::OK();
         });
     if (!status.ok()) {
       unavailable.fetch_add(1, std::memory_order_relaxed);
+      *ack = net::SerializeControlAck(status);
       return status;
     }
     return outcome;
   }
 
-  Result<ControlOutcome> Apply(ControlOp op) {
+  /// Routes one control payload by its header alone: admits get their
+  /// router-wide id (an explicit admit-at id is honored, keeping next_id
+  /// ahead of it) and reach the owner as `control admit-at`, so the backend
+  /// places the campaign under exactly this id. Every byte after the header
+  /// is forwarded untouched and the owner's ack comes back as it is.
+  Result<std::string> ApplyControlPayload(const std::string& payload) {
+    CP_ASSIGN_OR_RETURN(const net::ControlHeader header,
+                        net::ReadControlHeader(payload));
     std::shared_lock<std::shared_mutex> drain(drain_mu);
     control_ops.fetch_add(1, std::memory_order_relaxed);
     if (placement.empty()) {
-      return Status::Unavailable("router has no backends to route to");
+      return net::SerializeControlAck(
+          Status::Unavailable("router has no backends to route to"));
     }
-    if (op.kind == ControlOp::Kind::kAdmit) {
-      if (op.controller != nullptr) {
-        return Status::InvalidArgument(
-            "controller-backed admits are process-local and cannot cross "
-            "the router");
-      }
-      // Assign the router-wide id (or honor an explicit one, keeping
-      // next_id ahead of it) and place via the explicit-id admit so the
-      // backend admits under exactly this id.
-      CampaignId id = op.id;
+    CampaignId id = header.id;
+    std::string placed;
+    if (header.kind == ControlOp::Kind::kAdmit) {
       if (id == 0) {
         id = next_id.fetch_add(1, std::memory_order_relaxed);
+        placed = net::PlaceAdmitAt(payload, header, id);
       } else {
         uint64_t expected = next_id.load(std::memory_order_relaxed);
         while (expected <= id &&
@@ -210,53 +222,58 @@ struct CampaignRouter::Impl {
                                               std::memory_order_relaxed)) {
         }
       }
-      op.id = id;
     }
-    CP_ASSIGN_OR_RETURN(const std::string owner, placement.OwnerOf(op.id));
-    CP_ASSIGN_OR_RETURN(const ControlOutcome outcome, ApplyAt(owner, op));
-    switch (op.kind) {
-      case ControlOp::Kind::kAdmit:
-        TrackLive(outcome.id, true);
-        break;
-      case ControlOp::Kind::kRetire:
-        TrackLive(op.id, false);
-        break;
-      case ControlOp::Kind::kTick:
-        if (outcome.state != CampaignState::kLive) TrackLive(op.id, false);
-        break;
-      case ControlOp::Kind::kSwapArtifact:
-        break;
+    const std::string owner = placement.OwnerOf(id).value();
+    const std::string& forwarded = placed.empty() ? payload : placed;
+    std::string ack;
+    const Result<ControlOutcome> outcome = ApplyAt(owner, forwarded, &ack);
+    if (outcome.ok()) {
+      switch (header.kind) {
+        case ControlOp::Kind::kAdmit:
+          TrackLive(outcome->id, true);
+          break;
+        case ControlOp::Kind::kRetire:
+          TrackLive(id, false);
+          break;
+        case ControlOp::Kind::kTick:
+          if (outcome->state != CampaignState::kLive) TrackLive(id, false);
+          break;
+        case ControlOp::Kind::kSwapArtifact:
+          break;
+      }
     }
-    return outcome;
+    return ack;
   }
 
-  Result<CampaignExport> Export(const std::string& backend, CampaignId id) {
-    Result<CampaignExport> exported =
+  /// `id`'s export response payload off `backend`, unparsed.
+  Result<std::string> Export(const std::string& backend, CampaignId id) {
+    Result<std::string> response =
         Status::Internal("export was never forwarded");
     const Status status =
         pool.WithClient(backend, [&](net::PricingClient& client) {
-          Result<CampaignExport> answer = client.Export(id);
-          if (!answer.ok() && answer.status().IsUnavailable()) {
-            return answer.status();
-          }
-          exported = std::move(answer);
-          return Status::OK();
+          response = client.ExportPayload(id);
+          return response.status();
         });
     if (!status.ok()) {
       unavailable.fetch_add(1, std::memory_order_relaxed);
       return status;
     }
-    return exported;
+    return response;
   }
 
-  Result<CampaignExport> ExportCampaign(CampaignId id) {
+  std::string ExportPayload(CampaignId id) {
     std::shared_lock<std::shared_mutex> drain(drain_mu);
     control_ops.fetch_add(1, std::memory_order_relaxed);
-    if (placement.empty()) {
-      return Status::Unavailable("router has no backends to route to");
+    Result<std::string> response =
+        Status::Unavailable("router has no backends to route to");
+    if (!placement.empty()) {
+      response = Export(placement.OwnerOf(id).value(), id);
     }
-    CP_ASSIGN_OR_RETURN(const std::string owner, placement.OwnerOf(id));
-    return Export(owner, id);
+    if (!response.ok()) {
+      // The err form always serializes.
+      return net::SerializeExportResponse(response.status()).value();
+    }
+    return std::move(response).value();
   }
 
   Result<size_t> Rebalance(const std::vector<std::string>& new_backends) {
@@ -292,23 +309,24 @@ struct CampaignRouter::Impl {
     std::vector<Move> copied;
     std::vector<CampaignId> lost;
     Status failure = Status::OK();
+    // The export payload becomes the re-admit by a prefix swap, so the
+    // artifact moves as the old owner wrote it and is never decoded here.
+    std::string ack;
     for (const Move& move : moves) {
-      Result<CampaignExport> exported = Export(move.from, move.id);
-      if (!exported.ok()) {
-        if (exported.status().IsUnavailable() &&
-            !next.Contains(move.from)) {
+      Result<std::string> readmit = Export(move.from, move.id);
+      if (readmit.ok()) readmit = net::ExportToAdmitAt(*readmit);
+      if (!readmit.ok()) {
+        if (readmit.status().IsUnavailable() && !next.Contains(move.from)) {
           // The old owner is dead and leaving the set: its campaigns'
           // state died with it. Drop them rather than wedging every
           // future rebalance.
           lost.push_back(move.id);
           continue;
         }
-        failure = exported.status();
+        failure = readmit.status();
         break;
       }
-      const Result<ControlOutcome> admitted = ApplyAt(
-          move.to, ControlOp::AdmitSharedWithId(move.id, exported->artifact,
-                                                exported->limits));
+      const Result<ControlOutcome> admitted = ApplyAt(move.to, *readmit, &ack);
       if (!admitted.ok()) {
         failure = admitted.status();
         break;
@@ -319,7 +337,7 @@ struct CampaignRouter::Impl {
       // Roll back: retire the fresh copies; the placement never changed,
       // so traffic keeps hitting the originals.
       for (const Move& move : copied) {
-        (void)ApplyAt(move.to, ControlOp::Retire(move.id));
+        (void)ApplyAt(move.to, RetirePayload(move.id), &ack);
       }
       return Status::Unavailable(StringF(
           "rebalance to placement v%llu aborted, no campaigns moved: %s",
@@ -333,7 +351,7 @@ struct CampaignRouter::Impl {
     const PlacementTable old = std::move(placement);
     placement = std::move(next);
     for (const Move& move : copied) {
-      (void)ApplyAt(move.from, ControlOp::Retire(move.id));
+      (void)ApplyAt(move.from, RetirePayload(move.id), &ack);
     }
     {
       std::lock_guard<std::mutex> lock(live_mu);
@@ -374,12 +392,23 @@ bool CampaignRouter::DecideBatchLines(
   return impl_->DecideBatchLines(request_lines, response_lines);
 }
 
-Result<ControlOutcome> CampaignRouter::Apply(ControlOp op) {
-  return impl_->Apply(std::move(op));
+Result<std::string> CampaignRouter::ApplyControlPayload(
+    const std::string& payload) {
+  return impl_->ApplyControlPayload(payload);
+}
+
+std::string CampaignRouter::ExportPayload(CampaignId id) {
+  return impl_->ExportPayload(id);
+}
+
+Result<ControlOutcome> CampaignRouter::Apply(const ControlOp& op) {
+  CP_ASSIGN_OR_RETURN(const std::string payload, net::SerializeControlOp(op));
+  CP_ASSIGN_OR_RETURN(const std::string ack, ApplyControlPayload(payload));
+  return net::DeserializeControlAck(ack);
 }
 
 Result<CampaignExport> CampaignRouter::ExportCampaign(CampaignId id) {
-  return impl_->ExportCampaign(id);
+  return net::DeserializeExportResponse(ExportPayload(id));
 }
 
 PlacementTable CampaignRouter::placement() const {

@@ -17,6 +17,16 @@
 //     wire is canonical hex-float text, so a routed answer is byte-for-
 //     byte the direct one -- per-line `err` answers (a bad request body,
 //     an unknown campaign) included.
+//   - Control splice: ApplyControlPayload reads only a control payload's
+//     header line (net::ReadControlHeader) -- the verb and the target id
+//     -- and forwards the payload to the owner with every byte after the
+//     header untouched; a plain admit gets its router-wide id by the
+//     `control admit` -> `control admit-at <id>` prefix rewrite. The
+//     owner's ack comes back verbatim; the router parses that one short
+//     line only to track the live set and to retry Unavailable. No
+//     artifact is decoded here: the owner is the one node that reads it,
+//     so a corrupt one is the owner's InvalidArgument and the owner's
+//     protocol error. Exports pass through the same way.
 //   - Failover: the BackendPool (router/backend_pool.h) health-probes
 //     every backend, retries Unavailable outcomes with bounded backoff,
 //     and marks repeat offenders down. A request whose owner is down (or
@@ -26,8 +36,10 @@
 //   - Live rebalancing: Rebalance publishes a new placement under a drain
 //     barrier (a writer lock all serving/control traffic reads): for each
 //     live campaign whose owner changes, the router exports it from the
-//     old owner, re-admits it on the new owner under the same id, and
-//     retires the old copy -- copy-then-commit, so a failed migration
+//     old owner, re-admits it on the new owner under the same id -- the
+//     `export ok <id>` payload becomes `control admit-at <id>` by a
+//     prefix swap, so the artifact moves as the old owner wrote it --
+//     and retires the old copy. Copy-then-commit: a failed migration
 //     rolls back and no decide ever observes a half-moved campaign.
 //
 // Thread safety: every public method is safe to call concurrently.
@@ -91,15 +103,26 @@ class CampaignRouter final : public net::ServingSurface {
   bool DecideBatchLines(const std::vector<std::string>& request_lines,
                         std::vector<std::string>* response_lines) override;
 
-  /// Routes one lifecycle mutation to the owning backend. Admits assign
-  /// the router-wide id (or honor the op's explicit id) and place the
-  /// campaign via the explicit-id admit; controller-backed admits cannot
-  /// cross the wire (InvalidArgument).
-  Result<serving::ControlOutcome> Apply(serving::ControlOp op) override;
+  /// Routes one control payload to the owning backend by its header line
+  /// alone (see file comment) and returns the owner's ack verbatim. Admits
+  /// assign the router-wide id (or honor an admit-at's explicit id). An
+  /// owner that cannot be reached answers an Unavailable err ack (counted
+  /// in stats().unavailable); a header that cannot be routed (an unknown
+  /// verb, an unreadable id) is an InvalidArgument result that reaches no
+  /// backend.
+  Result<std::string> ApplyControlPayload(const std::string& payload) override;
 
-  /// Serializes a live campaign off its owning backend.
-  Result<serving::CampaignExport> ExportCampaign(
-      serving::CampaignId id) override;
+  /// The owning backend's export response payload for `id`, verbatim.
+  std::string ExportPayload(serving::CampaignId id) override;
+
+  // --- In-process conveniences over the payload path ----------------------
+
+  /// Serializes `op` and routes it through ApplyControlPayload.
+  /// Controller-backed admits cannot cross the wire (InvalidArgument).
+  Result<serving::ControlOutcome> Apply(const serving::ControlOp& op);
+
+  /// ExportPayload, decoded.
+  Result<serving::CampaignExport> ExportCampaign(serving::CampaignId id);
 
   // --- Placement ----------------------------------------------------------
 

@@ -1,5 +1,7 @@
 #include "stats/gamma.h"
 
+#include <math.h>  // lgamma_r
+
 #include <array>
 #include <cmath>
 #include <limits>
@@ -69,7 +71,12 @@ Result<double> GammaQContinuedFraction(double a, double x) {
 
 }  // namespace
 
-double LogGamma(double x) { return std::lgamma(x); }
+double LogGamma(double x) {
+  // lgamma_r, not std::lgamma: lgamma stores the sign of Gamma(x) in the
+  // global signgam, a data race when serving threads price concurrently.
+  int sign = 0;
+  return lgamma_r(x, &sign);
+}
 
 double LogFactorial(int k) {
   static constexpr int kTableSize = 256;

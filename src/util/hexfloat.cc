@@ -3,6 +3,7 @@
 #include <bit>
 #include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <system_error>
 
 #include "util/stringf.h"
@@ -30,32 +31,38 @@ Status BadToken(const char* what, const char* kind, std::string_view token) {
 }  // namespace
 
 void AppendHex(double v, std::string* out) {
+  // The longest form, "-0x1.fffffffffffffp+1023", is 24 bytes.
+  char buf[32];
+  char* p = buf;
   const uint64_t bits = std::bit_cast<uint64_t>(v);
   const int biased = static_cast<int>((bits >> 52) & 0x7ff);
   uint64_t fraction = bits & ((uint64_t{1} << 52) - 1);
-  if ((bits >> 63) != 0) *out += '-';
+  if ((bits >> 63) != 0) *p++ = '-';
   if (biased == 0x7ff) {
-    *out += fraction == 0 ? "inf" : "nan";
+    std::memcpy(p, fraction == 0 ? "inf" : "nan", 3);
+    out->append(buf, static_cast<size_t>(p + 3 - buf));
     return;
   }
   // Subnormals print unnormalized, as 0x0.<fraction>p-1022, the way glibc
   // does; std::to_chars prints them that way or as 0x1p-1074 depending on
   // the C++ runtime, so the digits are produced here instead.
-  *out += biased == 0 ? "0x0" : "0x1";
+  *p++ = '0';
+  *p++ = 'x';
+  *p++ = biased == 0 ? '0' : '1';
   if (fraction != 0) {
-    *out += '.';
+    *p++ = '.';
     for (int shift = 48; fraction != 0; shift -= 4) {
-      *out += "0123456789abcdef"[(fraction >> shift) & 0xf];
+      *p++ = "0123456789abcdef"[(fraction >> shift) & 0xf];
       fraction &= (uint64_t{1} << shift) - 1;
     }
   }
   int exponent = biased - 1023;
   if (biased == 0) exponent = (bits << 1) == 0 ? 0 : -1022;
-  *out += exponent < 0 ? "p-" : "p+";
-  char digits[8];
-  const std::to_chars_result printed = std::to_chars(
-      digits, digits + sizeof(digits), exponent < 0 ? -exponent : exponent);
-  out->append(digits, printed.ptr);
+  *p++ = 'p';
+  *p++ = exponent < 0 ? '-' : '+';
+  const int magnitude = exponent < 0 ? -exponent : exponent;
+  p = std::to_chars(p, buf + sizeof(buf), magnitude).ptr;
+  out->append(buf, static_cast<size_t>(p - buf));
 }
 
 std::string FormatHex(double v) {
@@ -169,6 +176,16 @@ Result<std::string_view> LineReader::Bytes(size_t n, const char* what) {
   const std::string_view bytes = text_.substr(pos_, n);
   pos_ += n;
   return bytes;
+}
+
+Status LineReader::ExpectRoomFor(uint64_t tokens, const char* what) const {
+  const size_t left = text_.size() - pos_;
+  if (tokens > (uint64_t{left} + 1) / 2) {
+    return Status::InvalidArgument(
+        StringF("%s truncated: %llu %s entries cannot fit in %zu bytes", noun_,
+                static_cast<unsigned long long>(tokens), what, left));
+  }
+  return Status::OK();
 }
 
 Status LineReader::ExpectEnd(const char* what) const {

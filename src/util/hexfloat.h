@@ -18,6 +18,7 @@
 #define CROWDPRICE_UTIL_HEXFLOAT_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,6 +73,12 @@ class LineReader {
 
   /// Everything not yet read.
   std::string_view Rest() const { return text_.substr(pos_); }
+
+  /// InvalidArgument unless the unread text can hold `tokens` more tokens,
+  /// each at least one byte with a separator between: what a decoder checks
+  /// before it sizes a table from a count the text claims, so a short text
+  /// never makes it allocate in proportion to a lie.
+  Status ExpectRoomFor(uint64_t tokens, const char* what) const;
 
   /// InvalidArgument("trailing bytes after <what>") unless everything has
   /// been read.

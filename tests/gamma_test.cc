@@ -1,6 +1,10 @@
 #include "stats/gamma.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -26,6 +30,32 @@ TEST(LogFactorialTest, TableAndLgammaAgreeAtBoundary) {
 TEST(LogFactorialTest, NegativeIsMinusInfinity) {
   EXPECT_TRUE(std::isinf(LogFactorial(-1)));
   EXPECT_LT(LogFactorial(-1), 0.0);
+}
+
+TEST(LogGammaTest, ConcurrentCallersGetTheSerialValues) {
+  // std::lgamma writes the global signgam; LogGamma must not, because
+  // serving threads price Poisson tails concurrently. The TSan job runs this.
+  std::vector<double> xs;
+  for (int i = 1; i <= 2000; ++i) xs.push_back(0.37 * i);
+  std::vector<uint64_t> serial;
+  for (const double x : xs) {
+    serial.push_back(std::bit_cast<uint64_t>(LogGamma(x)));
+  }
+
+  std::vector<std::vector<uint64_t>> seen(4);
+  std::vector<std::thread> threads;
+  for (std::vector<uint64_t>& out : seen) {
+    threads.emplace_back([&xs, &out] {
+      for (int round = 0; round < 25; ++round) {
+        out.clear();
+        for (const double x : xs) {
+          out.push_back(std::bit_cast<uint64_t>(LogGamma(x)));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::vector<uint64_t>& out : seen) EXPECT_EQ(out, serial);
 }
 
 TEST(RegularizedGammaTest, InvalidArguments) {

@@ -1,8 +1,9 @@
 // Pins the library's text format. util/hexfloat's FormatHex must print the
 // bytes glibc's printf %a conversion prints, and its parsers must read every
-// non-NaN value back bit-for-bit. A small deadline artifact and a decide batch
-// must still serialize to the exact texts older builds wrote, so committed
-// artifacts and mixed-version wire peers keep working.
+// non-NaN value back bit-for-bit. One small artifact of every kind, every
+// control and export payload form, and a decide batch must still serialize to
+// the exact texts older builds wrote, so committed artifacts and mixed-version
+// wire peers keep working.
 
 #include "util/hexfloat.h"
 
@@ -14,7 +15,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -209,6 +212,257 @@ constexpr char kPinnedResponses[] =
     "response 4 ok 2 0x1.999999999999ap-4 3 0x1.5555555555555p-1 1\n"
     "response 9 err 4 campaign 9 is not live\n"
     "response 11 err 8 two  spaces\\nand \\\\ escapes\n";
+
+/// One hand-built artifact of every other kind, with the same care: values
+/// chosen to hit signs, subnormals, infinities and large integers.
+engine::PolicyArtifact PinnedBudgetArtifact() {
+  pricing::StaticPriceAssignment assignment;
+  assignment.allocations = {{12, 30}, {7, 123456789012}, {0, 1}};
+  assignment.expected_worker_arrivals = 1.0 / 3.0;
+  assignment.total_cost_cents = 1e300;
+  return engine::PolicyArtifact(std::move(assignment));
+}
+
+engine::PolicyArtifact PinnedFixedArtifact() {
+  pricing::FixedPriceSolution fixed;
+  fixed.price_cents = 77;
+  fixed.expected_remaining = 0.1;
+  fixed.prob_finish = std::numeric_limits<double>::denorm_min();
+  fixed.expected_cost_cents = -0.0;
+  return engine::PolicyArtifact(fixed);
+}
+
+engine::PolicyArtifact PinnedTradeoffArtifact(bool with_curve) {
+  pricing::TradeoffSolution solution;
+  solution.price_cents = 15;
+  solution.objective_per_task = 1.5;
+  solution.expected_latency_per_task = 1.0 / 3.0;
+  if (with_curve) {
+    solution.objective_curve = {std::numeric_limits<double>::infinity(), 0.25,
+                                2.0 / 3.0};
+  }
+  return engine::PolicyArtifact(std::move(solution));
+}
+
+engine::PolicyArtifact PinnedMultiTypeArtifact() {
+  pricing::MultiTypeProblem problem;
+  problem.num_tasks_1 = 1;
+  problem.num_tasks_2 = 1;
+  problem.num_intervals = 2;
+  problem.penalty_1_cents = 130.5;
+  problem.penalty_2_cents = 110.25;
+  problem.max_price_cents = 16;
+  problem.price_stride = 4;
+  pricing::MultiTypePlan plan(problem, {21.5, 0.1});
+  for (size_t i = 0; i < plan.policy().size(); ++i) {
+    plan.policy()[i] = i == 0 ? -1 : static_cast<int32_t>(4096 * i + 8);
+  }
+  for (size_t i = 0; i < plan.opt().size(); ++i) {
+    plan.opt()[i] = static_cast<double>(i) / 7.0;
+  }
+  return engine::PolicyArtifact(std::move(plan));
+}
+
+engine::PolicyArtifact PinnedAdaptiveArtifact() {
+  pricing::DeadlineProblem problem;
+  problem.num_tasks = 3;
+  problem.num_intervals = 2;
+  problem.penalty_cents = 140.5;
+  problem.extra_penalty_alpha = 1.25;
+  pricing::AdaptiveOptions options;
+  options.resolve_every = 2;
+  options.prior_weight = 0.375;
+  options.min_factor = 0.5;
+  options.max_factor = 3.0;
+  options.dp_options.monotone_price_search = true;
+  options.dp_options.time_monotonicity_pruning = false;
+  options.dp_options.num_threads = 3;
+  return engine::PolicyArtifact(engine::AdaptivePolicy{
+      problem, {210.0, 0.1},
+      pricing::ActionSet::FromActions({{10.0, 1, 0.125}, {1.0 / 3.0, 3, 0.3}})
+          .value(),
+      10.0, options});
+}
+
+std::shared_ptr<const engine::PolicyArtifact> Shared(
+    engine::PolicyArtifact artifact) {
+  return std::make_shared<const engine::PolicyArtifact>(std::move(artifact));
+}
+
+serving::CampaignLimits PinnedLimits() {
+  serving::CampaignLimits limits;
+  limits.total_tasks = 123456789012;
+  limits.deadline_hours = 0.1;
+  limits.admit_hours = -0.0;
+  return limits;
+}
+
+/// Every control op form, in the order of kPinnedControlOps.
+std::vector<serving::ControlOp> PinnedControlOps() {
+  std::vector<serving::ControlOp> ops;
+  ops.push_back(serving::ControlOp::AdmitShared(Shared(PinnedFixedArtifact()),
+                                                PinnedLimits()));
+  ops.push_back(serving::ControlOp::AdmitSharedWithId(
+      42, Shared(PinnedTradeoffArtifact(true)), PinnedLimits()));
+  ops.push_back(serving::ControlOp::SwapArtifactShared(
+      7, Shared(PinnedBudgetArtifact())));
+  ops.push_back(serving::ControlOp::Retire(9));
+  ops.push_back(serving::ControlOp::Tick(5, 1.0 / 3.0, 123456789012));
+  return ops;
+}
+
+serving::CampaignExport PinnedExport() {
+  serving::CampaignExport exported;
+  exported.id = 42;
+  exported.limits = PinnedLimits();
+  exported.artifact = Shared(PinnedFixedArtifact());
+  return exported;
+}
+
+constexpr char kPinnedBudgetArtifact[] =
+    "crowdprice-artifact v1\n"
+    "kind budget-static\n"
+    "budget-meta 3 0x1.5555555555555p-2 0x1.7e43c8800759cp+996\n"
+    "12 30\n"
+    "7 123456789012\n"
+    "0 1\n";
+
+constexpr char kPinnedFixedArtifact[] =
+    "crowdprice-artifact v1\n"
+    "kind fixed-price\n"
+    "fixed 77 0x1.999999999999ap-4 0x0.0000000000001p-1022 -0x0p+0\n";
+
+constexpr char kPinnedTradeoffArtifact[] =
+    "crowdprice-artifact v1\n"
+    "kind tradeoff\n"
+    "tradeoff 15 0x1.8p+0 0x1.5555555555555p-2 3\n"
+    "inf 0x1p-2 0x1.5555555555555p-1\n";
+
+constexpr char kPinnedEmptyTradeoffArtifact[] =
+    "crowdprice-artifact v1\n"
+    "kind tradeoff\n"
+    "tradeoff 15 0x1.8p+0 0x1.5555555555555p-2 0\n";
+
+constexpr char kPinnedMultiTypeArtifact[] =
+    "crowdprice-artifact v1\n"
+    "kind multitype\n"
+    "multitype-meta 1 1 2 16 4 0x1.05p+7 0x1.b9p+6 0x1.12e0be826d695p-30\n"
+    "lambdas 0x1.58p+4 0x1.999999999999ap-4\n"
+    "policy\n"
+    "-1 16392\n"
+    "4104 20488\n"
+    "8200 24584\n"
+    "12296 28680\n"
+    "opt\n"
+    "0x0p+0 0x1.2492492492492p-1 0x1.2492492492492p+0\n"
+    "0x1.2492492492492p-3 0x1.6db6db6db6db7p-1 0x1.4924924924925p+0\n"
+    "0x1.2492492492492p-2 0x1.b6db6db6db6dbp-1 0x1.6db6db6db6db7p+0\n"
+    "0x1.b6db6db6db6dbp-2 0x1p+0 0x1.9249249249249p+0\n";
+
+constexpr char kPinnedAdaptiveArtifact[] =
+    "crowdprice-artifact v1\n"
+    "kind adaptive\n"
+    "adaptive-meta 3 2 0x1.19p+7 0x1.4p+0 0x1.12e0be826d695p-30 0x1.4p+3\n"
+    "adaptive-options 2 0x1.8p-2 0x1p-1 0x1.8p+1 1 0 3\n"
+    "lambdas 0x1.a4p+7 0x1.999999999999ap-4\n"
+    "actions 2\n"
+    "0x1.4p+3 1 0x1p-3\n"
+    "0x1.5555555555555p-2 3 0x1.3333333333333p-2\n";
+
+constexpr char kPinnedExportOk[] =
+    "export ok 42 123456789012 0x1.999999999999ap-4 -0x0p+0 artifact 102\n"
+    "crowdprice-artifact v1\n"
+    "kind fixed-price\n"
+    "fixed 77 0x1.999999999999ap-4 0x0.0000000000001p-1022 -0x0p+0\n";
+
+constexpr char kPinnedExportErr[] =
+    "export err 4 campaign 9 gone\\nfor good\n";
+
+constexpr char kPinnedAckOk[] =
+    "control-ack ok 42 2\n";
+
+constexpr char kPinnedAckErr[] =
+    "control-ack err 3 campaign 9 is  retired \\\\ twice\n";
+
+/// PinnedControlOps(), serialized.
+const char* const kPinnedControlOps[] = {
+    "control admit 123456789012 0x1.999999999999ap-4 -0x0p+0 artifact 102\n"
+    "crowdprice-artifact v1\n"
+    "kind fixed-price\n"
+    "fixed 77 0x1.999999999999ap-4 0x0.0000000000001p-1022 -0x0p+0\n",
+    "control admit-at 42 123456789012 0x1.999999999999ap-4 -0x0p+0 artifact "
+    "113\n"
+    "crowdprice-artifact v1\n"
+    "kind tradeoff\n"
+    "tradeoff 15 0x1.8p+0 0x1.5555555555555p-2 3\n"
+    "inf 0x1p-2 0x1.5555555555555p-1\n",
+    "control swap 7 artifact 125\n"
+    "crowdprice-artifact v1\n"
+    "kind budget-static\n"
+    "budget-meta 3 0x1.5555555555555p-2 0x1.7e43c8800759cp+996\n"
+    "12 30\n"
+    "7 123456789012\n"
+    "0 1\n",
+    "control retire 9\n",
+    "control tick 5 0x1.5555555555555p-2 123456789012\n"};
+
+/// Serializes `artifact`, checks the text, then reloads the text and checks
+/// that it serializes back to the same bytes.
+void ExpectArtifactPinned(const engine::PolicyArtifact& artifact,
+                          const char* pinned) {
+  EXPECT_EQ(artifact.Serialize().value(), pinned);
+  const auto reloaded = engine::PolicyArtifact::Deserialize(pinned);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(reloaded->kind(), artifact.kind());
+  EXPECT_EQ(reloaded->Serialize().value(), pinned);
+}
+
+TEST(PinnedTextTest, EveryArtifactKindSerializesToItsPinnedText) {
+  ExpectArtifactPinned(PinnedBudgetArtifact(), kPinnedBudgetArtifact);
+  ExpectArtifactPinned(PinnedFixedArtifact(), kPinnedFixedArtifact);
+  ExpectArtifactPinned(PinnedTradeoffArtifact(true), kPinnedTradeoffArtifact);
+  ExpectArtifactPinned(PinnedTradeoffArtifact(false),
+                       kPinnedEmptyTradeoffArtifact);
+  ExpectArtifactPinned(PinnedMultiTypeArtifact(), kPinnedMultiTypeArtifact);
+  ExpectArtifactPinned(PinnedAdaptiveArtifact(), kPinnedAdaptiveArtifact);
+}
+
+TEST(PinnedTextTest, ControlAndExportPayloadsSerializeToThePinnedText) {
+  const std::vector<serving::ControlOp> ops = PinnedControlOps();
+  ASSERT_EQ(ops.size(), std::size(kPinnedControlOps));
+  for (size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(net::SerializeControlOp(ops[i]).value(), kPinnedControlOps[i]);
+    const auto reloaded = net::DeserializeControlOp(kPinnedControlOps[i]);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+    EXPECT_EQ(net::SerializeControlOp(*reloaded).value(),
+              kPinnedControlOps[i]);
+  }
+
+  EXPECT_EQ(net::SerializeExportResponse(PinnedExport()).value(),
+            kPinnedExportOk);
+  const auto exported = net::DeserializeExportResponse(kPinnedExportOk);
+  ASSERT_TRUE(exported.ok()) << exported.status();
+  EXPECT_EQ(net::SerializeExportResponse(*exported).value(), kPinnedExportOk);
+  const Status gone = Status::NotFound("campaign 9 gone\nfor good");
+  EXPECT_EQ(net::SerializeExportResponse(gone).value(), kPinnedExportErr);
+  const auto err = net::DeserializeExportResponse(kPinnedExportErr);
+  EXPECT_TRUE(err.status().IsNotFound());
+  EXPECT_EQ(err.status().message(), gone.message());
+
+  serving::ControlOutcome outcome;
+  outcome.id = 42;
+  outcome.state = serving::CampaignState::kRetiredDeadline;
+  EXPECT_EQ(net::SerializeControlAck(outcome), kPinnedAckOk);
+  const auto acked = net::DeserializeControlAck(kPinnedAckOk);
+  ASSERT_TRUE(acked.ok()) << acked.status();
+  EXPECT_EQ(net::SerializeControlAck(*acked), kPinnedAckOk);
+  const Status twice =
+      Status::FailedPrecondition("campaign 9 is  retired \\ twice");
+  EXPECT_EQ(net::SerializeControlAck(twice), kPinnedAckErr);
+  const auto nacked = net::DeserializeControlAck(kPinnedAckErr);
+  EXPECT_TRUE(nacked.status().IsFailedPrecondition());
+  EXPECT_EQ(nacked.status().message(), twice.message());
+}
 
 TEST(PinnedTextTest, DeadlineArtifactSerializesToThePinnedText) {
   EXPECT_EQ(PinnedArtifact().Serialize().value(), kPinnedArtifact);

@@ -372,6 +372,140 @@ TEST(CampaignRouterTest, ControlPlaneRoutesByOwner) {
   EXPECT_TRUE(router->Apply(std::move(local)).status().IsInvalidArgument());
 }
 
+/// The backend among `backends` that `placement` makes the owner of `id`.
+Backend* OwnerOf(const PlacementTable& placement, CampaignId id,
+                 const std::vector<Backend*>& backends) {
+  const std::string owner = placement.OwnerOf(id).value();
+  for (Backend* backend : backends) {
+    if (backend->name == owner) return backend;
+  }
+  return nullptr;
+}
+
+TEST(CampaignRouterTest, ControlAndExportBytesCrossTheRouterUntouched) {
+  Backend b0 = Backend::Start();
+  Backend b1 = Backend::Start();
+  Backend b2 = Backend::Start();
+  const std::vector<Backend*> backends = {&b0, &b1, &b2};
+  RouterOptions router_options;
+  router_options.pool = TestPoolOptions();
+  auto router = CampaignRouter::Create({b0.name, b1.name}, router_options);
+  ASSERT_TRUE(router.ok());
+  ServerOptions options;
+  options.num_workers = 2;
+  auto front = PricingServer::Create(&router.value(), options);
+  ASSERT_TRUE(front.ok());
+  ASSERT_TRUE(front->Start().ok());
+  auto client = PricingClient::Connect("127.0.0.1", front->port());
+  ASSERT_TRUE(client.ok());
+
+  const auto artifact =
+      std::make_shared<const engine::PolicyArtifact>(SmallDeadlineArtifact());
+  CampaignLimits limits = SmallLimits();
+  limits.deadline_hours = 1.0 / 3.0;
+  limits.admit_hours = 0.1;
+  std::vector<CampaignId> ids;
+  for (int i = 0; i < 12; ++i) {
+    const auto id = client->AdmitShared(artifact, limits);
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
+
+  // Each owner exports exactly the bytes its campaign would have if the
+  // client had admitted it there directly: the artifact's own text and
+  // bit-equal limits under the router's id.
+  const auto expect_owner_exports = [&](CampaignId id) {
+    Backend* owner = OwnerOf(router->placement(), id, backends);
+    ASSERT_NE(owner, nullptr);
+    auto direct = PricingClient::Connect("127.0.0.1", owner->server->port());
+    ASSERT_TRUE(direct.ok());
+    serving::CampaignExport expected;
+    expected.id = id;
+    expected.limits = limits;
+    expected.artifact = artifact;
+    EXPECT_EQ(direct->ExportPayload(id).value(),
+              net::SerializeExportResponse(expected).value())
+        << "campaign " << id << " on " << owner->name;
+  };
+  for (const CampaignId id : ids) expect_owner_exports(id);
+
+  // Migration moves those bytes as they are.
+  const auto migrated = router->AddBackend(b2.name);
+  ASSERT_TRUE(migrated.ok()) << migrated.status();
+  ASSERT_GT(*migrated, 0u);
+  ASSERT_EQ(b2.map->live_campaigns(), *migrated);
+  for (const CampaignId id : ids) expect_owner_exports(id);
+
+  ASSERT_TRUE(front->Stop().ok());
+}
+
+TEST(CampaignRouterTest, OwnerJudgesTheArtifactAndRouterOnlyTheHeader) {
+  Backend b0 = Backend::Start();
+  Backend b1 = Backend::Start();
+  RouterOptions router_options;
+  router_options.pool = TestPoolOptions();
+  auto router = CampaignRouter::Create({b0.name, b1.name}, router_options);
+  ASSERT_TRUE(router.ok());
+  ServerOptions options;
+  options.num_workers = 2;
+  auto front = PricingServer::Create(&router.value(), options);
+  ASSERT_TRUE(front.ok());
+  ASSERT_TRUE(front->Start().ok());
+  auto client = PricingClient::Connect("127.0.0.1", front->port());
+  ASSERT_TRUE(client.ok());
+  const auto backend_errors = [&] {
+    return b0.server->stats().protocol_errors +
+           b1.server->stats().protocol_errors;
+  };
+
+  const auto artifact =
+      std::make_shared<const engine::PolicyArtifact>(SmallDeadlineArtifact());
+  const auto first = client->AdmitShared(artifact, SmallLimits());
+  ASSERT_TRUE(first.ok()) << first.status();
+
+  // Corrupt past the header: the first policy entry points past the
+  // 31-action grid. The router forwards it; the owner rejects it.
+  std::string text = artifact->Serialize().value();
+  const size_t row = text.find("policy\n") + 7;
+  text.replace(row, text.find(' ', row) - row, "999");
+  const std::string corrupt = "control admit 20 0x1p+3 0x0p+0 artifact " +
+                              std::to_string(text.size()) + "\n" + text;
+  const auto rejected = client->ApplyPayload(corrupt);
+  ASSERT_TRUE(rejected.ok()) << rejected.status();
+  EXPECT_TRUE(
+      net::DeserializeControlAck(*rejected).status().IsInvalidArgument())
+      << *rejected;
+  EXPECT_EQ(front->stats().protocol_errors, 0u);
+  EXPECT_EQ(backend_errors(), 1u);
+  EXPECT_EQ(router->live_campaigns(), 1u);
+  EXPECT_EQ(b0.map->live_campaigns() + b1.map->live_campaigns(), 1u);
+
+  // Ids stay unique; the rejected admit may leave a gap.
+  const auto second = client->AdmitShared(artifact, SmallLimits());
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_GT(*second, *first);
+  EXPECT_EQ(router->live_campaigns(), 2u);
+
+  // A header the router cannot route is answered by the router itself and
+  // reaches no backend.
+  const uint64_t frames_before = b0.server->stats().frames_received +
+                                 b1.server->stats().frames_received;
+  for (const std::string payload :
+       {"control frobnicate 1\n", "control swap x artifact 3\nabc"}) {
+    const auto ack = client->ApplyPayload(payload);
+    ASSERT_TRUE(ack.ok()) << ack.status();
+    EXPECT_TRUE(net::DeserializeControlAck(*ack).status().IsInvalidArgument())
+        << *ack;
+  }
+  EXPECT_EQ(front->stats().protocol_errors, 2u);
+  EXPECT_EQ(backend_errors(), 1u);
+  EXPECT_EQ(b0.server->stats().frames_received +
+                b1.server->stats().frames_received,
+            frames_before);
+
+  ASSERT_TRUE(front->Stop().ok());
+}
+
 TEST(CampaignRouterTest, KilledBackendFailsOverToCleanUnavailable) {
   Backend b0 = Backend::Start();
   Backend b1 = Backend::Start();

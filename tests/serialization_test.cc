@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "choice/acceptance.h"
@@ -131,6 +132,43 @@ TEST(SerializationTest, RejectsCountsTheirFieldCannotHold) {
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, std::strlen("problem 1"), "problem 4294967297");
   EXPECT_TRUE(DeserializePlan(text).status().IsInvalidArgument());
+}
+
+/// A plan text whose problem line claims `tasks` x `intervals` tables but
+/// that ends after its one action: no policy or opt rows follow.
+std::string HollowPlanText(int tasks, int intervals) {
+  std::string text = "crowdprice-plan v1\nproblem " + std::to_string(tasks) +
+                     " " + std::to_string(intervals) +
+                     " 0x1p+0 0x0p+0 0x1p-30\nlambdas";
+  for (int t = 0; t < intervals; ++t) text += " 0x1p+0";
+  return text + "\nactions 1\n0x1p+0 1 0x1p-1\n";
+}
+
+TEST(SerializationTest, RejectsTablesTheRemainingBytesCannotHold) {
+  // Five lines claiming 2e9 tasks, and 140 kB claiming 2e9 x 20000: a
+  // decoder that sized the plan from the header alone would exhaust memory
+  // (or throw bad_alloc) before it read a single row.
+  for (const std::string& plan :
+       {HollowPlanText(2000000000, 1), HollowPlanText(2000000000, 20000)}) {
+    EXPECT_TRUE(DeserializePlan(plan).status().IsInvalidArgument());
+    // The same text reaches the same check as an artifact inside an admit.
+    const std::string artifact =
+        "crowdprice-artifact v1\nkind deadline-dp\ndeadline-meta 0x0p+0 1\n" +
+        plan;
+    const std::string admit = "control admit 1 0x1p+0 0x0p+0 artifact " +
+                              std::to_string(artifact.size()) + "\n" +
+                              artifact;
+    EXPECT_TRUE(net::DeserializeControlOp(admit).status().IsInvalidArgument());
+  }
+  // A multitype artifact is held to the same bound before its plan is built.
+  std::string multitype =
+      "crowdprice-artifact v1\nkind multitype\n"
+      "multitype-meta 4000 3 1000 16 4 0x1p+0 0x1p+0 0x1p-30\nlambdas";
+  for (int t = 0; t < 1000; ++t) multitype += " 0x1p+0";
+  multitype += "\npolicy\n";
+  EXPECT_TRUE(engine::PolicyArtifact::Deserialize(multitype)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(SerializationTest, RandomMutationsNeverCrash) {
