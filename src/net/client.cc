@@ -133,17 +133,20 @@ struct PricingClient::Impl {
     return Status::OK();
   }
 
-  /// One request/response round trip; validates the response frame type.
-  Result<std::string> RoundTrip(FrameType request_type,
-                                const std::string& payload,
-                                FrameType response_type) {
+  Status SendFrame(FrameType type, const std::string& payload) {
     if (!connected()) {
       return Status::FailedPrecondition("client is not connected");
     }
-    CP_ASSIGN_OR_RETURN(
-        std::string frame,
-        EncodeFrame(request_type, payload, options.max_frame_bytes));
-    CP_RETURN_IF_ERROR(SendAll(frame));
+    CP_ASSIGN_OR_RETURN(std::string frame,
+                        EncodeFrame(type, payload, options.max_frame_bytes));
+    return SendAll(frame);
+  }
+
+  /// Reads one frame; validates its type.
+  Result<std::string> ReceiveFrame(FrameType response_type) {
+    if (!connected()) {
+      return Status::FailedPrecondition("client is not connected");
+    }
     char header_bytes[kFrameHeaderBytes];
     CP_RETURN_IF_ERROR(RecvAll(header_bytes, kFrameHeaderBytes));
     CP_ASSIGN_OR_RETURN(FrameHeader header,
@@ -159,6 +162,14 @@ struct PricingClient::Impl {
       CP_RETURN_IF_ERROR(RecvAll(response.data(), response.size()));
     }
     return response;
+  }
+
+  /// One request/response round trip.
+  Result<std::string> RoundTrip(FrameType request_type,
+                                const std::string& payload,
+                                FrameType response_type) {
+    CP_RETURN_IF_ERROR(SendFrame(request_type, payload));
+    return ReceiveFrame(response_type);
   }
 
   /// Non-blocking connect bounded by the dial deadline. Returns the
@@ -336,17 +347,26 @@ Result<std::vector<serving::DecideResponse>> PricingClient::DecideBatch(
 
 Result<std::vector<std::string>> PricingClient::DecideBatchLines(
     const std::vector<std::string>& request_lines) {
-  CP_ASSIGN_OR_RETURN(
-      std::string payload,
-      impl_->RoundTrip(FrameType::kDecideBatchRequest,
-                       JoinDecideBatchPayload(request_lines),
-                       FrameType::kDecideBatchResponse));
+  CP_RETURN_IF_ERROR(SendDecideBatchLines(request_lines));
+  return ReceiveDecideBatchLines(request_lines.size());
+}
+
+Status PricingClient::SendDecideBatchLines(
+    const std::vector<std::string>& request_lines) {
+  return impl_->SendFrame(FrameType::kDecideBatchRequest,
+                          JoinDecideBatchPayload(request_lines));
+}
+
+Result<std::vector<std::string>> PricingClient::ReceiveDecideBatchLines(
+    size_t count) {
+  CP_ASSIGN_OR_RETURN(std::string payload,
+                      impl_->ReceiveFrame(FrameType::kDecideBatchResponse));
   CP_ASSIGN_OR_RETURN(std::vector<std::string> lines,
                       SplitDecideBatchPayload(payload, "batch response"));
-  if (lines.size() != request_lines.size()) {
+  if (lines.size() != count) {
     return Status::Internal(
         StringF("batch response holds %zu lines for %zu requests",
-                lines.size(), request_lines.size()));
+                lines.size(), count));
   }
   return lines;
 }

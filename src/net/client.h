@@ -5,7 +5,9 @@
 //
 // The client speaks net/wire.h frames over one connection and is strictly
 // request/response: each call writes one frame and blocks for the
-// matching response frame. Callers serialize their own calls (one client
+// matching response frame (DecideBatchLines also comes as its two halves,
+// so a caller can have one batch in flight on each of several clients).
+// Callers serialize their own calls (one client
 // per load-generator process / test thread); the server end interleaves
 // any number of such connections concurrently.
 //
@@ -116,13 +118,24 @@ class PricingClient {
   Result<std::vector<serving::DecideResponse>> DecideBatch(
       const std::vector<serving::DecideRequest>& requests);
 
-  /// Line-splice variant of DecideBatch (the router's fast path): ships
-  /// pre-serialized request body lines verbatim and returns the response
-  /// body lines without parsing the sheets. The response count is
-  /// validated against the request count; a whole-batch error form
-  /// surfaces as that Status.
+  /// Line-splice variant of DecideBatch: ships pre-serialized request body
+  /// lines verbatim and returns the response body lines without parsing
+  /// the sheets. The response count is validated against the request
+  /// count; a whole-batch error form surfaces as that Status. Exactly
+  /// SendDecideBatchLines followed by ReceiveDecideBatchLines.
   Result<std::vector<std::string>> DecideBatchLines(
       const std::vector<std::string>& request_lines);
+
+  /// DecideBatchLines's first half: ships the batch and returns without
+  /// waiting for the answer, so one thread can put batches in flight on
+  /// several connections before reading any (the router's fan-out). The
+  /// next call on this client must be ReceiveDecideBatchLines.
+  Status SendDecideBatchLines(const std::vector<std::string>& request_lines);
+
+  /// DecideBatchLines's second half: reads the answer to the batch the
+  /// last SendDecideBatchLines shipped, validated to hold `count` lines
+  /// (that batch's request count).
+  Result<std::vector<std::string>> ReceiveDecideBatchLines(size_t count);
 
   /// Single-request convenience over DecideBatch; the per-request status
   /// (e.g. NotFound) is folded into the returned Result.

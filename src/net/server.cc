@@ -10,16 +10,16 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "engine/solver_pool.h"
 #include "net/tls_transport.h"
 #include "util/macros.h"
 #include "util/stringf.h"
@@ -28,47 +28,142 @@ namespace crowdprice::net {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 Status Errno(const char* what) {
   return Status::Internal(StringF("%s: %s", what, std::strerror(errno)));
 }
 
-/// One connection. The event-loop thread owns the transport (and with
-/// it the fd), the read buffer, and all epoll state; `mu` guards the
-/// frame FIFO and the outgoing byte stream, which workers and the loop
-/// share. Held by shared_ptr so a worker mid-frame keeps the struct
-/// alive across a concurrent close.
-struct Conn {
-  int fd = -1;
+/// A connection whose unflushed output exceeds this is neither read nor
+/// parsed until its peer drains it, so a client that pipelines without
+/// reading holds at most this much output plus one read turn of input.
+constexpr size_t kMaxUnflushedBytes = size_t{1} << 20;
+/// Bytes per read call, and read calls per connection per wake-up before
+/// the reactor turns to its other connections (epoll is level-triggered,
+/// so a connection with bytes left is reported again).
+constexpr size_t kReadChunk = 64 * 1024;
+constexpr int kReadsPerTurn = 16;
 
-  // Event-loop thread only.
+/// epoll keys: a reactor's eventfd, the listening socket (reactor 0 only),
+/// and then one id per connection, never reused within a run.
+constexpr uint64_t kWakeKey = 0;
+constexpr uint64_t kListenKey = 1;
+constexpr uint64_t kFirstConnId = 2;
+
+/// True when `given` equals `want`, in time that depends only on
+/// want.size(): every byte of the secret is compared whatever the input,
+/// and a length mismatch takes the same path as a content mismatch.
+bool TokenMatches(std::string_view given, std::string_view want) {
+  unsigned int diff = given.size() == want.size() ? 0 : 1;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const char got = i < given.size() ? given[i] : '\0';
+    diff |= static_cast<unsigned char>(got ^ want[i]);
+  }
+  return diff == 0;
+}
+
+/// One connection, owned outright by its reactor thread: the transport
+/// (and with it the fd), both byte buffers, and the epoll interest.
+struct Conn {
+  uint64_t id = 0;  ///< The handle side-lane replies carry back.
   std::unique_ptr<Transport> transport;
   std::string in;
-  bool write_armed = false;
-  /// TLS read/write can demand the opposite readiness (a key update
-  /// mid-read needs the socket writable, a flush mid-rekey needs it
-  /// readable); these flags tell the loop to re-drive the stalled
-  /// direction when the other edge fires.
+  size_t in_pos = 0;  ///< Bytes of `in` already consumed as frames.
+  std::string out;
+  size_t out_pos = 0;  ///< Bytes of `out` already written.
+  uint32_t events = EPOLLIN;  ///< The interest registered with epoll.
+  bool authed = false;  ///< A hello with the right token landed.
+  /// A control or export frame is on the side lane. Nothing more of this
+  /// connection is parsed or read until its reply is appended, so replies
+  /// leave in request order.
+  bool parked = false;
+  /// TLS can demand the opposite readiness (a handshake step or a read
+  /// mid-rekey needs the socket writable, a flush mid-rekey needs it
+  /// readable); these flags re-arm the stalled direction.
   bool read_wants_write = false;
   bool write_wants_read = false;
 
-  /// A well-formed hello with the right token landed on this connection.
-  /// Atomic because consecutive frames of one connection may be drained
-  /// by different workers over time.
-  std::atomic<bool> authed{false};
+  size_t unflushed() const { return out.size() - out_pos; }
+  /// Neither read nor parsed (see kMaxUnflushedBytes and `parked`).
+  bool blocked() const { return parked || unflushed() > kMaxUnflushedBytes; }
 
-  std::mutex mu;
-  std::deque<std::pair<FrameType, std::string>> pending;  // parsed frames
-  bool busy = false;  ///< A worker currently owns this conn's FIFO.
-  std::string out;
-  size_t out_pos = 0;
-  bool dead = false;  ///< Closed; workers must stop appending output.
+  void Append(std::string frame) {
+    if (out.empty()) {
+      out = std::move(frame);
+    } else {
+      out += frame;
+    }
+  }
+};
+
+/// What other threads hand a reactor: an accepted socket to adopt
+/// (`fd` >= 0), or a side-lane reply -- one encoded frame -- for
+/// connection `conn`.
+struct Mail {
+  int fd = -1;
+  uint64_t conn = 0;
+  std::string frame;
+};
+
+/// One reactor: an epoll set, the connections registered in it, and the
+/// eventfd inbox other threads post to.
+struct Reactor {
+  int epoll_fd = -1;
+  int wake_fd = -1;
+  /// Connections assigned here and not yet closed: the acceptor hands each
+  /// new connection to the reactor with the fewest.
+  std::atomic<int> open{0};
+
+  std::mutex inbox_mu;
+  std::vector<Mail> inbox;
+
+  // Reactor thread only.
+  std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns;
+  std::vector<Mail> mail;  ///< The inbox, taken.
+  uint64_t next_id = kFirstConnId;
+
+  std::thread thread;
+
+  Reactor() = default;
+  Reactor(const Reactor&) = delete;
+  Reactor& operator=(const Reactor&) = delete;
+
+  /// The thread is joined (PricingServer::Stop) before a reactor dies;
+  /// sockets still waiting in the inbox are closed here.
+  ~Reactor() {
+    for (const Mail& m : inbox) {
+      if (m.fd >= 0) close(m.fd);
+    }
+    if (wake_fd >= 0) close(wake_fd);
+    if (epoll_fd >= 0) close(epoll_fd);
+  }
+
+  /// Nudges the reactor out of epoll_wait. EINTR retries; EAGAIN --
+  /// eventfd counter saturation -- means a wake is already pending, so
+  /// nothing is lost.
+  void Wake() {
+    const uint64_t one = 1;
+    for (;;) {
+      if (write(wake_fd, &one, sizeof(one)) >= 0) return;
+      if (errno == EINTR) continue;
+      return;
+    }
+  }
+
+  void Post(Mail m) {
+    {
+      std::lock_guard<std::mutex> lock(inbox_mu);
+      inbox.push_back(std::move(m));
+    }
+    Wake();
+  }
 };
 
 /// Decide batches with at least this many requests fan out per shard on
-/// the map's serving pool; smaller ones answer inline on the handler
-/// thread. Pool regions serialize across concurrent callers, so the pool
-/// trades cross-connection concurrency for within-batch parallelism and
-/// only pays off on big batches.
+/// the map's serving pool; smaller ones answer inline on the reactor.
+/// Pool regions serialize across concurrent callers, so the pool trades
+/// cross-connection concurrency for within-batch parallelism and only
+/// pays off on big batches.
 constexpr size_t kPoolBatchThreshold = 256;
 
 /// The CampaignShardMap adapter behind Create(map, ...). It decodes each
@@ -129,7 +224,7 @@ class MapSurface final : public ServingSurface {
       return map_->DecideBatch(requests);
     }
     // Each inline lookup is the map's wait-free RCU read path, so every
-    // handler thread prices concurrently with all the others and with any
+    // reactor prices concurrently with all the others and with any
     // in-flight control op.
     std::vector<serving::DecideResponse> responses(requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -159,30 +254,17 @@ struct PricingServer::Impl {
   // --- run state (rebuilt by each Start) --------------------------------
   bool running = false;
   int listen_fd = -1;
-  int epoll_fd = -1;
-  int wake_fd = -1;
   uint16_t bound_port = 0;
-  std::thread loop_thread;
-  std::vector<std::thread> workers;
+  std::vector<std::unique_ptr<Reactor>> reactors;
+  /// Control and export frames: an artifact decode or a router forward
+  /// runs here, never on a reactor. Destroyed after the reactors stop and
+  /// before they are freed, so every reply it posts finds its inbox.
+  std::unique_ptr<engine::SolverPool> lane;
 
-  std::unordered_map<int, std::shared_ptr<Conn>> conns;  // loop thread only
-
-  // Worker handoff: connections with a non-empty FIFO and no owner.
-  std::mutex work_mu;
-  std::condition_variable work_cv;
-  std::deque<std::shared_ptr<Conn>> work;
-
-  // Connections with response bytes awaiting a flush by the loop thread.
-  std::mutex flush_mu;
-  std::vector<std::shared_ptr<Conn>> flush;
-
-  std::atomic<bool> stopping{false};  ///< Stop() called: no new accepts.
-  std::atomic<bool> shutdown{false};  ///< Drain done: threads exit.
-
-  // Drain accounting: frames parsed but not yet answered, and response
-  // bytes not yet on the wire. Stop() waits for both to reach zero.
-  std::atomic<int64_t> frames_inflight{0};
-  std::atomic<int64_t> bytes_unflushed{0};
+  /// Stop() called: no new accepts, reactors drain. drain_deadline is
+  /// written before `stopping` is released and read after it is acquired.
+  std::atomic<bool> stopping{false};
+  Clock::time_point drain_deadline;
 
   // ServerStats (monotone across restarts).
   std::atomic<uint64_t> connections_accepted{0};
@@ -192,31 +274,7 @@ struct PricingServer::Impl {
   std::atomic<uint64_t> protocol_errors{0};
   std::atomic<uint64_t> tls_handshake_failures{0};
 
-  /// Nudges the event loop out of epoll_wait. A lost wake would strand
-  /// Stop() (or a queued flush) until the loop's next poll timeout, so
-  /// the write result is not ignored: EINTR retries, and EAGAIN --
-  /// eventfd counter saturation -- means the counter is already nonzero
-  /// and the fd already readable, so the wake this call wanted is
-  /// provably pending and nothing is lost.
-  void Wake() {
-    const uint64_t one = 1;
-    for (;;) {
-      if (write(wake_fd, &one, sizeof(one)) >= 0) return;
-      if (errno == EINTR) continue;
-      return;  // EAGAIN: a wake is already pending; anything else has
-               // no retry story beyond the loop's bounded poll timeout.
-    }
-  }
-
-  void EnqueueFlush(const std::shared_ptr<Conn>& conn) {
-    {
-      std::lock_guard<std::mutex> lock(flush_mu);
-      flush.push_back(conn);
-    }
-    Wake();
-  }
-
-  // --- worker side ------------------------------------------------------
+  // --- frame handlers (reactor threads and the side lane) ---------------
 
   /// The one decide path: split the payload into lines, let the surface
   /// answer them, join the answers. A batch that cannot be split, or
@@ -259,8 +317,7 @@ struct PricingServer::Impl {
 
   /// Validates a hello and flips the connection to authed on success.
   /// The verdict (not the parse status) rides back in the hello-ack.
-  Status HandleHello(const std::shared_ptr<Conn>& conn,
-                     const std::string& payload) {
+  Status HandleHello(Conn& conn, const std::string& payload) {
     Result<HelloRequest> hello = DeserializeHelloRequest(payload);
     if (!hello.ok()) {
       protocol_errors.fetch_add(1, std::memory_order_relaxed);
@@ -272,213 +329,236 @@ struct PricingServer::Impl {
                   static_cast<unsigned>(hello->version),
                   static_cast<unsigned>(kWireVersion)));
     }
-    if (!options.auth_token.empty() && hello->token != options.auth_token) {
+    if (!options.auth_token.empty() &&
+        !TokenMatches(hello->token, options.auth_token)) {
       return Status::Unauthenticated(hello->token.empty()
                                          ? "missing auth token"
                                          : "bad auth token");
     }
-    conn->authed.store(true, std::memory_order_release);
+    conn.authed = true;
     return Status::OK();
   }
 
-  bool Authed(const std::shared_ptr<Conn>& conn) const {
-    return options.auth_token.empty() ||
-           conn->authed.load(std::memory_order_acquire);
+  bool Authed(const Conn& conn) const {
+    return options.auth_token.empty() || conn.authed;
   }
 
-  void HandleFrame(const std::shared_ptr<Conn>& conn, FrameType type,
-                   const std::string& payload) {
+  /// `payload` framed as `type`. A payload over the frame cap answers its
+  /// plane's error form instead and counts one protocol error.
+  std::string EncodeResponse(FrameType type, const std::string& payload) {
+    Result<std::string> frame =
+        EncodeFrame(type, payload, options.max_frame_bytes);
+    if (!frame.ok()) {
+      protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      frame = EncodeFrame(type,
+                          type == FrameType::kControlResponse
+                              ? SerializeControlAck(frame.status())
+                              : SerializeBatchError(frame.status()),
+                          options.max_frame_bytes);
+    }
+    return frame.ok() ? std::move(frame).value() : std::string();
+  }
+
+  /// Parks `conn` and runs its control or export frame on the side lane;
+  /// the reply comes back through `reactor`'s inbox under the
+  /// connection's id, so a connection closed meanwhile just drops it.
+  void RunOnLane(Reactor& reactor, Conn& conn, FrameType type,
+                 std::string payload) {
+    conn.parked = true;
+    lane->Submit([this, home = &reactor, id = conn.id, type,
+                  payload = std::move(payload)] {
+      Mail reply;
+      reply.conn = id;
+      reply.frame =
+          type == FrameType::kControlRequest
+              ? EncodeResponse(FrameType::kControlResponse,
+                               HandleControl(payload))
+              : EncodeResponse(FrameType::kExportResponse,
+                               HandleExport(payload));
+      home->Post(std::move(reply));
+    });
+  }
+
+  void HandleFrame(Reactor& reactor, Conn& conn, FrameType type,
+                   std::string payload) {
     const Status not_authed =
         Status::Unauthenticated("connection has not completed the hello "
                                 "handshake");
-    std::string response_payload;
-    FrameType response_type;
     switch (type) {
       case FrameType::kDecideBatchRequest:
-        response_type = FrameType::kDecideBatchResponse;
-        response_payload = Authed(conn) ? HandleDecideBatch(payload)
-                                        : SerializeBatchError(not_authed);
-        break;
+        conn.Append(EncodeResponse(FrameType::kDecideBatchResponse,
+                                   Authed(conn)
+                                       ? HandleDecideBatch(payload)
+                                       : SerializeBatchError(not_authed)));
+        return;
       case FrameType::kControlRequest:
-        response_type = FrameType::kControlResponse;
-        response_payload = Authed(conn) ? HandleControl(payload)
-                                        : SerializeControlAck(not_authed);
-        break;
+        if (Authed(conn)) {
+          RunOnLane(reactor, conn, type, std::move(payload));
+        } else {
+          conn.Append(EncodeResponse(FrameType::kControlResponse,
+                                     SerializeControlAck(not_authed)));
+        }
+        return;
       case FrameType::kExportRequest:
-        response_type = FrameType::kExportResponse;
-        response_payload =
-            Authed(conn) ? HandleExport(payload)
-                         : SerializeExportResponse(not_authed).value();
-        break;
+        if (Authed(conn)) {
+          RunOnLane(reactor, conn, type, std::move(payload));
+        } else {
+          conn.Append(
+              EncodeResponse(FrameType::kExportResponse,
+                             SerializeExportResponse(not_authed).value()));
+        }
+        return;
       case FrameType::kPingRequest:
         // Pings answer before auth: a health probe must not need
         // credentials, and a down-marking based on auth churn would be
         // wrong anyway.
-        response_type = FrameType::kPingResponse;
         if (!DeserializePingRequest(payload).ok()) {
           protocol_errors.fetch_add(1, std::memory_order_relaxed);
         }
-        response_payload = SerializePingResponse();
-        break;
+        conn.Append(EncodeResponse(FrameType::kPingResponse,
+                                   SerializePingResponse()));
+        return;
       case FrameType::kHelloRequest:
-        response_type = FrameType::kHelloResponse;
-        response_payload = SerializeHelloAck(HandleHello(conn, payload));
-        break;
+        conn.Append(
+            EncodeResponse(FrameType::kHelloResponse,
+                           SerializeHelloAck(HandleHello(conn, payload))));
+        return;
       default:
         // A client sent a response-type frame; answer its own plane's
         // error form so it can resync.
         protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        response_type = FrameType::kControlResponse;
-        response_payload = SerializeControlAck(Status::InvalidArgument(
-            "server received a response-type frame"));
-        break;
-    }
-    Result<std::string> frame = EncodeFrame(response_type, response_payload,
-                                            options.max_frame_bytes);
-    if (!frame.ok()) {
-      protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      frame = EncodeFrame(
-          response_type,
-          response_type == FrameType::kControlResponse
-              ? SerializeControlAck(frame.status())
-              : SerializeBatchError(frame.status()),
-          options.max_frame_bytes);
-    }
-    bool flush_needed = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (!conn->dead && frame.ok()) {
-        conn->out += *frame;
-        bytes_unflushed.fetch_add(static_cast<int64_t>(frame->size()),
-                                  std::memory_order_relaxed);
-        flush_needed = true;
-      }
-    }
-    frames_inflight.fetch_sub(1, std::memory_order_relaxed);
-    if (flush_needed) EnqueueFlush(conn);
-  }
-
-  void WorkerLoop() {
-    for (;;) {
-      std::shared_ptr<Conn> conn;
-      {
-        std::unique_lock<std::mutex> lock(work_mu);
-        work_cv.wait(lock, [&] {
-          return !work.empty() || shutdown.load(std::memory_order_acquire);
-        });
-        if (work.empty()) return;  // shutdown and nothing left
-        conn = std::move(work.front());
-        work.pop_front();
-      }
-      // Drain this connection's FIFO in order; the idle -> busy edge in
-      // the loop thread guarantees exactly one worker owns it at a time.
-      for (;;) {
-        std::pair<FrameType, std::string> frame;
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          if (conn->pending.empty()) {
-            conn->busy = false;
-            break;
-          }
-          frame = std::move(conn->pending.front());
-          conn->pending.pop_front();
-        }
-        HandleFrame(conn, frame.first, frame.second);
-      }
+        conn.Append(EncodeResponse(
+            FrameType::kControlResponse,
+            SerializeControlAck(Status::InvalidArgument(
+                "server received a response-type frame"))));
+        return;
     }
   }
 
-  // --- event-loop side --------------------------------------------------
+  // --- reactor side -----------------------------------------------------
 
-  void ArmWrite(Conn* conn, bool enable) {
-    if (conn->write_armed == enable) return;
+  void UpdateInterest(Reactor& reactor, Conn& conn) {
+    uint32_t events = 0;
+    if (!conn.blocked() || conn.write_wants_read) events |= EPOLLIN;
+    if (conn.unflushed() > 0 || conn.read_wants_write) events |= EPOLLOUT;
+    if (events == conn.events) return;
     epoll_event event{};
-    event.events = EPOLLIN | (enable ? EPOLLOUT : 0u);
-    event.data.fd = conn->fd;
-    epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn->fd, &event);
-    conn->write_armed = enable;
+    event.events = events;
+    event.data.u64 = conn.id;
+    epoll_ctl(reactor.epoll_fd, EPOLL_CTL_MOD, conn.transport->fd(), &event);
+    conn.events = events;
   }
 
-  void CloseConn(int fd) {
-    auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    std::shared_ptr<Conn> conn = it->second;
-    conns.erase(it);
-    epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->dead = true;
-      const auto dropped =
-          static_cast<int64_t>(conn->out.size() - conn->out_pos);
-      if (dropped > 0) {
-        bytes_unflushed.fetch_sub(dropped, std::memory_order_relaxed);
+  void CloseConn(Reactor& reactor, uint64_t id) {
+    const auto it = reactor.conns.find(id);
+    if (it == reactor.conns.end()) return;
+    const std::unique_ptr<Conn> conn = std::move(it->second);
+    reactor.conns.erase(it);
+    epoll_ctl(reactor.epoll_fd, EPOLL_CTL_DEL, conn->transport->fd(),
+              nullptr);
+    conn->transport->Shutdown();
+    reactor.open.fetch_sub(1, std::memory_order_relaxed);
+  }  // The transport's destructor closes the fd.
+
+  /// Answers every complete frame in conn.in until the connection blocks.
+  /// Returns false when the connection must close (an unframeable stream:
+  /// a length-prefixed protocol has no way to resync).
+  bool ParseFrames(Reactor& reactor, Conn& conn) {
+    while (!conn.blocked() &&
+           conn.in.size() - conn.in_pos >= kFrameHeaderBytes) {
+      const char* at = conn.in.data() + conn.in_pos;
+      const size_t available = conn.in.size() - conn.in_pos;
+      const Result<FrameHeader> header =
+          DecodeFrameHeader(at, available, options.max_frame_bytes);
+      if (!header.ok()) {
+        protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        return false;
       }
-      conn->out.clear();
-      conn->out_pos = 0;
+      const size_t total = kFrameHeaderBytes + header->payload_bytes;
+      if (available < total) break;
+      std::string payload(at + kFrameHeaderBytes, header->payload_bytes);
+      conn.in_pos += total;
+      frames_received.fetch_add(1, std::memory_order_relaxed);
+      HandleFrame(reactor, conn, header->type, std::move(payload));
     }
-    if (conn->transport != nullptr) {
-      conn->transport->Shutdown();
-      conn->transport.reset();  // closes the fd
+    if (conn.in_pos == conn.in.size()) {
+      conn.in.clear();
+      conn.in_pos = 0;
     }
+    return true;
   }
 
-  /// Writes as much of conn->out as the transport takes. Loop thread
-  /// only.
-  void TryFlush(const std::shared_ptr<Conn>& conn) {
-    if (conn->transport == nullptr || !conn->transport->ready()) return;
-    bool fatal = false;
-    bool partial = false;
-    conn->write_wants_read = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->dead) return;
-      while (conn->out_pos < conn->out.size()) {
-        const IoResult result =
-            conn->transport->Write(conn->out.data() + conn->out_pos,
-                                   conn->out.size() - conn->out_pos);
-        if (result.outcome == IoOutcome::kOk) {
-          conn->out_pos += result.bytes;
-          bytes_unflushed.fetch_sub(static_cast<int64_t>(result.bytes),
-                                    std::memory_order_relaxed);
-          continue;
-        }
-        if (result.outcome == IoOutcome::kWantWrite) {
-          partial = true;
-          break;
-        }
-        if (result.outcome == IoOutcome::kWantRead) {
-          conn->write_wants_read = true;
-          break;
-        }
-        fatal = true;
+  /// Writes as much of conn.out as the transport takes. Returns false when
+  /// the connection must close.
+  bool Flush(Conn& conn) {
+    conn.write_wants_read = false;
+    while (conn.out_pos < conn.out.size()) {
+      const IoResult result = conn.transport->Write(
+          conn.out.data() + conn.out_pos, conn.out.size() - conn.out_pos);
+      if (result.outcome == IoOutcome::kOk) {
+        conn.out_pos += result.bytes;
+        continue;
+      }
+      if (result.outcome == IoOutcome::kWantWrite) break;
+      if (result.outcome == IoOutcome::kWantRead) {
+        conn.write_wants_read = true;
         break;
       }
-      if (conn->out_pos == conn->out.size()) {
-        conn->out.clear();
-        conn->out_pos = 0;
+      return false;
+    }
+    if (conn.out_pos == conn.out.size()) {
+      conn.out.clear();
+      conn.out_pos = 0;
+    } else if (conn.out_pos > conn.out.size() / 2) {
+      conn.out.erase(0, conn.out_pos);
+      conn.out_pos = 0;
+    }
+    return true;
+  }
+
+  /// Moves a ready connection as far as it goes without waiting: answers
+  /// buffered frames, flushes, and reads more until the socket runs dry,
+  /// the connection blocks, or its read turn is used up. Reading even
+  /// without an EPOLLIN edge is deliberate: a TLS transport can hold
+  /// bytes epoll cannot see (after the handshake's last step, or once a
+  /// blocked connection resumes). Returns false when it must close.
+  bool Serve(Reactor& reactor, Conn& conn) {
+    char buf[kReadChunk];
+    for (int reads = 0;; ++reads) {
+      if (!ParseFrames(reactor, conn) || !Flush(conn)) return false;
+      if (conn.blocked() || reads == kReadsPerTurn) break;
+      conn.read_wants_write = false;
+      const IoResult result = conn.transport->Read(buf, sizeof(buf));
+      if (result.outcome == IoOutcome::kOk) {
+        // Compact once per read, not once per frame.
+        conn.in.erase(0, conn.in_pos);
+        conn.in_pos = 0;
+        conn.in.append(buf, result.bytes);
+        continue;
       }
+      if (result.outcome == IoOutcome::kWantWrite) {
+        conn.read_wants_write = true;
+      } else if (result.outcome != IoOutcome::kWantRead) {
+        return false;  // closed or transport error
+      }
+      break;
     }
-    if (fatal) {
-      CloseConn(conn->fd);
-      return;
-    }
-    ArmWrite(conn.get(), partial || conn->read_wants_write);
+    UpdateInterest(reactor, conn);
+    return true;
   }
 
   /// Advances a connection's transport handshake one non-blocking step.
   /// Returns false when the connection must close (the handshake failed
   /// -- a plaintext client against TLS, a rejected certificate).
-  bool DriveHandshake(const std::shared_ptr<Conn>& conn) {
-    const IoResult result = conn->transport->Handshake();
+  bool DriveHandshake(Conn& conn) {
+    const IoResult result = conn.transport->Handshake();
     switch (result.outcome) {
       case IoOutcome::kOk:
-        ArmWrite(conn.get(), false);
-        return true;
       case IoOutcome::kWantRead:
-        ArmWrite(conn.get(), false);
+        conn.read_wants_write = false;
         return true;
       case IoOutcome::kWantWrite:
-        ArmWrite(conn.get(), true);
+        conn.read_wants_write = true;
         return true;
       default:
         tls_handshake_failures.fetch_add(1, std::memory_order_relaxed);
@@ -486,6 +566,30 @@ struct PricingServer::Impl {
     }
   }
 
+  void OnEvent(Reactor& reactor, uint64_t id, uint32_t events) {
+    const auto it = reactor.conns.find(id);
+    if (it == reactor.conns.end()) return;
+    Conn& conn = *it->second;
+    if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
+      CloseConn(reactor, id);
+      return;
+    }
+    if (!conn.transport->ready()) {
+      if (!DriveHandshake(conn)) {
+        CloseConn(reactor, id);
+        return;
+      }
+      if (!conn.transport->ready()) {
+        UpdateInterest(reactor, conn);
+        return;
+      }
+    }
+    if (!Serve(reactor, conn)) CloseConn(reactor, id);
+  }
+
+  /// Acceptor (reactor 0): hands each new connection to the reactor with
+  /// the fewest open ones, so independent connections land on different
+  /// reactors and a closed one frees its slot.
   void Accept() {
     for (;;) {
       const int fd =
@@ -494,142 +598,100 @@ struct PricingServer::Impl {
       const int nodelay = 1;
       // Response frames are small; Nagle would hold them for the ACK.
       setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-      auto conn = std::make_shared<Conn>();
-      conn->fd = fd;
-      conn->transport = transport_factory->Wrap(fd);
-      if (conn->transport == nullptr) continue;  // Wrap closed the fd.
-      epoll_event event{};
-      event.events = EPOLLIN;
-      event.data.fd = fd;
-      if (epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) != 0) {
-        continue;  // transport destructor closes the fd
+      Reactor* least = reactors.front().get();
+      for (const std::unique_ptr<Reactor>& reactor : reactors) {
+        if (reactor->open.load(std::memory_order_relaxed) <
+            least->open.load(std::memory_order_relaxed)) {
+          least = reactor.get();
+        }
       }
-      conns.emplace(fd, std::move(conn));
-      connections_accepted.fetch_add(1, std::memory_order_relaxed);
+      least->open.fetch_add(1, std::memory_order_relaxed);
+      Mail adopt;
+      adopt.fd = fd;
+      least->Post(std::move(adopt));
     }
   }
 
-  /// Reads available bytes and hands every complete frame to the worker
-  /// pool. Returns false when the connection should close.
-  bool ReadFrames(const std::shared_ptr<Conn>& conn) {
-    char buf[64 * 1024];
-    conn->read_wants_write = false;
-    for (;;) {
-      const IoResult result = conn->transport->Read(buf, sizeof(buf));
-      if (result.outcome == IoOutcome::kOk) {
-        conn->in.append(buf, result.bytes);
+  void Adopt(Reactor& reactor, int fd) {
+    auto conn = std::make_unique<Conn>();
+    conn->transport = transport_factory->Wrap(fd);
+    epoll_event event{};
+    event.events = EPOLLIN;
+    event.data.u64 = reactor.next_id;
+    // A failed Wrap has closed the fd; a failed add leaves it to the
+    // transport's destructor.
+    if (conn->transport == nullptr ||
+        epoll_ctl(reactor.epoll_fd, EPOLL_CTL_ADD, fd, &event) != 0) {
+      reactor.open.fetch_sub(1, std::memory_order_relaxed);
+      return;
+    }
+    conn->id = reactor.next_id++;
+    reactor.conns.emplace(conn->id, std::move(conn));
+    connections_accepted.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  void DrainInbox(Reactor& reactor) {
+    uint64_t drained;
+    while (read(reactor.wake_fd, &drained, sizeof(drained)) > 0) {
+    }
+    {
+      std::lock_guard<std::mutex> lock(reactor.inbox_mu);
+      reactor.mail.swap(reactor.inbox);
+    }
+    for (Mail& mail : reactor.mail) {
+      if (mail.fd >= 0) {
+        Adopt(reactor, mail.fd);
         continue;
       }
-      if (result.outcome == IoOutcome::kWantRead) break;
-      if (result.outcome == IoOutcome::kWantWrite) {
-        conn->read_wants_write = true;
-        ArmWrite(conn.get(), true);
-        break;
-      }
-      return false;  // closed or transport error
+      const auto it = reactor.conns.find(mail.conn);
+      if (it == reactor.conns.end()) continue;  // Closed while its op ran.
+      Conn& conn = *it->second;
+      conn.Append(std::move(mail.frame));
+      conn.parked = false;
+      if (!Serve(reactor, conn)) CloseConn(reactor, mail.conn);
     }
-    bool enqueue = false;
-    while (conn->in.size() >= kFrameHeaderBytes) {
-      Result<FrameHeader> header = DecodeFrameHeader(
-          conn->in.data(), conn->in.size(), options.max_frame_bytes);
-      if (!header.ok()) {
-        // Unframeable stream: no way to resync a length-prefixed
-        // protocol, so drop the connection.
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      const size_t total = kFrameHeaderBytes + header->payload_bytes;
-      if (conn->in.size() < total) break;
-      std::string payload =
-          conn->in.substr(kFrameHeaderBytes, header->payload_bytes);
-      conn->in.erase(0, total);
-      frames_received.fetch_add(1, std::memory_order_relaxed);
-      frames_inflight.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->pending.emplace_back(header->type, std::move(payload));
-      if (!conn->busy) {
-        conn->busy = true;
-        enqueue = true;
-      }
-    }
-    if (enqueue) {
-      {
-        std::lock_guard<std::mutex> lock(work_mu);
-        work.push_back(conn);
-      }
-      work_cv.notify_one();
+    reactor.mail.clear();
+  }
+
+  /// Every connection has its answers on the wire and nothing on the lane.
+  static bool Quiescent(const Reactor& reactor) {
+    for (const auto& [id, conn] : reactor.conns) {
+      if (conn->parked || conn->unflushed() > 0) return false;
     }
     return true;
   }
 
-  void EventLoop() {
+  void Run(Reactor& reactor, bool acceptor) {
     constexpr int kMaxEvents = 64;
     epoll_event events[kMaxEvents];
-    bool accepting = true;
-    while (!shutdown.load(std::memory_order_acquire)) {
-      const int n = epoll_wait(epoll_fd, events, kMaxEvents, 100);
-      if (accepting && stopping.load(std::memory_order_acquire)) {
-        epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
-        accepting = false;
+    bool draining = false;
+    for (;;) {
+      const int n = epoll_wait(reactor.epoll_fd, events, kMaxEvents, 100);
+      if (!draining && stopping.load(std::memory_order_acquire)) {
+        draining = true;
+        if (acceptor) epoll_ctl(reactor.epoll_fd, EPOLL_CTL_DEL, listen_fd,
+                                nullptr);
       }
       for (int i = 0; i < n; ++i) {
-        const int fd = events[i].data.fd;
-        if (fd == wake_fd) {
-          uint64_t drained;
-          while (read(wake_fd, &drained, sizeof(drained)) > 0) {
-          }
-          continue;
-        }
-        if (fd == listen_fd) {
-          if (accepting) Accept();
-          continue;
-        }
-        auto it = conns.find(fd);
-        if (it == conns.end()) continue;
-        std::shared_ptr<Conn> conn = it->second;
-        if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-          CloseConn(fd);
-          continue;
-        }
-        const bool readable = (events[i].events & EPOLLIN) != 0;
-        const bool writable = (events[i].events & EPOLLOUT) != 0;
-        bool just_ready = false;
-        if (!conn->transport->ready()) {
-          if (!DriveHandshake(conn)) {
-            CloseConn(fd);
-            continue;
-          }
-          if (!conn->transport->ready()) continue;  // still mid-handshake
-          // The handshake's final read may have pulled early application
-          // bytes into the transport's buffer, where epoll cannot see
-          // them -- read once unconditionally.
-          just_ready = true;
-        }
-        if ((readable || just_ready ||
-             (writable && conn->read_wants_write)) &&
-            !ReadFrames(conn)) {
-          CloseConn(fd);
-          continue;
-        }
-        if (writable || (readable && conn->write_wants_read)) {
-          TryFlush(conn);
+        const uint64_t key = events[i].data.u64;
+        if (key == kWakeKey) {
+          DrainInbox(reactor);
+        } else if (key == kListenKey) {
+          if (!draining) Accept();
+        } else {
+          OnEvent(reactor, key, events[i].events);
         }
       }
-      // Flush responses workers queued since the last pass.
-      std::vector<std::shared_ptr<Conn>> to_flush;
-      {
-        std::lock_guard<std::mutex> lock(flush_mu);
-        to_flush.swap(flush);
-      }
-      for (const auto& conn : to_flush) {
-        if (conns.count(conn->fd) != 0) TryFlush(conn);
+      // Stop(): parked ops finish and answers flush, bounded by the drain
+      // deadline; then every connection closes.
+      if (draining &&
+          (Quiescent(reactor) || Clock::now() >= drain_deadline)) {
+        break;
       }
     }
-    // Teardown: close every connection (drain already ran in Stop).
-    std::vector<int> fds;
-    fds.reserve(conns.size());
-    for (const auto& [fd, conn] : conns) fds.push_back(fd);
-    for (int fd : fds) CloseConn(fd);
+    while (!reactor.conns.empty()) {
+      CloseConn(reactor, reactor.conns.begin()->first);
+    }
   }
 };
 
@@ -667,6 +729,23 @@ Result<std::shared_ptr<TransportFactory>> MakeServerTransportFactory(
     const ServerOptions& options) {
   if (!options.tls.enabled()) return MakePlainTransportFactory();
   return MakeTlsServerTransportFactory(options.tls);
+}
+
+/// A reactor's epoll set with its eventfd registered.
+Result<std::unique_ptr<Reactor>> MakeReactor() {
+  auto reactor = std::make_unique<Reactor>();
+  reactor->epoll_fd = epoll_create1(EPOLL_CLOEXEC);
+  if (reactor->epoll_fd < 0) return Errno("epoll_create1");
+  reactor->wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (reactor->wake_fd < 0) return Errno("eventfd");
+  epoll_event event{};
+  event.events = EPOLLIN;
+  event.data.u64 = kWakeKey;
+  if (epoll_ctl(reactor->epoll_fd, EPOLL_CTL_ADD, reactor->wake_fd, &event) !=
+      0) {
+    return Errno("epoll_ctl");
+  }
+  return reactor;
 }
 
 }  // namespace
@@ -707,6 +786,10 @@ Status PricingServer::Start() {
   const int listen_fd =
       socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd < 0) return Errno("socket");
+  const auto fail = [listen_fd](const Status& status) {
+    close(listen_fd);
+    return status;
+  };
   const int reuse = 1;
   setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
   sockaddr_in addr{};
@@ -714,56 +797,41 @@ Status PricingServer::Start() {
   addr.sin_addr.s_addr = htonl(INADDR_ANY);
   addr.sin_port = htons(impl_->options.port);
   if (bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status status = Errno("bind");
-    close(listen_fd);
-    return status;
+    return fail(Errno("bind"));
   }
   if (listen(listen_fd, impl_->options.listen_backlog) != 0) {
-    const Status status = Errno("listen");
-    close(listen_fd);
-    return status;
+    return fail(Errno("listen"));
   }
   socklen_t addr_len = sizeof(addr);
   if (getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) !=
       0) {
-    const Status status = Errno("getsockname");
-    close(listen_fd);
-    return status;
+    return fail(Errno("getsockname"));
   }
-  const int epoll_fd = epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd < 0) {
-    const Status status = Errno("epoll_create1");
-    close(listen_fd);
-    return status;
-  }
-  const int wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd < 0) {
-    const Status status = Errno("eventfd");
-    close(epoll_fd);
-    close(listen_fd);
-    return status;
+  std::vector<std::unique_ptr<Reactor>> reactors;
+  for (int i = 0; i < impl_->options.num_workers; ++i) {
+    Result<std::unique_ptr<Reactor>> reactor = MakeReactor();
+    if (!reactor.ok()) return fail(reactor.status());
+    reactors.push_back(std::move(reactor).value());
   }
   epoll_event event{};
   event.events = EPOLLIN;
-  event.data.fd = listen_fd;
-  epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd, &event);
-  event.data.fd = wake_fd;
-  epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_fd, &event);
+  event.data.u64 = kListenKey;
+  if (epoll_ctl(reactors.front()->epoll_fd, EPOLL_CTL_ADD, listen_fd,
+                &event) != 0) {
+    return fail(Errno("epoll_ctl"));
+  }
 
   impl_->listen_fd = listen_fd;
-  impl_->epoll_fd = epoll_fd;
-  impl_->wake_fd = wake_fd;
   impl_->bound_port = ntohs(addr.sin_port);
   impl_->stopping.store(false, std::memory_order_release);
-  impl_->shutdown.store(false, std::memory_order_release);
-  impl_->frames_inflight.store(0, std::memory_order_relaxed);
-  impl_->bytes_unflushed.store(0, std::memory_order_relaxed);
-
+  impl_->reactors = std::move(reactors);
+  impl_->lane = std::make_unique<engine::SolverPool>(
+      impl_->options.num_workers, /*background=*/false);
   Impl* impl = impl_.get();
-  impl_->loop_thread = std::thread([impl] { impl->EventLoop(); });
-  impl_->workers.reserve(static_cast<size_t>(impl_->options.num_workers));
-  for (int i = 0; i < impl_->options.num_workers; ++i) {
-    impl_->workers.emplace_back([impl] { impl->WorkerLoop(); });
+  for (size_t i = 0; i < impl_->reactors.size(); ++i) {
+    Reactor* reactor = impl_->reactors[i].get();
+    reactor->thread =
+        std::thread([impl, reactor, i] { impl->Run(*reactor, i == 0); });
   }
   impl_->running = true;
   return Status::OK();
@@ -773,39 +841,21 @@ Status PricingServer::Stop() {
   if (!impl_->running) {
     return Status::FailedPrecondition("server is not running");
   }
-  // Phase 1: no new connections.
+  impl_->drain_deadline =
+      Clock::now() + std::chrono::milliseconds(impl_->options.drain_timeout_ms);
   impl_->stopping.store(true, std::memory_order_release);
-  impl_->Wake();
-  // Phase 2: wait for in-flight frames to be answered and flushed.
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(impl_->options.drain_timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (impl_->frames_inflight.load(std::memory_order_relaxed) == 0 &&
-        impl_->bytes_unflushed.load(std::memory_order_relaxed) == 0) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (const std::unique_ptr<Reactor>& reactor : impl_->reactors) {
+    reactor->Wake();
   }
-  // Phase 3: tear the loop down.
-  impl_->shutdown.store(true, std::memory_order_release);
-  impl_->Wake();
-  impl_->work_cv.notify_all();
-  impl_->loop_thread.join();
-  for (std::thread& worker : impl_->workers) worker.join();
-  impl_->workers.clear();
-  {
-    std::lock_guard<std::mutex> lock(impl_->work_mu);
-    impl_->work.clear();
+  for (const std::unique_ptr<Reactor>& reactor : impl_->reactors) {
+    reactor->thread.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(impl_->flush_mu);
-    impl_->flush.clear();
-  }
-  close(impl_->wake_fd);
-  close(impl_->epoll_fd);
+  // Lane jobs still running past the drain deadline finish here; their
+  // replies land in inboxes nobody reads.
+  impl_->lane.reset();
+  impl_->reactors.clear();
   close(impl_->listen_fd);
-  impl_->wake_fd = impl_->epoll_fd = impl_->listen_fd = -1;
+  impl_->listen_fd = -1;
   impl_->running = false;
   return Status::OK();
 }

@@ -6,13 +6,13 @@
 //
 //   - Serving plane: a kDecideBatchRequest payload is split into its body
 //     lines and answered through ServingSurface::DecideBatchLines, the
-//     one decide path for every surface. Each connection's frames are
-//     handled in arrival order by a worker pool. Over a shard map, each
-//     line is decoded, decided and encoded on the handler thread: batches
-//     under 256 requests walk CampaignShardMap::Decide per request -- an
-//     RCU-guarded pointer chase with no locks -- so N connections price
-//     concurrently and a control op on one shard never stalls anyone,
-//     while bigger batches fan out per shard on the map's serving pool.
+//     one decide path for every surface, on the reactor that read the
+//     frame. Over a shard map, each line is decoded, decided and encoded
+//     there: batches under 256 requests walk CampaignShardMap::Decide per
+//     request -- an RCU-guarded pointer chase with no locks -- so N
+//     connections price concurrently and a control op on one shard never
+//     stalls anyone, while bigger batches fan out per shard on the map's
+//     serving pool.
 //   - Control plane: a kControlRequest payload goes to
 //     ServingSurface::ApplyControlPayload as it arrived, and the ack
 //     payload it returns goes back as it is. Over a shard map the payload
@@ -31,29 +31,49 @@
 // or export frame is honored -- violations answer Unauthenticated in the
 // offending frame's own error form, and a hello with the wrong wire
 // version answers FailedPrecondition. Pings are always allowed (probes
-// must stay cheap and credential-free).
+// must stay cheap and credential-free). The token is compared in constant
+// time: every byte of it, whatever the hello carries, and a wrong length
+// fails the same way as a wrong byte.
 //
-// Architecture: one epoll event-loop thread owns every socket (accept,
-// nonblocking reads, frame reassembly, response writes); `num_workers`
-// handler threads own payload parsing and map calls. A connection is
-// enqueued to the worker pool on its idle -> busy edge and a single
-// worker drains its frame FIFO, so responses leave in request order per
-// connection while distinct connections spread across the pool.
+// Architecture: `num_workers` reactor threads, each with its own epoll set
+// and the connections assigned to it. A reactor reads, reassembles frames,
+// answers decide, ping and hello frames inline, and writes the answer, so
+// a decide is read, decided, encoded and written on one thread. Reactor 0
+// also accepts, handing each new connection to the reactor with the fewest
+// open ones (least-connections: independent connections land on different
+// reactors, and a closed connection frees its slot). Control and export
+// frames run on a side lane (an engine::SolverPool as wide as the
+// reactors, at normal priority), so a multi-millisecond artifact decode or
+// a router forward never stalls the decides on a reactor. While its op
+// runs the connection is parked -- no further frame of it is parsed and
+// its socket is not read -- and the lane posts the encoded reply back to
+// the owning reactor's eventfd inbox (the same inbox the acceptor hands
+// sockets over by) under the connection's id, so replies leave in request
+// order on every connection and a reply for a connection that has since
+// closed is dropped.
+//
+// Backpressure: a connection whose unflushed output passes a fixed 1 MiB
+// is neither read nor parsed until its peer drains it, so a client that
+// pipelines without reading stalls in its own send buffer instead of
+// growing the server's memory. Input is consumed by offset and compacted
+// once per read.
 //
 // Transport: every connection's bytes cross a pluggable net::Transport
 // -- plain TCP by default, TLS (net/tls_transport.h) when
-// ServerOptions::tls carries cert material. The loop drives each TLS
-// handshake through its WANT_READ/WANT_WRITE states like any other
-// readiness edge, so one connection mid-handshake never blocks
-// another's traffic; a connection whose handshake fails (plaintext
-// client, bad certificate) is counted in tls_handshake_failures and
-// closed -- never a crash, and the peer sees a clean close rather than
-// a hang.
+// ServerOptions::tls carries cert material. Each reactor drives its
+// connections' TLS handshakes through their WANT_READ/WANT_WRITE states
+// like any other readiness edge, so one connection mid-handshake never
+// blocks another's traffic; a connection whose handshake fails
+// (plaintext client, bad certificate) is counted in
+// tls_handshake_failures and closed -- never a crash, and the peer sees a
+// clean close rather than a hang.
 //
 // Lifecycle: Start/Stop return Status (double start, double stop, and
 // socket errors are errors, never UB) and the pair may be repeated. Stop
-// is graceful: it stops accepting, waits up to drain_timeout_ms for
-// in-flight frames to be answered and flushed, then tears the loop down.
+// is graceful: it stops accepting, then each reactor drains its own
+// connections -- parked ops finish and their answers flush, bounded by
+// drain_timeout_ms -- and closes them. A lane op still running at the
+// deadline is waited out, its reply dropped.
 //
 // Malformed traffic never crashes the server: an unframeable byte stream
 // (bad magic/version/oversized length) counts in
@@ -91,6 +111,9 @@ namespace crowdprice::net {
 /// directly as a byte-level proxy, which is how the router speaks the same
 /// frame protocol to its own clients that it speaks to its backends.
 /// Implementations must be safe to call from many threads at once.
+/// DecideBatchLines runs on the reactor that read the frame, holding that
+/// reactor's other connections for its duration; the control and export
+/// methods run on the side lane.
 class ServingSurface {
  public:
   virtual ~ServingSurface() = default;
@@ -122,14 +145,16 @@ struct ServerOptions {
   /// TCP port to listen on; 0 binds an ephemeral port (read it back via
   /// port() after Start).
   uint16_t port = 0;
-  /// Frame-handler threads. At least 1.
+  /// Reactor threads (each owns the connections assigned to it and
+  /// answers their decides inline); the side lane that runs control and
+  /// export frames is as wide. At least 1.
   int num_workers = 4;
   /// Reject frames whose payload exceeds this many bytes.
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// listen(2) backlog.
   int listen_backlog = 128;
-  /// Stop(): how long to wait for in-flight frames to drain before
-  /// tearing the loop down anyway.
+  /// Stop(): how long each reactor waits for parked ops to finish and
+  /// answers to flush before closing its connections anyway.
   int drain_timeout_ms = 5000;
   /// Shared-secret token. Empty disables auth; otherwise every
   /// connection must hello with exactly this token first (see the file
@@ -144,7 +169,7 @@ struct ServerOptions {
 /// Monotone counters over the server's lifetime (across restarts).
 struct ServerStats {
   uint64_t connections_accepted = 0;
-  uint64_t frames_received = 0;   ///< Well-framed frames handed to workers.
+  uint64_t frames_received = 0;   ///< Well-framed frames read.
   uint64_t decide_requests = 0;   ///< Individual decide requests answered.
   uint64_t control_ops = 0;       ///< Readable control + export frames.
   uint64_t protocol_errors = 0;   ///< Unframeable streams + bad payloads.
@@ -170,7 +195,7 @@ class PricingServer {
   PricingServer(const PricingServer&) = delete;
   PricingServer& operator=(const PricingServer&) = delete;
 
-  /// Binds, listens, and spawns the event loop + workers.
+  /// Binds, listens, and spawns the reactors and the side lane.
   /// FailedPrecondition if already running; Internal on socket errors.
   Status Start();
 

@@ -130,9 +130,10 @@ struct BackendPool::Impl {
     return Status::OK();
   }
 
-  Status WithClient(const std::string& name,
-                    const std::function<Status(net::PricingClient&)>& fn) {
-    const std::shared_ptr<Backend> backend = Find(name);
+  /// The backend `name` names, or why no call may reach it: NotFound when
+  /// it is not pooled, Unavailable when it is marked down.
+  Result<std::shared_ptr<Backend>> Reachable(const std::string& name) const {
+    std::shared_ptr<Backend> backend = Find(name);
     if (backend == nullptr) {
       return Status::NotFound(
           StringF("backend '%s' is not in the pool", name.c_str()));
@@ -141,32 +142,115 @@ struct BackendPool::Impl {
       return Status::Unavailable(
           StringF("backend '%s' is marked down", name.c_str()));
     }
-    Status last = Status::OK();
+    return backend;
+  }
+
+  /// One attempt of `fn` under the lease the caller holds: dials first
+  /// when needed. A transport failure leaves the connection unusable, so
+  /// it is closed and the next attempt redials instead of writing into a
+  /// dead socket.
+  Status Attempt(Backend& backend,
+                 const std::function<Status(net::PricingClient&)>& fn) {
+    Status status = EnsureConnected(backend);
+    if (status.ok()) {
+      status = fn(*backend.client);
+      if (status.IsUnavailable()) backend.client->Close();
+    }
+    return status;
+  }
+
+  /// WithClient's attempt loop from attempt `first` on; `last` is the
+  /// outcome of the attempt before it (OK when `first` is 0). The first
+  /// outcome that is not Unavailable is final and healthy; running out of
+  /// attempts counts one failure against the backend.
+  Status Retry(Backend& backend,
+               const std::function<Status(net::PricingClient&)>& fn,
+               int first, Status last) {
     int backoff_ms = options.backoff_initial_ms;
-    for (int attempt = 0; attempt < options.max_attempts; ++attempt) {
+    for (int attempt = first; attempt < options.max_attempts; ++attempt) {
       if (attempt > 0 && backoff_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
         backoff_ms = std::min(backoff_ms * 2, options.backoff_max_ms);
       }
       {
-        std::lock_guard<std::mutex> lease(backend->lease_mu);
-        last = EnsureConnected(*backend);
-        if (last.ok()) {
-          last = fn(*backend->client);
-          // A transport failure leaves the connection unusable; close it
-          // so the next attempt redials instead of writing into a dead
-          // socket.
-          if (last.IsUnavailable()) backend->client->Close();
-        }
+        std::lock_guard<std::mutex> lease(backend.lease_mu);
+        last = Attempt(backend, fn);
       }
       if (!last.IsUnavailable()) {
-        backend->NoteSuccess();
+        backend.NoteSuccess();
         return last;
       }
     }
-    backend->NoteFailure(options.down_after_failures);
-    backend->failovers.fetch_add(1, std::memory_order_relaxed);
+    backend.NoteFailure(options.down_after_failures);
+    backend.failovers.fetch_add(1, std::memory_order_relaxed);
     return last;
+  }
+
+  Status WithClient(const std::string& name,
+                    const std::function<Status(net::PricingClient&)>& fn) {
+    CP_ASSIGN_OR_RETURN(const std::shared_ptr<Backend> backend,
+                        Reachable(name));
+    return Retry(*backend, fn, 0, Status::OK());
+  }
+
+  void ScatterDecideLines(std::vector<DecideSlice>& slices) {
+    // A slice's first attempt: its backend (null when unreachable), its
+    // lease while the answer is outstanding, and the attempt's outcome.
+    struct Leg {
+      std::shared_ptr<Backend> backend;
+      std::unique_lock<std::mutex> lease;
+      Status status;
+    };
+    std::vector<Leg> legs(slices.size());
+    std::vector<size_t> order(slices.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return slices[a].backend < slices[b].backend;
+    });
+    // Leases in name order; every slice is on the wire before any answer
+    // is awaited.
+    for (const size_t i : order) {
+      Result<std::shared_ptr<Backend>> backend = Reachable(slices[i].backend);
+      if (!backend.ok()) {
+        slices[i].response_lines = backend.status();
+        continue;
+      }
+      Leg& leg = legs[i];
+      leg.backend = std::move(backend).value();
+      leg.lease = std::unique_lock<std::mutex>(leg.backend->lease_mu);
+      leg.status = Attempt(*leg.backend, [&](net::PricingClient& client) {
+        return client.SendDecideBatchLines(slices[i].request_lines);
+      });
+      if (!leg.status.ok()) leg.lease.unlock();
+    }
+    for (const size_t i : order) {
+      Leg& leg = legs[i];
+      if (!leg.lease.owns_lock()) continue;
+      slices[i].response_lines = leg.backend->client->ReceiveDecideBatchLines(
+          slices[i].request_lines.size());
+      leg.status = slices[i].response_lines.status();
+      if (leg.status.IsUnavailable()) leg.backend->client->Close();
+      leg.lease.unlock();
+    }
+    // Settle each slice as WithClient would have after that first attempt.
+    for (size_t i = 0; i < slices.size(); ++i) {
+      Leg& leg = legs[i];
+      if (leg.backend == nullptr) continue;
+      if (!leg.status.IsUnavailable()) {
+        if (!leg.status.ok()) slices[i].response_lines = leg.status;
+        leg.backend->NoteSuccess();
+        continue;
+      }
+      DecideSlice& slice = slices[i];
+      const Status retried = Retry(
+          *leg.backend,
+          [&](net::PricingClient& client) {
+            slice.response_lines = client.DecideBatchLines(slice.request_lines);
+            return slice.response_lines.status();
+          },
+          1, leg.status);
+      if (!retried.ok()) slice.response_lines = retried;
+    }
   }
 
   void ProbeNow() {
@@ -269,6 +353,10 @@ Status BackendPool::WithClient(
     const std::string& name,
     const std::function<Status(net::PricingClient&)>& fn) {
   return impl_->WithClient(name, fn);
+}
+
+void BackendPool::ScatterDecideLines(std::vector<DecideSlice>* slices) {
+  impl_->ScatterDecideLines(*slices);
 }
 
 bool BackendPool::IsUp(const std::string& name) const {

@@ -7,6 +7,9 @@
 // Unavailable outcomes with bounded exponential backoff. Server-side
 // verdicts (NotFound, InvalidArgument, ...) are final -- they return on
 // the first attempt and never count against the backend's health.
+// ScatterDecideLines forwards one decide batch's slices to several
+// backends at once from the calling thread, with the same per-slice
+// failure semantics.
 //
 // Health: a probe thread pings every backend on probe_interval_ms (each
 // probe is a fresh connection, so a slow serving call never delays the
@@ -58,6 +61,16 @@ struct BackendPoolOptions {
   int backoff_max_ms = 100;
 };
 
+/// One backend's share of a routed decide batch (ScatterDecideLines).
+struct DecideSlice {
+  std::string backend;                     ///< The owning backend's name.
+  std::vector<std::string> request_lines;  ///< Wire body lines, verbatim.
+  /// The backend's response lines, one per request line, or why the
+  /// slice could not be answered (after the pool's retries).
+  Result<std::vector<std::string>> response_lines =
+      Status::Internal("slice was never forwarded");
+};
+
 /// One backend's health, as Health() reports it.
 struct BackendHealth {
   std::string name;
@@ -94,6 +107,15 @@ class BackendPool {
   /// the backend is marked down, NotFound when it is not in the pool.
   Status WithClient(const std::string& name,
                     const std::function<Status(net::PricingClient&)>& fn);
+
+  /// Forwards every slice to its backend and collects every answer, on
+  /// the calling thread: takes the slices' leases in backend-name order
+  /// (so concurrent callers cannot deadlock), sends every slice, then
+  /// reads every answer, releasing each lease once its answer is read. A
+  /// slice whose backend is down or not pooled, or whose send or receive
+  /// fails Unavailable, then goes through WithClient's retries, backoff
+  /// and down-marking on its own. Slices must name distinct backends.
+  void ScatterDecideLines(std::vector<DecideSlice>* slices);
 
   bool IsUp(const std::string& name) const;
   std::vector<BackendHealth> Health() const;

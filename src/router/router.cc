@@ -3,7 +3,6 @@
 #include <atomic>
 #include <mutex>
 #include <shared_mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -67,40 +66,6 @@ struct CampaignRouter::Impl {
     }
   }
 
-  /// Forwards a backend's slice of wire body lines verbatim and scatters
-  /// the response lines back; a transport failure (after the pool's
-  /// retries) answers every line in the slice with a serialized
-  /// Unavailable response.
-  void ForwardSliceLines(const std::string& backend,
-                         const std::vector<std::string>& request_lines,
-                         const std::vector<CampaignId>& ids,
-                         const std::vector<size_t>& indices,
-                         std::vector<std::string>& response_lines) {
-    std::vector<std::string> slice;
-    slice.reserve(indices.size());
-    for (const size_t index : indices) slice.push_back(request_lines[index]);
-
-    std::vector<std::string> answered;
-    const Status status =
-        pool.WithClient(backend, [&](net::PricingClient& client) {
-          CP_ASSIGN_OR_RETURN(answered, client.DecideBatchLines(slice));
-          return Status::OK();
-        });
-    if (status.ok() && answered.size() == indices.size()) {
-      for (size_t i = 0; i < indices.size(); ++i) {
-        response_lines[indices[i]] = std::move(answered[i]);
-      }
-      return;
-    }
-    const Status failure =
-        status.ok() ? Status::Internal("backend answered a misaligned batch")
-                    : status;
-    for (const size_t index : indices) {
-      response_lines[index] = net::DecideErrorLine(ids[index], failure);
-      unavailable.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   bool DecideBatchLines(const std::vector<std::string>& request_lines,
                         std::vector<std::string>* response_lines) {
     // Extract every campaign id up front; a line without one fails the
@@ -130,39 +95,33 @@ struct CampaignRouter::Impl {
       return true;
     }
 
-    std::unordered_map<std::string, size_t> group_of;
-    std::vector<std::pair<std::string, std::vector<size_t>>> groups;
+    // One slice per owning backend, forwarded from this thread.
+    std::vector<DecideSlice> slices;
+    std::vector<std::vector<size_t>> slots;  // request index of each line
+    std::unordered_map<std::string, size_t> slice_of;
     for (size_t i = 0; i < ids.size(); ++i) {
-      const std::string owner = placement.OwnerOf(ids[i]).value();
-      const auto [it, inserted] = group_of.try_emplace(owner, groups.size());
-      if (inserted) groups.emplace_back(owner, std::vector<size_t>());
-      groups[it->second].second.push_back(i);
-    }
-    if (groups.empty()) return true;  // Empty batch.
-
-    // Forward every group concurrently, the first inline on this thread.
-    // On a single-core host the spawned forwarders cannot overlap anyway,
-    // so the per-batch thread cost is pure tail latency: forward
-    // sequentially instead.
-    static const bool parallel_forward =
-        std::thread::hardware_concurrency() > 1;
-    if (parallel_forward) {
-      std::vector<std::thread> forwarders;
-      forwarders.reserve(groups.size());
-      for (size_t g = 1; g < groups.size(); ++g) {
-        forwarders.emplace_back(
-            [this, &groups, &request_lines, &ids, response_lines, g] {
-              ForwardSliceLines(groups[g].first, request_lines, ids,
-                                groups[g].second, *response_lines);
-            });
+      std::string owner = placement.OwnerOf(ids[i]).value();
+      const auto [it, inserted] = slice_of.try_emplace(owner, slices.size());
+      if (inserted) {
+        slices.emplace_back();
+        slices.back().backend = std::move(owner);
+        slots.emplace_back();
       }
-      ForwardSliceLines(groups[0].first, request_lines, ids,
-                        groups[0].second, *response_lines);
-      for (std::thread& forwarder : forwarders) forwarder.join();
-    } else {
-      for (const auto& [backend, indices] : groups) {
-        ForwardSliceLines(backend, request_lines, ids, indices,
-                          *response_lines);
+      slices[it->second].request_lines.push_back(request_lines[i]);
+      slots[it->second].push_back(i);
+    }
+    pool.ScatterDecideLines(&slices);
+    for (size_t s = 0; s < slices.size(); ++s) {
+      Result<std::vector<std::string>>& answer = slices[s].response_lines;
+      for (size_t j = 0; j < slots[s].size(); ++j) {
+        const size_t index = slots[s][j];
+        if (answer.ok()) {
+          (*response_lines)[index] = std::move((*answer)[j]);
+        } else {
+          (*response_lines)[index] =
+              net::DecideErrorLine(ids[index], answer.status());
+          unavailable.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     }
     return true;

@@ -11,12 +11,15 @@
 //     via the explicit-id admit (`control admit-at`), so ids stay stable
 //     as campaigns move.
 //   - Decide fan-out: DecideBatchLines splits a batch's wire lines by
-//     owning backend, forwards each backend's slice verbatim and
-//     concurrently over the pool's leased connections, and splices the
-//     response lines back in request order without parsing a sheet. The
-//     wire is canonical hex-float text, so a routed answer is byte-for-
-//     byte the direct one -- per-line `err` answers (a bad request body,
-//     an unknown campaign) included.
+//     owning backend and forwards every slice verbatim from the calling
+//     thread (BackendPool::ScatterDecideLines): it sends each slice over
+//     the pool's leased connection, then reads each answer, so all the
+//     backends work at once without a thread per batch, and splices the
+//     response lines back in request order without parsing a sheet. A
+//     batch with one owner is the same code with one slice. The wire is
+//     canonical hex-float text, so a routed answer is byte-for-byte the
+//     direct one -- per-line `err` answers (a bad request body, an
+//     unknown campaign) included.
 //   - Control splice: ApplyControlPayload reads only a control payload's
 //     header line (net::ReadControlHeader) -- the verb and the target id
 //     -- and forwards the payload to the owner with every byte after the

@@ -368,8 +368,10 @@ class WedgedServer {
     socklen_t len = sizeof(addr);
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
     port_ = ntohs(addr.sin_port);
-    drain_ = std::thread([this] {
-      const int conn = ::accept(listen_fd_, nullptr, nullptr);
+    // The thread keeps its own copy of the fd: Stop() resets listen_fd_
+    // while the thread may still be reading it.
+    drain_ = std::thread([listen_fd = listen_fd_] {
+      const int conn = ::accept(listen_fd, nullptr, nullptr);
       if (conn < 0) return;
       char sink[4096];
       while (::recv(conn, sink, sizeof(sink), 0) > 0) {

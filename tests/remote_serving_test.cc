@@ -12,12 +12,31 @@
 // CI matrix runs several seeds); the bit-identity property must hold for
 // every seed. The TSan CI job runs this binary to certify the server's
 // accept/decide/control/drain lanes are race-free.
+//
+// Two tests speak raw sockets to pin down the reactor contract: a client
+// that pipelines decides and never reads is pushed back on (its sends
+// stall) yet gets every answer in order once it reads, and a control op
+// blocked on the side lane neither delays another connection's decides
+// nor reorders its own connection's replies, and Stop() waits it out.
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,6 +49,7 @@
 #include "market/simulator.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/wire.h"
 #include "pricing/fixed_price.h"
 #include "serving/campaign_shard_map.h"
 #include "util/rng.h"
@@ -283,6 +303,327 @@ TEST(RemoteServingTest, ConcurrentConnectionsShareTheWaitFreeReadPath) {
   EXPECT_EQ(stats.protocol_errors, 0u);
   EXPECT_EQ(map->live_campaigns(), 1u);
   ASSERT_TRUE(server->Stop().ok());
+}
+
+using Clock = std::chrono::steady_clock;
+
+/// A blocking loopback TCP socket connected to `port`, or -1. Reads give
+/// up after `recv_timeout_ms`, so a server that never answers fails the
+/// test instead of hanging it.
+int DialRaw(uint16_t port, int recv_timeout_ms = 10000) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  timeval timeout{};
+  timeout.tv_sec = recv_timeout_ms / 1000;
+  timeout.tv_usec = (recv_timeout_ms % 1000) * 1000;
+  if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)) !=
+          0 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool SendAllRaw(int fd, const std::string& bytes) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+bool RecvAllRaw(int fd, char* out, size_t size) {
+  size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::recv(fd, out + got, size - got, 0);
+    if (n <= 0) return false;
+    got += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+/// Reads one whole frame off a blocking raw socket.
+bool ReadFrameRaw(int fd, FrameType* type, std::string* payload) {
+  char header_bytes[kFrameHeaderBytes];
+  if (!RecvAllRaw(fd, header_bytes, kFrameHeaderBytes)) return false;
+  const Result<FrameHeader> header = DecodeFrameHeader(
+      header_bytes, kFrameHeaderBytes, kDefaultMaxFrameBytes);
+  if (!header.ok()) return false;
+  *type = header->type;
+  payload->assign(header->payload_bytes, '\0');
+  return RecvAllRaw(fd, payload->data(), payload->size());
+}
+
+// Regression: the server read every connection to EAGAIN and queued every
+// answer, so a client that pipelined decides and never read grew server
+// memory without bound. Now a connection whose unflushed answers pass a
+// fixed cap is not read until its peer drains them: the client's sends
+// must stall well before 32 MiB, and once it reads, every answer arrives,
+// in order and correct.
+TEST(RemoteServingTest, NeverReadingPipelinerIsBackpressured) {
+  auto map = serving::CampaignShardMap::Create(2);
+  ASSERT_TRUE(map.ok());
+  serving::CampaignLimits limits;
+  limits.total_tasks = 20;
+  limits.deadline_hours = 8.0;
+  const auto admitted = map->Apply(serving::ControlOp::AdmitShared(
+      std::make_shared<const engine::PolicyArtifact>(SmallDeadlineArtifact()),
+      limits));
+  ASSERT_TRUE(admitted.ok());
+  const serving::CampaignId id = admitted->id;
+  ServerOptions options;
+  options.num_workers = 1;
+  auto server = PricingServer::Create(&map.value(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server->Start().ok());
+
+  // Seven distinct 16-request frames, sent round-robin, so the answers'
+  // order is checkable; each one's answer comes from the map in-process.
+  constexpr size_t kVariants = 7;
+  std::vector<std::string> frames;
+  std::vector<std::string> want;
+  for (size_t v = 0; v < kVariants; ++v) {
+    std::vector<serving::DecideRequest> batch;
+    std::vector<serving::DecideResponse> answers;
+    for (int j = 0; j < 16; ++j) {
+      batch.push_back(serving::DecideRequest::Single(
+          id, 0.25 * static_cast<double>(v),
+          1 + (static_cast<int>(v) * 16 + j) % 20));
+      serving::DecideResponse answer;
+      answer.campaign_id = id;
+      const auto sheet = map->Decide(id, batch.back().request);
+      ASSERT_TRUE(sheet.ok());
+      answer.sheet = *sheet;
+      answers.push_back(std::move(answer));
+    }
+    frames.push_back(EncodeFrame(FrameType::kDecideBatchRequest,
+                                 SerializeDecideBatchRequest(batch),
+                                 kDefaultMaxFrameBytes)
+                         .value());
+    want.push_back(SerializeDecideBatchResponse(answers));
+  }
+
+  const int fd = DialRaw(server->port());
+  ASSERT_GE(fd, 0);
+  constexpr size_t kCeiling = size_t{32} << 20;
+  size_t sent = 0;
+  size_t frames_sent = 0;
+  size_t partial = 0;  // bytes of frames[frames_sent % kVariants] on the wire
+  const auto send_some = [&] {
+    const std::string& frame = frames[frames_sent % kVariants];
+    const ssize_t n = ::send(fd, frame.data() + partial, frame.size() - partial,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n <= 0) return n;
+    sent += static_cast<size_t>(n);
+    partial += static_cast<size_t>(n);
+    if (partial == frame.size()) {
+      ++frames_sent;
+      partial = 0;
+    }
+    return n;
+  };
+  // The client paces itself, one 64 KiB burst per millisecond: a server
+  // that buffers everything reads that much between bursts, so only a
+  // server that stops reading can stall the sends. (Unpaced, a server that
+  // buffers everything can still stall them while it works through a
+  // multi-megabyte backlog in one go.)
+  constexpr size_t kBurstBytes = 64 * 1024;
+  size_t burst = 0;
+  bool stalled = false;
+  Clock::time_point stall_since{};
+  while (sent < kCeiling) {
+    if (burst >= kBurstBytes) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      burst = 0;
+    }
+    const ssize_t n = send_some();
+    if (n > 0) {
+      burst += static_cast<size_t>(n);
+      stall_since = Clock::time_point{};
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
+        << std::strerror(errno);
+    const Clock::time_point now = Clock::now();
+    if (stall_since == Clock::time_point{}) stall_since = now;
+    if (now - stall_since >= std::chrono::milliseconds(500)) {
+      stalled = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    burst = 0;
+  }
+  EXPECT_TRUE(stalled) << "the server took " << sent
+                       << " pipelined bytes without pushing back";
+
+  // Finish the frame the stall cut, then read every answer.
+  const size_t expected = frames_sent + (partial > 0 ? 1 : 0);
+  std::string in;
+  size_t got = 0;
+  char buf[64 * 1024];
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(60);
+  while (got < expected && Clock::now() < deadline) {
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = static_cast<short>(POLLIN | (partial > 0 ? POLLOUT : 0));
+    ASSERT_GE(::poll(&pfd, 1, 1000), 0);
+    if (partial > 0 && (pfd.revents & POLLOUT) != 0) send_some();
+    if ((pfd.revents & POLLIN) == 0) continue;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    ASSERT_GT(n, 0) << "the server closed the connection after " << got
+                    << " answers";
+    in.append(buf, static_cast<size_t>(n));
+    size_t pos = 0;
+    while (in.size() - pos >= kFrameHeaderBytes) {
+      const Result<FrameHeader> header = DecodeFrameHeader(
+          in.data() + pos, in.size() - pos, kDefaultMaxFrameBytes);
+      ASSERT_TRUE(header.ok()) << header.status();
+      if (in.size() - pos < kFrameHeaderBytes + header->payload_bytes) break;
+      ASSERT_EQ(header->type, FrameType::kDecideBatchResponse);
+      ASSERT_EQ(in.substr(pos + kFrameHeaderBytes, header->payload_bytes),
+                want[got % kVariants])
+          << "answer " << got;
+      pos += kFrameHeaderBytes + header->payload_bytes;
+      ++got;
+    }
+    in.erase(0, pos);
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(server->stats().protocol_errors, 0u);
+  ::close(fd);
+  ASSERT_TRUE(server->Stop().ok());
+}
+
+/// A surface whose control ops block until the test releases them, one
+/// release per op, and whose decides answer at once -- so where each op
+/// runs, and the order replies leave in, shows on the wire.
+class GatedSurface final : public ServingSurface {
+ public:
+  bool DecideBatchLines(const std::vector<std::string>& request_lines,
+                        std::vector<std::string>* response_lines) override {
+    response_lines->clear();
+    for (const std::string& line : request_lines) {
+      const Result<serving::CampaignId> id = DecideLineCampaignId(line);
+      if (!id.ok()) return false;
+      response_lines->push_back(Answer(*id));
+    }
+    return true;
+  }
+
+  Result<std::string> ApplyControlPayload(const std::string& payload) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    const int ticket = ++entered_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_ >= ticket; });
+    return "ack " + payload;
+  }
+
+  std::string ExportPayload(serving::CampaignId) override { return ""; }
+
+  static std::string Answer(serving::CampaignId id) {
+    return DecideErrorLine(id, Status::NotFound("gated"));
+  }
+
+  /// Blocks until `count` control ops have started.
+  void AwaitEntered(int count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ >= count; });
+  }
+
+  void Release(int through) {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = std::max(released_, through);
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  int released_ = 0;
+};
+
+TEST(RemoteServingTest, ControlOpsRunBesideDecidesAndRepliesKeepOrder) {
+  GatedSurface surface;
+  ServerOptions options;
+  options.num_workers = 1;
+  auto server = PricingServer::Create(&surface, options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server->Start().ok());
+  // Declared after the server so it runs first on every exit path: a
+  // failed assertion must not leave the server's Stop waiting on an op
+  // nobody releases.
+  struct ReleaseAll {
+    GatedSurface* surface;
+    ~ReleaseAll() { surface->Release(1 << 30); }
+  } release_all{&surface};
+
+  const std::vector<std::string> lines = {"request 7 body"};
+  const std::string decide_frame =
+      EncodeFrame(FrameType::kDecideBatchRequest,
+                  JoinDecideBatchPayload(lines), kDefaultMaxFrameBytes)
+          .value();
+  const auto control_frame = [](const std::string& payload) {
+    return EncodeFrame(FrameType::kControlRequest, payload,
+                       kDefaultMaxFrameBytes)
+        .value();
+  };
+
+  // A: a control frame and a decide in one write; the op blocks.
+  const int a = DialRaw(server->port());
+  ASSERT_GE(a, 0);
+  ASSERT_TRUE(SendAllRaw(a, control_frame("control one") + decide_frame));
+  surface.AwaitEntered(1);
+
+  // B's decide is answered on the one reactor while A's op is blocked.
+  ClientOptions quick;
+  quick.io_timeout_ms = 2000;
+  auto b = PricingClient::Connect("127.0.0.1", server->port(), quick);
+  ASSERT_TRUE(b.ok()) << b.status();
+  const auto answered = b->DecideBatchLines(lines);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_EQ(*answered, std::vector<std::string>{GatedSurface::Answer(7)});
+
+  // Released, A's ack comes back first, then the decide sent behind it.
+  surface.Release(1);
+  FrameType type = FrameType::kPingResponse;
+  std::string payload;
+  ASSERT_TRUE(ReadFrameRaw(a, &type, &payload));
+  EXPECT_EQ(type, FrameType::kControlResponse);
+  EXPECT_EQ(payload, "ack control one");
+  ASSERT_TRUE(ReadFrameRaw(a, &type, &payload));
+  EXPECT_EQ(type, FrameType::kDecideBatchResponse);
+  EXPECT_EQ(payload, JoinDecideBatchPayload({GatedSurface::Answer(7)}));
+
+  // Stop() during a blocked op waits it out: A gets its ack, then the
+  // close, and Stop returns OK.
+  ASSERT_TRUE(SendAllRaw(a, control_frame("control two")));
+  surface.AwaitEntered(2);
+  std::atomic<bool> stopped{false};
+  Status stop_status;
+  std::thread stopper([&] {
+    stop_status = server->Stop();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(stopped.load());
+  surface.Release(2);
+  stopper.join();
+  EXPECT_TRUE(stop_status.ok()) << stop_status;
+  ASSERT_TRUE(ReadFrameRaw(a, &type, &payload));
+  EXPECT_EQ(type, FrameType::kControlResponse);
+  EXPECT_EQ(payload, "ack control two");
+  char byte = 0;
+  EXPECT_EQ(::recv(a, &byte, 1, 0), 0) << "the connection outlived Stop";
+  ::close(a);
 }
 
 // The soak: a 256-campaign streaming schedule -- staggered admissions,

@@ -2,16 +2,24 @@
 // disruptive; routed decides are bit-identical to direct backend decides
 // through the full client -> router server -> backend stack; the control
 // plane routes by owner; a killed backend fails over to clean Unavailable
-// responses (never a crash or hang) and health probes mark it down; and
-// the frame-layer auth handshake gates both sides. The TSan CI job runs
-// this binary to certify the fan-out and health lanes are race-free.
+// responses (never a crash or hang) and health probes mark it down; a
+// backend restarted under a live connection costs its slice one retry,
+// not an answer; concurrent batches over overlapping backends neither
+// deadlock nor mix answers; and the frame-layer auth handshake gates both
+// sides. The TSan CI job runs this binary to certify the fan-out and
+// health lanes are race-free.
 
 #include "router/router.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -254,7 +262,10 @@ TEST(CampaignRouterTest, MalformedLinesAnswerTheSameRoutedAndDirect) {
   const auto artifact =
       std::make_shared<const engine::PolicyArtifact>(SmallDeadlineArtifact());
   std::vector<CampaignId> ids;
-  for (int i = 0; i < 8; ++i) {
+  // Eight campaigns, and more while the placement leaves a backend empty.
+  for (int i = 0; i < 64 && (i < 8 || b0.map->live_campaigns() == 0 ||
+                             b1.map->live_campaigns() == 0);
+       ++i) {
     const auto admitted =
         router->Apply(ControlOp::AdmitShared(artifact, SmallLimits()));
     ASSERT_TRUE(admitted.ok()) << admitted.status();
@@ -405,10 +416,16 @@ TEST(CampaignRouterTest, ControlAndExportBytesCrossTheRouterUntouched) {
   limits.deadline_hours = 1.0 / 3.0;
   limits.admit_hours = 0.1;
   std::vector<CampaignId> ids;
-  for (int i = 0; i < 12; ++i) {
+  // Twelve campaigns, and more until one of them moves when b2 joins, so
+  // the migration below has bytes to move.
+  const PlacementTable grown =
+      PlacementTable::Create({b0.name, b1.name, b2.name}, 2).value();
+  bool one_moves = false;
+  for (int i = 0; i < 64 && (i < 12 || !one_moves); ++i) {
     const auto id = client->AdmitShared(artifact, limits);
     ASSERT_TRUE(id.ok()) << id.status();
     ids.push_back(*id);
+    one_moves = one_moves || grown.OwnerOf(*id).value() == b2.name;
   }
 
   // Each owner exports exactly the bytes its campaign would have if the
@@ -590,6 +607,179 @@ TEST(CampaignRouterTest, KilledBackendFailsOverToCleanUnavailable) {
   }
 }
 
+TEST(CampaignRouterTest, RestartedBackendRetriesItsSliceOnAFreshConnection) {
+  Backend b0 = Backend::Start();
+  Backend b1 = Backend::Start();
+  RouterOptions router_options;
+  router_options.pool = TestPoolOptions();
+  auto router = CampaignRouter::Create({b0.name, b1.name}, router_options);
+  ASSERT_TRUE(router.ok());
+  const auto artifact =
+      std::make_shared<const engine::PolicyArtifact>(SmallDeadlineArtifact());
+  std::vector<DecideRequest> batch;
+  for (int i = 0; i < 16; ++i) {
+    const auto admitted =
+        router->Apply(ControlOp::AdmitShared(artifact, SmallLimits()));
+    ASSERT_TRUE(admitted.ok()) << admitted.status();
+    batch.push_back(DecideRequest::Single(admitted->id, 1.0, 5));
+  }
+  ASSERT_GT(b0.map->live_campaigns(), 0u);
+  ASSERT_GT(b1.map->live_campaigns(), 0u);
+  // Both leased connections are up and in use.
+  for (const DecideResponse& response : RouteDecides(*router, batch)) {
+    ASSERT_TRUE(response.status.ok()) << response.status;
+  }
+
+  // b1 restarts on its port: the router's leased connection to it is dead,
+  // though nothing has told the router so.
+  const uint16_t port = static_cast<uint16_t>(
+      std::stoi(b1.name.substr(b1.name.rfind(':') + 1)));
+  ASSERT_TRUE(b1.server->Stop().ok());
+  ServerOptions revive;
+  revive.port = port;
+  revive.num_workers = 2;
+  auto revived = PricingServer::Create(b1.map.get(), revive);
+  ASSERT_TRUE(revived.ok());
+  if (!revived->Start().ok()) {
+    GTEST_SKIP() << "port " << port << " was reclaimed by the OS";
+  }
+
+  // The next batch spans both backends: b1's slice fails on the dead
+  // connection and is retried on a fresh one, so every line answers.
+  for (const DecideResponse& response : RouteDecides(*router, batch)) {
+    EXPECT_TRUE(response.status.ok()) << response.status;
+  }
+  EXPECT_EQ(router->stats().unavailable, 0u);
+  ASSERT_TRUE(revived->Stop().ok());
+}
+
+// Concurrent batches through the router's front server, each spanning the
+// three backends and starting at a different owner, so callers take
+// overlapping sets of backend leases: the fan-out must neither deadlock
+// nor hand one caller another's answers.
+TEST(CampaignRouterTest, ConcurrentBatchesAcrossBackendsNeitherDeadlockNorMix) {
+  Backend b0 = Backend::Start();
+  Backend b1 = Backend::Start();
+  Backend b2 = Backend::Start();
+  const std::vector<Backend*> backends = {&b0, &b1, &b2};
+  RouterOptions router_options;
+  router_options.pool = TestPoolOptions();
+  auto router =
+      CampaignRouter::Create({b0.name, b1.name, b2.name}, router_options);
+  ASSERT_TRUE(router.ok());
+  ServerOptions options;
+  options.num_workers = 2;
+  auto front = PricingServer::Create(&router.value(), options);
+  ASSERT_TRUE(front.ok());
+  ASSERT_TRUE(front->Start().ok());
+
+  // Each campaign's request line, and the bytes its owner answers that
+  // line with when asked directly; campaigns are admitted until every
+  // backend owns at least two, and grouped by owner.
+  const auto artifact =
+      std::make_shared<const engine::PolicyArtifact>(SmallDeadlineArtifact());
+  std::vector<std::string> lines;
+  std::vector<std::string> want;
+  std::vector<std::vector<size_t>> owned(backends.size());
+  const auto covered = [&] {
+    for (const std::vector<size_t>& indices : owned) {
+      if (indices.size() < 2) return false;
+    }
+    return true;
+  };
+  for (int i = 0; i < 256 && !covered(); ++i) {
+    const auto admitted =
+        router->Apply(ControlOp::AdmitShared(artifact, SmallLimits()));
+    ASSERT_TRUE(admitted.ok()) << admitted.status();
+    lines.push_back(net::SplitDecideBatchPayload(
+                        net::SerializeDecideBatchRequest({DecideRequest::Single(
+                            admitted->id, 0.5, 1 + i % 20)}),
+                        "batch")
+                        .value()
+                        .front());
+    Backend* owner = OwnerOf(router->placement(), admitted->id, backends);
+    ASSERT_NE(owner, nullptr);
+    auto direct = PricingClient::Connect("127.0.0.1", owner->server->port());
+    ASSERT_TRUE(direct.ok());
+    const auto answer = direct->DecideBatchLines({lines.back()});
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    want.push_back(answer->front());
+    const size_t b = static_cast<size_t>(
+        std::find(backends.begin(), backends.end(), owner) - backends.begin());
+    owned[b].push_back(lines.size() - 1);
+  }
+  ASSERT_TRUE(covered());
+
+  // A deadlocked fan-out never answers, and the front server's Stop would
+  // then wait on it forever: past the deadline, fail loudly instead of
+  // hanging the suite.
+  std::mutex watch_mu;
+  std::condition_variable watch_cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(watch_mu);
+    if (!watch_cv.wait_for(lock, std::chrono::seconds(120),
+                           [&] { return finished; })) {
+      std::fprintf(stderr, "routed batches still in flight after 120 s: "
+                           "the fan-out deadlocked\n");
+      std::abort();
+    }
+  });
+
+  constexpr int kThreads = 4;
+  constexpr int kBatches = 300;
+  constexpr size_t kBatchLines = 6;
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      net::ClientOptions client_options;
+      client_options.io_timeout_ms = 10000;
+      auto client =
+          PricingClient::Connect("127.0.0.1", front->port(), client_options);
+      if (!client.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int b = 0; b < kBatches; ++b) {
+        // Lines from every backend in turn, the first one's owner rotating
+        // with the caller and the batch.
+        std::vector<size_t> picked;
+        std::vector<std::string> batch;
+        for (size_t j = 0; j < kBatchLines; ++j) {
+          const std::vector<size_t>& pool =
+              owned[(static_cast<size_t>(t + b) + j) % owned.size()];
+          picked.push_back(pool[(static_cast<size_t>(b) + j) % pool.size()]);
+          batch.push_back(lines[picked.back()]);
+        }
+        const auto answers = client->DecideBatchLines(batch);
+        if (!answers.ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        for (size_t j = 0; j < kBatchLines; ++j) {
+          if ((*answers)[j] != want[picked[j]]) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(router->stats().unavailable, 0u);
+  EXPECT_EQ(router->stats().decide_requests,
+            static_cast<uint64_t>(kThreads * kBatches) * kBatchLines);
+  EXPECT_TRUE(front->Stop().ok());
+  {
+    std::lock_guard<std::mutex> lock(watch_mu);
+    finished = true;
+  }
+  watch_cv.notify_all();
+  watchdog.join();
+}
+
 TEST(CampaignRouterTest, ProbeThreadMarksDownWithinInterval) {
   Backend b0 = Backend::Start();
   RouterOptions router_options;
@@ -641,11 +831,18 @@ TEST(CampaignRouterTest, AuthGatesBothSidesOfTheRouter) {
 
   // The wrong token is rejected at Connect; version skew is
   // FailedPrecondition.
-  net::ClientOptions bad;
-  bad.auth_token = "wrong";
-  EXPECT_TRUE(PricingClient::Connect("127.0.0.1", front->port(), bad)
-                  .status()
-                  .IsUnauthenticated());
+  // So are a proper prefix of the token and a one-byte extension of it:
+  // the compare covers every byte, and a length mismatch fails like any
+  // other.
+  for (const std::string& wrong :
+       {std::string("wrong"), token.substr(0, token.size() - 1), token + "x"}) {
+    net::ClientOptions bad;
+    bad.auth_token = wrong;
+    EXPECT_TRUE(PricingClient::Connect("127.0.0.1", front->port(), bad)
+                    .status()
+                    .IsUnauthenticated())
+        << wrong;
+  }
   net::HelloRequest skewed;
   skewed.version = 999;
   skewed.token = token;

@@ -12,8 +12,12 @@
 // router shards campaigns across its backends by rendezvous hashing,
 // fans decide batches out by owner, health-probes every backend, and
 // fails over cleanly (Unavailable, never a crash) when one dies
-// (src/router/router.h). --auth-token applies to both sides: clients
-// must hello with it, and the router presents it to its backends.
+// (src/router/router.h). --workers N sets the reactor threads, each of
+// which forwards the decide batches of its own connections to every
+// owning backend and waits for the answers, and the width of the side
+// lane that control and export frames run on. --auth-token applies to
+// both sides: clients must hello with it, and the router presents it to
+// its backends.
 //
 // TLS also applies to both sides: --tls-cert/--tls-key terminate TLS on
 // the router's own port, and --tls-ca makes every backend connection
@@ -113,7 +117,11 @@ int main(int argc, char** argv) {
           "                         [--stats-every SECS]\n"
           "                         [--auth-token TOKEN]\n"
           "                         [--tls-cert PEM --tls-key PEM]\n"
-          "                         [--tls-ca PEM]\n");
+          "                         [--tls-ca PEM]\n"
+          "  --workers N  reactor threads, each forwarding its connections'\n"
+          "               decide batches to the backends from that thread;\n"
+          "               control and export frames run on a side lane as\n"
+          "               wide (default 4)\n");
       return 0;
     }
   }

@@ -10,6 +10,9 @@
 // retire campaigns with control frames and price them with decide-batch
 // frames (protocol in src/net/wire.h; client in src/net/client.h). Runs
 // until SIGINT/SIGTERM, then drains in-flight batches and exits.
+// --workers N sets the reactor threads -- each reads, decides and answers
+// the decide frames of the connections assigned to it -- and the width of
+// the side lane that control and export frames run on.
 // --stats-every N prints serving counters every N seconds (0 disables).
 // --auth-token requires every connection to hello with the token first.
 // --tls-cert/--tls-key switch the wire to TLS; --tls-ca additionally
@@ -83,7 +86,10 @@ int main(int argc, char** argv) {
           "                        [--max-frame-mb N] [--stats-every SECS]\n"
           "                        [--auth-token TOKEN]\n"
           "                        [--tls-cert PEM --tls-key PEM "
-          "[--tls-ca PEM]]\n");
+          "[--tls-ca PEM]]\n"
+          "  --workers N  reactor threads, each answering its connections'\n"
+          "               decides inline; control and export frames run on\n"
+          "               a side lane as wide (default 4)\n");
       return 0;
     }
   }
