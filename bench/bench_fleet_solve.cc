@@ -3,7 +3,7 @@
 //
 // Part 1 -- wave solving: stamp a 10k-campaign wave from 16 rate profiles
 // (N=36, NT=24, 20-action grid) and solve it through engine::SolveWave
-// over a SolverPool with a shared PmfShareCache, against the sequential
+// over a ThreadPool with a shared PmfShareCache, against the sequential
 // Engine::Solve baseline. A sample of wave artifacts must serialize
 // bit-identically to their sequential counterparts (the farm's determinism
 // contract), and campaigns stamped from the same profile must share pmf
@@ -46,6 +46,7 @@
 #include "stats/poisson.h"
 #include "util/stringf.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 using namespace crowdprice;
 
@@ -196,8 +197,7 @@ int main(int argc, char** argv) {
   const double sequential_seconds = Seconds(sequential_start);
 
   kernel::PmfShareCache wave_cache;
-  engine::SolverPool wave_pool(static_cast<int>(hw_threads),
-                               /*background=*/false);
+  ThreadPool wave_pool(static_cast<int>(hw_threads), /*background=*/false);
   engine::SolveWaveOptions wave_options;
   wave_options.pool = &wave_pool;
   wave_options.share_cache = &wave_cache;
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
   Table curve_table({"pool threads", "wave s", "waves/sec"});
   for (int threads : {1, 2, 4, 8}) {
     kernel::PmfShareCache curve_cache;
-    engine::SolverPool curve_pool(threads, /*background=*/false);
+    ThreadPool curve_pool(threads, /*background=*/false);
     engine::SolveWaveOptions curve_options;
     curve_options.pool = &curve_pool;
     curve_options.share_cache = &curve_cache;
@@ -356,8 +356,7 @@ int main(int argc, char** argv) {
   // Storm: a background-priority farm chews re-solves while the same
   // passes are timed. The lane coalesces per campaign, so keep re-arming
   // until the timed passes finish.
-  engine::SolverPool storm_pool(static_cast<int>(hw_threads),
-                                /*background=*/true);
+  ThreadPool storm_pool(static_cast<int>(hw_threads), /*background=*/true);
   serving::ResolveLane lane(&map, &storm_pool);
   // Prime the farm synchronously (one re-solve per campaign) so the timed
   // passes are guaranteed to overlap live solving, then keep re-arming

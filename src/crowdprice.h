@@ -21,7 +21,6 @@
 #include "engine/policy_artifact.h" // IWYU pragma: export
 #include "engine/policy_spec.h"     // IWYU pragma: export
 #include "engine/solve_wave.h"      // IWYU pragma: export
-#include "engine/solver_pool.h"     // IWYU pragma: export
 #include "engine/solver_registry.h" // IWYU pragma: export
 #include "kernel/layer_scan.h"      // IWYU pragma: export
 #include "kernel/pmf_arena.h"       // IWYU pragma: export
@@ -59,5 +58,6 @@
 #include "util/status.h"            // IWYU pragma: export
 #include "util/stringf.h"           // IWYU pragma: export
 #include "util/table.h"             // IWYU pragma: export
+#include "util/thread_pool.h"       // IWYU pragma: export
 
 #endif  // CROWDPRICE_CROWDPRICE_H_

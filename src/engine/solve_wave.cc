@@ -40,8 +40,8 @@ Result<PolicyArtifact> SolveOne(const PolicySpec& spec,
 
 std::vector<Result<PolicyArtifact>> SolveWave(std::span<const PolicySpec> specs,
                                               const SolveWaveOptions& options) {
-  SolverPool& pool = options.pool != nullptr ? *options.pool
-                                             : SolverPool::Shared();
+  ThreadPool& pool = options.pool != nullptr ? *options.pool
+                                             : ThreadPool::Background();
   std::vector<Result<PolicyArtifact>> results;
   results.reserve(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {

@@ -2,7 +2,7 @@
 //
 // A fleet re-prices campaigns in waves: thousands of PolicySpecs at once,
 // most of them small deadline solves stamped from a handful of rate
-// profiles. SolveWave fans the specs out across a SolverPool (one solve
+// profiles. SolveWave fans the specs out across a ThreadPool (one solve
 // per job; the caller's thread helps drain the queue instead of sleeping)
 // and routes every deadline solve through a shared PmfShareCache, so
 // campaigns whose rates coincide adopt each other's truncated-Poisson
@@ -27,15 +27,18 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "engine/solver_pool.h"
 #include "kernel/pmf_cache.h"
 #include "util/result.h"
+#include "util/thread_pool.h"
 
 namespace crowdprice::engine {
 
+/// The former name of the solve farm's pool, for code that still spells it.
+using SolverPool = ThreadPool;
+
 struct SolveWaveOptions {
-  /// Farm to run on; null uses SolverPool::Shared().
-  SolverPool* pool = nullptr;
+  /// Farm to run on; null uses ThreadPool::Background().
+  ThreadPool* pool = nullptr;
   /// Cross-campaign pmf sharing for the wave's deadline solves (and, with
   /// `evaluate`, their forward passes). Null disables sharing; the default
   /// is the process-wide cache.

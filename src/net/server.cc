@@ -19,10 +19,10 @@
 #include <utility>
 #include <vector>
 
-#include "engine/solver_pool.h"
 #include "net/tls_transport.h"
 #include "util/macros.h"
 #include "util/stringf.h"
+#include "util/thread_pool.h"
 
 namespace crowdprice::net {
 
@@ -160,10 +160,9 @@ struct Reactor {
 };
 
 /// Decide batches with at least this many requests fan out per shard on
-/// the map's serving pool; smaller ones answer inline on the reactor.
-/// Pool regions serialize across concurrent callers, so the pool trades
-/// cross-connection concurrency for within-batch parallelism and only
-/// pays off on big batches.
+/// ThreadPool::Shared(); smaller ones answer inline on the reactor. A
+/// fan-out pays a hand-off to pool workers and back, so it only pays off
+/// on big batches.
 constexpr size_t kPoolBatchThreshold = 256;
 
 /// The CampaignShardMap adapter behind Create(map, ...). It decodes each
@@ -259,7 +258,7 @@ struct PricingServer::Impl {
   /// Control and export frames: an artifact decode or a router forward
   /// runs here, never on a reactor. Destroyed after the reactors stop and
   /// before they are freed, so every reply it posts finds its inbox.
-  std::unique_ptr<engine::SolverPool> lane;
+  std::unique_ptr<ThreadPool> lane;
 
   /// Stop() called: no new accepts, reactors drain. drain_deadline is
   /// written before `stopping` is released and read after it is acquired.
@@ -825,8 +824,8 @@ Status PricingServer::Start() {
   impl_->bound_port = ntohs(addr.sin_port);
   impl_->stopping.store(false, std::memory_order_release);
   impl_->reactors = std::move(reactors);
-  impl_->lane = std::make_unique<engine::SolverPool>(
-      impl_->options.num_workers, /*background=*/false);
+  impl_->lane = std::make_unique<ThreadPool>(impl_->options.num_workers,
+                                            /*background=*/false);
   Impl* impl = impl_.get();
   for (size_t i = 0; i < impl_->reactors.size(); ++i) {
     Reactor* reactor = impl_->reactors[i].get();

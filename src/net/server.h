@@ -11,8 +11,8 @@
 //     there: batches under 256 requests walk CampaignShardMap::Decide per
 //     request -- an RCU-guarded pointer chase with no locks -- so N
 //     connections price concurrently and a control op on one shard never
-//     stalls anyone, while bigger batches fan out per shard on the map's
-//     serving pool.
+//     stalls anyone, while bigger batches fan out per shard on
+//     ThreadPool::Shared().
 //   - Control plane: a kControlRequest payload goes to
 //     ServingSurface::ApplyControlPayload as it arrived, and the ack
 //     payload it returns goes back as it is. Over a shard map the payload
@@ -42,7 +42,7 @@
 // also accepts, handing each new connection to the reactor with the fewest
 // open ones (least-connections: independent connections land on different
 // reactors, and a closed connection frees its slot). Control and export
-// frames run on a side lane (an engine::SolverPool as wide as the
+// frames run on a side lane (a ThreadPool of its own as wide as the
 // reactors, at normal priority), so a multi-millisecond artifact decode or
 // a router forward never stalls the decides on a reactor. While its op
 // runs the connection is parked -- no further frame of it is parsed and

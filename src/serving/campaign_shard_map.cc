@@ -228,15 +228,9 @@ struct CampaignShardMap::Shard {
 };
 
 struct CampaignShardMap::Impl {
-  // ThreadPool's argument is total parallelism including the calling
-  // thread (it spawns one fewer worker), so pass the shard/core budget
-  // undecremented. Workers pin to cores: a shard's slice then keeps its
-  // index and counters hot in one core's cache across batch passes.
   explicit Impl(int shard_count)
       : num_shards(shard_count),
         shards(static_cast<size_t>(shard_count)),
-        pool(std::min(shard_count, ThreadPool::DefaultThreads()),
-             /*pin_to_cores=*/true),
         snapshot_counters(std::make_shared<SnapshotCounters>()) {
     for (auto& shard : shards) shard = std::make_unique<Shard>();
   }
@@ -294,7 +288,6 @@ struct CampaignShardMap::Impl {
 
   int num_shards;
   std::vector<std::unique_ptr<Shard>> shards;
-  ThreadPool pool;
   std::shared_ptr<SnapshotCounters> snapshot_counters;
   std::atomic<CampaignId> next_id{1};
 };
@@ -487,7 +480,8 @@ std::vector<DecideResponse> CampaignShardMap::DecideBatch(
     by_shard[static_cast<size_t>(shard_index)].push_back(i);
   }
 
-  impl_->pool.ParallelFor(impl_->num_shards, [&](int64_t shard_index) {
+  ThreadPool& pool = ThreadPool::Shared();
+  pool.ParallelFor(impl_->num_shards, [&](int64_t shard_index) {
     const auto& indices = by_shard[static_cast<size_t>(shard_index)];
     if (indices.empty()) return;
     Shard& shard = *impl_->shards[static_cast<size_t>(shard_index)];
@@ -605,24 +599,21 @@ Result<BorrowedController> CampaignShardMap::BorrowController(CampaignId id) {
   return BorrowedController(snapshot, snapshot->controller());
 }
 
-void CampaignShardMap::ParallelOverShards(const std::function<void(int)>& fn) {
-  impl_->pool.ParallelFor(impl_->num_shards, [&](int64_t shard_index) {
-    fn(static_cast<int>(shard_index));
-  });
-}
-
 void CampaignShardMap::ParallelOverShardsWith(
     const std::function<void(int)>& fn, const std::function<void()>& extra) {
   // The extra lane rides the same region as index num_shards; the pool
   // load-balances, so it overlaps whichever shard passes are still
-  // running.
-  impl_->pool.ParallelFor(impl_->num_shards + 1, [&](int64_t index) {
-    if (index < impl_->num_shards) {
-      fn(static_cast<int>(index));
-    } else {
-      extra();
-    }
-  });
+  // running. As in DecideBatch, at most num_shards threads take part.
+  ThreadPool::Shared().ParallelFor(
+      impl_->num_shards + 1,
+      [&](int64_t index) {
+        if (index < impl_->num_shards) {
+          fn(static_cast<int>(index));
+        } else {
+          extra();
+        }
+      },
+      impl_->num_shards);
 }
 
 void CampaignShardMap::AddDecides(int shard_index, uint64_t count) {

@@ -2,11 +2,11 @@
 //
 // A live marketplace runs many concurrent task batches; each one is a
 // solved policy (engine::PolicyArtifact) plus the controller playing it.
-// The shard map owns those campaigns, partitions them across a fixed
-// worker-thread pool by campaign id, and serves lookups in batches: each
-// lookup is a market::DecisionRequest answered by the campaign policy's
-// OfferSheet (one offer per task type). DecideBatch partitions a request
-// vector by shard and answers every shard's slice on its own pool thread,
+// The shard map owns those campaigns, partitions them into shards by
+// campaign id, and serves lookups in batches: each lookup is a
+// market::DecisionRequest answered by the campaign policy's OfferSheet
+// (one offer per task type). DecideBatch partitions a request vector by
+// shard and answers the shards' slices in parallel on ThreadPool::Shared(),
 // so one call resolves sheets for hundreds of campaigns with no
 // per-request locking and no cross-shard contention.
 //
@@ -248,10 +248,9 @@ struct SnapshotStats {
 
 class CampaignShardMap {
  public:
-  /// num_shards in [1, 4096]. The map starts a worker pool of up to
-  /// min(num_shards, hardware_concurrency) threads, pinned to cores for
-  /// cache locality (batch passes use one thread per shard, so more
-  /// shards than cores just queue).
+  /// num_shards in [1, 4096]. The map starts no threads: batch and shard
+  /// passes run on ThreadPool::Shared(), one shard per task, so at most
+  /// min(num_shards, hardware_concurrency) threads serve one pass.
   static Result<CampaignShardMap> Create(int num_shards);
 
   ~CampaignShardMap();
@@ -302,7 +301,7 @@ class CampaignShardMap {
                                     const market::DecisionRequest& request);
 
   /// Batched lookups: requests are partitioned by shard and each shard's
-  /// slice is answered on its own pool thread in one read-guarded pass --
+  /// slice is answered by one pool thread in one read-guarded pass --
   /// no locks taken, so concurrent Admit/Swap/Retire never stall the
   /// batch. Responses align with `requests` index-for-index; per-request
   /// failures (unknown campaign, controller error) land in the response
@@ -345,18 +344,13 @@ class CampaignShardMap {
   /// from exactly one shard thread).
   Result<BorrowedController> BorrowController(CampaignId id);
 
-  /// Runs fn(shard) for every shard concurrently on the serving pool. fn
-  /// runs with no map lock or read guard held, so it may call any public
-  /// method -- but NOT DecideBatch or ParallelOverShards, which would
-  /// nest a region on the same non-reentrant pool and deadlock.
-  void ParallelOverShards(const std::function<void(int)>& fn);
-
-  /// Same, plus one `extra` task run concurrently with the shard passes
-  /// (the streaming fleet's admission lane: Admit/Retire/SwapArtifact
-  /// only take the target shard's writer mutex, and serving reads never
-  /// take even that, so campaigns enter the map while every shard keeps
-  /// being ticked, with no global barrier). `extra` obeys the same rules
-  /// as fn.
+  /// Runs fn(shard) for every shard concurrently on ThreadPool::Shared(),
+  /// plus one `extra` task run concurrently with the shard passes (the
+  /// streaming fleet's admission lane: Admit/Retire/SwapArtifact only
+  /// take the target shard's writer mutex, and serving reads never take
+  /// even that, so campaigns enter the map while every shard keeps being
+  /// ticked, with no global barrier). fn and `extra` run with no map lock
+  /// or read guard held, so they may call any public method.
   void ParallelOverShardsWith(const std::function<void(int)>& fn,
                               const std::function<void()>& extra);
 

@@ -12,9 +12,8 @@
 
 namespace crowdprice::serving {
 
-ResolveLane::ResolveLane(CampaignShardMap* map, engine::SolverPool* pool)
-    : map_(map),
-      pool_(pool != nullptr ? pool : &engine::SolverPool::Shared()) {}
+ResolveLane::ResolveLane(CampaignShardMap* map, ThreadPool* pool)
+    : map_(map), pool_(pool != nullptr ? pool : &ThreadPool::Background()) {}
 
 ResolveLane::~ResolveLane() { Drain(); }
 

@@ -4,11 +4,11 @@
 // the only way to refresh a live campaign's policy was to solve inline and
 // Apply a swap -- a re-solve storm stalled whatever thread it ran on. The
 // lane decouples the two halves: EnqueueResolve hands the solve to a
-// SolverPool (background-priority workers, engine/solver_pool.h) and the
-// finished artifact hot-swaps in via ControlOp::SwapArtifactShared --
-// which publishes a fresh RCU snapshot, so DecideBatch never blocks on a
-// re-solve; lookups answer from the old policy until the instant the new
-// one is published.
+// ThreadPool (by default ThreadPool::Background(), whose workers run at
+// idle priority) and the finished artifact hot-swaps in via
+// ControlOp::SwapArtifactShared -- which publishes a fresh RCU snapshot,
+// so DecideBatch never blocks on a re-solve; lookups answer from the old
+// policy until the instant the new one is published.
 //
 // Per-campaign coalescing: while a campaign's re-solve is queued or
 // running, further enqueues for it are dropped (counted in
@@ -28,9 +28,9 @@
 #include <unordered_set>
 
 #include "engine/policy_spec.h"
-#include "engine/solver_pool.h"
 #include "serving/campaign_shard_map.h"
 #include "util/result.h"
+#include "util/thread_pool.h"
 
 namespace crowdprice::serving {
 
@@ -48,9 +48,8 @@ class ResolveLane {
   };
 
   /// `map` is not owned and must outlive the lane. Null `pool` uses
-  /// SolverPool::Shared().
-  explicit ResolveLane(CampaignShardMap* map,
-                       engine::SolverPool* pool = nullptr);
+  /// ThreadPool::Background().
+  explicit ResolveLane(CampaignShardMap* map, ThreadPool* pool = nullptr);
   /// Drains before destruction (queued jobs reference the lane).
   ~ResolveLane();
 
@@ -80,7 +79,7 @@ class ResolveLane {
   void RunResolve(CampaignId id, const engine::PolicySpec& spec);
 
   CampaignShardMap* const map_;
-  engine::SolverPool* const pool_;
+  ThreadPool* const pool_;
 
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;

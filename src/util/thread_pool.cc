@@ -1,10 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
+#include <utility>
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sched.h>
 #endif
 
@@ -12,118 +11,169 @@ namespace crowdprice {
 
 namespace {
 
-/// Best-effort: pin the calling thread to `core`. Failure (cgroup
-/// restrictions, exotic topologies) is ignored -- pinning is a locality
-/// hint, never a correctness requirement.
-void PinThisThreadToCore(int core) {
+void DropToBackgroundPriority() {
 #if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<size_t>(core) %
-              static_cast<size_t>(ThreadPool::DefaultThreads()),
-          &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)core;
+  // SCHED_IDLE is per-thread, unprivileged, and exactly the contract the
+  // farm wants: run only when nothing latency-sensitive is runnable.
+  sched_param param{};
+  sched_setscheduler(0, SCHED_IDLE, &param);
 #endif
 }
 
 }  // namespace
 
-ThreadPool::ThreadPool(int num_threads, bool pin_to_cores) {
-  const int n = std::max(0, num_threads - 1);
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i, pin_to_cores] {
-      // Worker i takes core i + 1; core 0 is left for the calling thread,
-      // which participates in every region.
-      if (pin_to_cores) PinThisThreadToCore(i + 1);
-      WorkerLoop();
-    });
+/// One ParallelFor call. Helper jobs hold it by shared_ptr because they
+/// can start after the call returned; `fn` lives on the caller's stack,
+/// so only a helper that entered before `closed` may call it.
+struct ThreadPool::Region {
+  Region(const std::function<void(int64_t)>* fn, int64_t count)
+      : fn(fn), count(count) {}
+
+  void RunIndices() {
+    int64_t i;
+    while ((i = next.fetch_add(1, std::memory_order_relaxed)) < count) {
+      (*fn)(i);
+    }
+  }
+
+  /// A helper job's body.
+  void Help() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (closed) return;
+      ++inside;
+    }
+    RunIndices();
+    std::lock_guard<std::mutex> lock(mu);
+    if (--inside == 0 && closed) done_cv.notify_one();
+  }
+
+  /// The caller's side: once its own RunIndices returns every index is
+  /// claimed; close the region and wait out the helpers inside it.
+  void Close() {
+    std::unique_lock<std::mutex> lock(mu);
+    closed = true;
+    done_cv.wait(lock, [this] { return inside == 0; });
+  }
+
+  const std::function<void(int64_t)>* const fn;
+  const int64_t count;
+  std::atomic<int64_t> next{0};
+
+  std::mutex mu;
+  std::condition_variable done_cv;
+  int inside = 0;       ///< helpers running indices (under mu)
+  bool closed = false;  ///< the caller stopped waiting for helpers (under mu)
+};
+
+ThreadPool::ThreadPool(Workers workers, bool background) {
+  // Submit needs a queue even when Shared() starts no workers.
+  const int queues = std::max(1, workers.count);
+  for (int i = 0; i < queues; ++i) {
+    queues_.push_back(std::make_unique<Queue>());
+  }
+  workers_.reserve(static_cast<size_t>(workers.count));
+  for (int i = 0; i < workers.count; ++i) {
+    workers_.emplace_back(
+        [this, i, background] { WorkerLoop(i, background); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(sleep_mu_);
     shutdown_ = true;
   }
   work_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
+  for (std::thread& worker : workers_) {
+    worker.join();
   }
 }
 
-void ThreadPool::WorkerLoop() {
-  uint64_t seen_generation = 0;
-  while (true) {
-    const std::function<void(int64_t)>* fn = nullptr;
-    std::atomic<int64_t>* next = nullptr;
-    std::atomic<int>* slots = nullptr;
-    int64_t count = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return shutdown_ || generation_ != seen_generation;
-      });
-      if (shutdown_) return;
-      seen_generation = generation_;
-      fn = fn_;
-      next = next_;
-      slots = slots_;
-      count = count_;
-    }
-    // Honor the region's parallelism cap: workers that don't win a slot
-    // bow out without touching the index stream.
-    if (slots->fetch_sub(1, std::memory_order_relaxed) > 0) {
-      int64_t i;
-      while ((i = next->fetch_add(1, std::memory_order_relaxed)) < count) {
-        (*fn)(i);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --workers_running_;
-    }
-    done_cv_.notify_one();
+void ThreadPool::Submit(std::function<void()> job) {
+  const size_t target = static_cast<size_t>(
+      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size());
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(queues_[target]->mu);
+    queues_[target]->jobs.push_back(std::move(job));
   }
+  {
+    std::lock_guard<std::mutex> lock(sleep_mu_);
+    ++queued_;
+  }
+  work_cv_.notify_one();
+}
+
+bool ThreadPool::PopJob(int home, std::function<void()>* job) {
+  const size_t count = queues_.size();
+  const size_t start = home >= 0 ? static_cast<size_t>(home) : 0;
+  for (size_t i = 0; i < count; ++i) {
+    Queue& q = *queues_[(start + i) % count];
+    std::lock_guard<std::mutex> lock(q.mu);
+    if (q.jobs.empty()) continue;
+    if (i == 0 && home >= 0) {
+      // Owner drains its own queue in FIFO order...
+      *job = std::move(q.jobs.front());
+      q.jobs.pop_front();
+    } else {
+      // ...thieves steal from the opposite end.
+      *job = std::move(q.jobs.back());
+      q.jobs.pop_back();
+    }
+    std::lock_guard<std::mutex> sleep_lock(sleep_mu_);
+    --queued_;
+    return true;
+  }
+  return false;
+}
+
+void ThreadPool::RunJob(std::function<void()>* job) {
+  (*job)();
+  *job = nullptr;
+  completed_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ThreadPool::WorkerLoop(int index, bool background) {
+  if (background) DropToBackgroundPriority();
+  std::function<void()> job;
+  for (;;) {
+    if (PopJob(index, &job)) {
+      RunJob(&job);
+      continue;
+    }
+    std::unique_lock<std::mutex> lock(sleep_mu_);
+    // Queued jobs are always drained before shutdown completes.
+    if (shutdown_ && queued_ == 0) return;
+    work_cv_.wait(lock, [this] { return queued_ > 0 || shutdown_; });
+  }
+}
+
+bool ThreadPool::TryRunOne() {
+  std::function<void()> job;
+  if (!PopJob(/*home=*/-1, &job)) return false;
+  RunJob(&job);
+  return true;
 }
 
 void ThreadPool::ParallelFor(int64_t count,
                              const std::function<void(int64_t)>& fn,
                              int max_parallelism) {
   if (count <= 0) return;
-  if (workers_.empty() || count == 1 || max_parallelism == 1) {
+  int64_t helpers = std::min<int64_t>(size(), count - 1);
+  if (max_parallelism > 0) {
+    helpers = std::min<int64_t>(helpers, max_parallelism - 1);
+  }
+  if (helpers == 0) {
     for (int64_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  std::lock_guard<std::mutex> region(region_mutex_);
-  std::atomic<int64_t> next{0};
-  // The calling thread takes one slot; the rest go to pool workers.
-  std::atomic<int> slots{max_parallelism <= 0
-                             ? static_cast<int>(workers_.size())
-                             : std::min(static_cast<int>(workers_.size()),
-                                        max_parallelism - 1)};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fn_ = &fn;
-    next_ = &next;
-    slots_ = &slots;
-    count_ = count;
-    workers_running_ = static_cast<int>(workers_.size());
-    ++generation_;
+  auto region = std::make_shared<Region>(&fn, count);
+  for (int64_t h = 0; h < helpers; ++h) {
+    Submit([region] { region->Help(); });
   }
-  work_cv_.notify_all();
-  // The calling thread participates.
-  int64_t i;
-  while ((i = next.fetch_add(1, std::memory_order_relaxed)) < count) {
-    fn(i);
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return workers_running_ == 0; });
-  fn_ = nullptr;
-  next_ = nullptr;
-  slots_ = nullptr;
+  region->RunIndices();
+  region->Close();
 }
 
 int ThreadPool::DefaultThreads() {
@@ -132,8 +182,15 @@ int ThreadPool::DefaultThreads() {
 }
 
 ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(DefaultThreads());
-  return pool;
+  static ThreadPool* pool =
+      new ThreadPool(Workers{DefaultThreads() - 1}, /*background=*/false);
+  return *pool;
+}
+
+ThreadPool& ThreadPool::Background() {
+  static ThreadPool* pool =
+      new ThreadPool(DefaultThreads(), /*background=*/true);
+  return *pool;
 }
 
 }  // namespace crowdprice

@@ -1,12 +1,24 @@
-// A small fixed-size worker pool for data-parallel loops.
+// ThreadPool: the process's one worker-pool type.
 //
-// The DP solvers scan O(N) independent states per layer; on multi-core
-// hosts that scan is split across a shared pool sized by
-// hardware_concurrency. The pool is deliberately minimal: one parallel
-// region at a time (concurrent ParallelFor calls from different threads
-// serialize on an internal mutex), no futures, no work stealing. Worker
-// threads are started lazily on the first parallel region and live for the
-// process lifetime of the shared instance.
+// Each worker owns a job deque: Submit pushes round-robin, a worker drains
+// its own deque front first and steals from the back of the others, and
+// any thread can help drain the pool with TryRunOne (how SolveWave lends
+// its own thread instead of sleeping). ParallelFor is built on Submit: the
+// caller queues helper jobs and runs indices itself, and then waits only
+// for the helpers that already entered its region -- a helper that starts
+// later finds the region closed and returns. So regions from different
+// callers run side by side, and a region may nest inside another on the
+// same pool (a shard pass that re-plans an adaptive campaign runs the DP's
+// layer scans on the pool that runs the pass).
+//
+// Two process-wide instances: Shared() at normal priority for the DP
+// layer scans and the serving map's shard passes, and Background() for the
+// solve farm, whose workers run at idle priority (SCHED_IDLE on Linux,
+// per thread and unprivileged; no-op elsewhere) so a re-solve storm yields
+// the CPU to serving threads.
+//
+// Jobs must not throw and must not wait for another queued job, which may
+// never start while every worker waits.
 
 #ifndef CROWDPRICE_UTIL_THREAD_POOL_H_
 #define CROWDPRICE_UTIL_THREAD_POOL_H_
@@ -14,7 +26,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -23,54 +37,87 @@ namespace crowdprice {
 
 class ThreadPool {
  public:
-  /// num_threads <= 1 creates an empty pool (ParallelFor runs inline).
-  /// With pin_to_cores, each worker sets its affinity to one core
-  /// (worker i -> core (i + 1) % hardware_concurrency; the calling
-  /// thread is left to the scheduler). Pinning is a cache-locality hint
-  /// for pools whose work is partitioned by index, like the serving
-  /// map's shard passes; it is a no-op on non-Linux platforms.
-  explicit ThreadPool(int num_threads, bool pin_to_cores = false);
+  /// Starts num_threads workers; num_threads <= 0 starts DefaultThreads().
+  /// With `background`, the workers drop to idle scheduling priority.
+  explicit ThreadPool(int num_threads, bool background = false)
+      : ThreadPool(Workers{num_threads > 0 ? num_threads : DefaultThreads()},
+                   background) {}
+  /// Runs every queued job, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Worker threads owned by the pool (the calling thread participates in
-  /// every region too, so total parallelism is size() + 1).
+  /// Worker threads owned by the pool.
   int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Runs fn(i) for every i in [0, count), dynamically load-balanced over
-  /// the pool plus the calling thread; returns when all iterations finish.
-  /// At most max_parallelism threads participate (<= 0 means no cap beyond
-  /// the pool size); the calling thread always counts as one of them.
-  /// fn must not throw. Safe to call from multiple threads (regions
-  /// serialize), but fn itself must not call ParallelFor on the same pool.
+  /// Enqueues a job. Any thread may submit, a running job included.
+  void Submit(std::function<void()> job);
+
+  /// Runs one queued job on the calling thread if any is queued; returns
+  /// whether it ran one. Lets waiters help drain the pool.
+  bool TryRunOne();
+
+  /// Runs fn(i) for every i in [0, count), load-balanced over the calling
+  /// thread and up to min(size(), max_parallelism - 1) workers
+  /// (max_parallelism <= 0: no cap beyond the pool), and returns when
+  /// every call has returned. fn must not throw. Any thread may call it,
+  /// concurrently with other callers, and fn may call ParallelFor on the
+  /// same pool.
   void ParallelFor(int64_t count, const std::function<void(int64_t)>& fn,
                    int max_parallelism = 0);
+
+  /// Jobs submitted and completed so far (diagnostics; ParallelFor's
+  /// helpers count too). A job counts as completed after it returns, so
+  /// completed() can trail a completion signal the job itself sends.
+  int64_t submitted() const {
+    return submitted_.load(std::memory_order_relaxed);
+  }
+  int64_t completed() const {
+    return completed_.load(std::memory_order_relaxed);
+  }
 
   /// hardware_concurrency, with a floor of 1.
   static int DefaultThreads();
 
-  /// Process-wide pool with DefaultThreads() - 1 workers.
+  /// Process-wide normal-priority pool with DefaultThreads() - 1 workers
+  /// (the caller of a region is the last thread; a one-core host gets no
+  /// workers and runs regions inline): DP layer scans and shard passes.
+  /// Started on first use, never destroyed.
   static ThreadPool& Shared();
 
+  /// Process-wide idle-priority pool with DefaultThreads() workers: the
+  /// default farm for SolveWave and ResolveLane. Started on first use,
+  /// never destroyed.
+  static ThreadPool& Background();
+
  private:
-  void WorkerLoop();
+  struct Workers {
+    int count;  ///< exact; Shared() may start none
+  };
+  struct Queue {
+    std::mutex mu;
+    std::deque<std::function<void()>> jobs;
+  };
+  struct Region;
+
+  ThreadPool(Workers workers, bool background);
+
+  void WorkerLoop(int index, bool background);
+  bool PopJob(int home, std::function<void()>* job);
+  void RunJob(std::function<void()>* job);
+
+  std::vector<std::unique_ptr<Queue>> queues_;  ///< one per worker (>= 1)
+  std::atomic<uint64_t> next_queue_{0};         ///< round-robin submit cursor
+  std::atomic<int64_t> submitted_{0};
+  std::atomic<int64_t> completed_{0};
+
+  std::mutex sleep_mu_;
+  std::condition_variable work_cv_;
+  int64_t queued_ = 0;  ///< jobs not yet popped (under sleep_mu_)
+  bool shutdown_ = false;
 
   std::vector<std::thread> workers_;
-
-  std::mutex region_mutex_;  ///< serializes ParallelFor regions
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  uint64_t generation_ = 0;
-  int workers_running_ = 0;
-  bool shutdown_ = false;
-  const std::function<void(int64_t)>* fn_ = nullptr;
-  std::atomic<int64_t>* next_ = nullptr;
-  std::atomic<int>* slots_ = nullptr;  ///< remaining worker participation slots
-  int64_t count_ = 0;
 };
 
 }  // namespace crowdprice

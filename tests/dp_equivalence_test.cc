@@ -10,9 +10,17 @@
 #include "pricing/deadline_dp.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -20,6 +28,8 @@
 #include "kernel/layer_scan.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+
+#include "test_util.h"
 
 namespace crowdprice::pricing {
 namespace {
@@ -241,13 +251,98 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 0);
+TEST(ThreadPoolTest, MaxParallelismOneRunsOnTheCallingThread) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
   int64_t sum = 0;
-  pool.ParallelFor(100, [&](int64_t i) { sum += i; });  // inline: no races
+  int64_t elsewhere = 0;
+  pool.ParallelFor(
+      100,
+      [&](int64_t i) {
+        sum += i;  // inline: no races
+        if (std::this_thread::get_id() != caller) ++elsewhere;
+      },
+      /*max_parallelism=*/1);
   EXPECT_EQ(sum, 99 * 100 / 2);
+  EXPECT_EQ(elsewhere, 0);
+  EXPECT_EQ(pool.submitted(), 0);
 }
+
+TEST(ThreadPoolTest, NestedParallelForOnOnePoolCompletes) {
+  constexpr int64_t kSide = 64;
+  for (const int workers : {1, 3}) {
+    ThreadPool pool(workers);
+    std::vector<std::atomic<int>> hits(kSide * kSide);
+    for (auto& h : hits) h.store(0);
+    test_util::RunWithWatchdog(
+        "nested ParallelFor", std::chrono::seconds(20), [&] {
+          pool.ParallelFor(kSide, [&](int64_t row) {
+            pool.ParallelFor(kSide, [&](int64_t col) {
+              hits[static_cast<size_t>(row * kSide + col)].fetch_add(1);
+            });
+          });
+        });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "workers " << workers << " cell " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrentRegionsOverlap) {
+  // Two callers, each with a 2-index region on a 2-worker pool: each
+  // region takes one helper, so all four bodies can be inside fn at once
+  // only if neither region waits for the other.
+  ThreadPool pool(2);
+  std::atomic<int> inside{0};
+  std::atomic<int> saw_all{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  auto body = [&](int64_t) {
+    inside.fetch_add(1);
+    while (inside.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (inside.load() == 4) saw_all.fetch_add(1);
+  };
+  std::thread other([&] { pool.ParallelFor(2, body); });
+  pool.ParallelFor(2, body);
+  other.join();
+  EXPECT_EQ(saw_all.load(), 4);
+}
+
+TEST(ThreadPoolTest, DestructorRunsEveryQueuedJob) {
+  std::atomic<int> ran{0};
+  std::promise<void> release;
+  std::thread releaser;
+  {
+    ThreadPool pool(1);
+    std::shared_future<void> released = release.get_future().share();
+    pool.Submit([released] { released.wait(); });
+    for (int i = 0; i < 16; ++i) pool.Submit([&ran] { ran.fetch_add(1); });
+    // The only worker is parked on the first job, so the other 16 are
+    // still queued when the destructor starts.
+    releaser = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      release.set_value();
+    });
+  }
+  releaser.join();
+  EXPECT_EQ(ran.load(), 16);
+}
+
+#if defined(__linux__)
+TEST(ThreadPoolTest, BackgroundWorkersRunAtIdlePriority) {
+  ThreadPool background(1, /*background=*/true);
+  ThreadPool normal(1);
+  std::promise<int> background_policy;
+  std::promise<int> normal_policy;
+  background.Submit(
+      [&] { background_policy.set_value(sched_getscheduler(0)); });
+  normal.Submit([&] { normal_policy.set_value(sched_getscheduler(0)); });
+  EXPECT_EQ(background_policy.get_future().get(), SCHED_IDLE);
+  EXPECT_EQ(normal_policy.get_future().get(), sched_getscheduler(0));
+}
+#endif
 
 }  // namespace
 }  // namespace crowdprice::pricing

@@ -13,6 +13,7 @@
 #include "market/fleet_simulator.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -25,8 +26,11 @@
 #include "market/controller.h"
 #include "market/session.h"
 #include "market/simulator.h"
+#include "pricing/adaptive.h"
 #include "pricing/fixed_price.h"
 #include "util/rng.h"
+
+#include "test_util.h"
 
 namespace crowdprice::market {
 namespace {
@@ -195,6 +199,66 @@ TEST(FleetSimulatorTest, OutcomesMatchSerialAndLifecycleRetiresEveryCampaign) {
     EXPECT_EQ(total.retired_completed + total.retired_deadline,
               blueprints.size());
     EXPECT_GT(total.decides, 0u);
+  }
+}
+
+// Shard passes and the DP's layer scans share ThreadPool::Shared(). An
+// adaptive campaign of 256+ tasks plans on its first decide and re-plans
+// every interval (SolveImprovedDp with num_threads 0, so its layer scans
+// fan out) from inside its shard's pass: a ParallelFor region nested in
+// the pass's own region on the same pool. The fleet must finish and match
+// the serial reference bit for bit.
+TEST(FleetSimulatorTest, AdaptiveReplansInsideShardPassesMatchSerial) {
+  const auto rate =
+      arrival::PiecewiseConstantRate::Create({400.0, 250.0, 500.0, 300.0}, 2.0)
+          .value();
+  LinearAcceptance acceptance;
+  const pricing::ActionSet actions =
+      pricing::ActionSet::FromPriceGrid(30, acceptance).value();
+  pricing::DeadlineProblem problem;
+  problem.num_tasks = 300;
+  problem.num_intervals = 8;
+  problem.penalty_cents = 200.0;
+  pricing::AdaptiveOptions options;
+  options.resolve_every = 1;
+  auto make_controller = [&](int i) {
+    return std::make_unique<pricing::AdaptiveRateController>(
+        pricing::AdaptiveRateController::Create(
+            problem, std::vector<double>(8, 150.0 + 25.0 * i), actions, 8.0,
+            options)
+            .value());
+  };
+  SimulatorConfig config;
+  config.total_tasks = problem.num_tasks;
+  config.horizon_hours = 8.0;
+  config.decision_interval_hours = 1.0;
+  constexpr int kCampaigns = 8;
+
+  std::vector<SimulationResult> want;
+  {
+    Rng master(4242);
+    for (int i = 0; i < kCampaigns; ++i) {
+      Rng child = master.Fork();
+      auto controller = make_controller(i);
+      want.push_back(
+          RunSimulation(config, rate, acceptance, *controller, child).value());
+    }
+  }
+
+  FleetSimulator fleet = FleetSimulator::Create(4).value();
+  Rng master(4242);
+  for (int i = 0; i < kCampaigns; ++i) {
+    Rng child = master.Fork();
+    ASSERT_TRUE(
+        fleet.AdmitController(make_controller(i), config, acceptance, child)
+            .ok());
+  }
+  std::vector<FleetOutcome> outcomes;
+  test_util::RunWithWatchdog("adaptive fleet run", std::chrono::seconds(60),
+                             [&] { outcomes = fleet.Run(rate).value(); });
+  ASSERT_EQ(outcomes.size(), want.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    ExpectBitIdentical(outcomes[i].result, want[i], static_cast<int>(i));
   }
 }
 

@@ -1,5 +1,5 @@
 // ResolveLane tests: the serving layer's async re-solve path. Re-solves
-// run on the SolverPool farm and hot-swap artifacts through the RCU
+// run on a ThreadPool farm and hot-swap artifacts through the RCU
 // snapshot publish, so a re-solve storm must never block DecideBatch --
 // the threaded storm test below is the TSan CI coverage for that claim.
 // Also: per-campaign coalescing, retirement races counted as lost swaps,
@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <future>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -18,8 +19,8 @@
 
 #include "choice/acceptance.h"
 #include "engine/engine.h"
-#include "engine/solver_pool.h"
 #include "serving/campaign_shard_map.h"
+#include "util/thread_pool.h"
 
 #include "test_util.h"
 
@@ -63,7 +64,7 @@ TEST(ServingResolveTest, RescaleSolvesAndHotSwaps) {
   auto map = CampaignShardMap::Create(2).value();
   CampaignId id = Admit(map, SmallDeadlineArtifact(), SmallLimits()).value();
 
-  engine::SolverPool pool(2);
+  ThreadPool pool(2);
   ResolveLane lane(&map, &pool);
   ASSERT_TRUE(lane.EnqueueRescale(id, 2.0).ok());
   lane.Drain();
@@ -96,7 +97,7 @@ TEST(ServingResolveTest, StormOnOneCampaignCoalesces) {
   // A single-worker pool whose worker is parked on a blocker job: every
   // rescale issued meanwhile stays queued, so the 2nd and 3rd coalesce
   // onto the 1st.
-  engine::SolverPool pool(1);
+  ThreadPool pool(1);
   std::promise<void> started;
   std::promise<void> release;
   std::shared_future<void> release_future = release.get_future().share();
@@ -129,7 +130,7 @@ TEST(ServingResolveTest, RetirementDuringSolveIsALostSwapNotAnError) {
   auto map = CampaignShardMap::Create(1).value();
   CampaignId id = Admit(map, SmallDeadlineArtifact(), SmallLimits()).value();
 
-  engine::SolverPool pool(1);
+  ThreadPool pool(1);
   std::promise<void> started;
   std::promise<void> release;
   std::shared_future<void> release_future = release.get_future().share();
@@ -154,7 +155,7 @@ TEST(ServingResolveTest, RetirementDuringSolveIsALostSwapNotAnError) {
 TEST(ServingResolveTest, ValidatesInputs) {
   auto map = CampaignShardMap::Create(1).value();
   CampaignId id = Admit(map, SmallDeadlineArtifact(), SmallLimits()).value();
-  engine::SolverPool pool(1);
+  ThreadPool pool(1);
   ResolveLane lane(&map, &pool);
 
   EXPECT_TRUE(lane.EnqueueRescale(id, 0.0).IsInvalidArgument());
@@ -180,7 +181,9 @@ TEST(ServingResolveTest, ValidatesInputs) {
 // The TSan storm: reader threads hammer DecideBatch while a storm thread
 // floods the lane with rescales. Decides must keep succeeding throughout
 // (the swap publishes RCU snapshots; readers never block on a solve), and
-// the lane/map counters must reconcile exactly once drained.
+// the lane/map counters must reconcile exactly once drained. The storm
+// starts only after every reader has answered a batch, so the readers
+// overlap it however fast it runs.
 TEST(ServingResolveTest, ResolveStormNeverBlocksOrBreaksDecideBatch) {
   constexpr int kCampaigns = 8;
   constexpr int kReaders = 3;
@@ -194,22 +197,32 @@ TEST(ServingResolveTest, ResolveStormNeverBlocksOrBreaksDecideBatch) {
             .value());
   }
 
-  engine::SolverPool pool(2);
+  ThreadPool pool(2);
   ResolveLane lane(&map, &pool);
 
   std::atomic<bool> stop{false};
   std::atomic<int64_t> sheets_served{0};
+  std::latch readers_answered(kReaders);
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&map, &ids, &stop, &sheets_served] {
+    readers.emplace_back([&map, &ids, &stop, &sheets_served,
+                          &readers_answered] {
+      bool answered = false;
       while (!stop.load(std::memory_order_relaxed)) {
         std::vector<DecideRequest> requests;
         requests.reserve(ids.size());
         for (CampaignId id : ids) {
           requests.push_back(DecideRequest::Single(id, 1.0, 12));
         }
-        for (const DecideResponse& response : map.DecideBatch(requests)) {
+        const std::vector<DecideResponse> responses = map.DecideBatch(requests);
+        // Counted before the assertions, so a failing reader cannot leave
+        // the storm waiting.
+        if (!answered) {
+          answered = true;
+          readers_answered.count_down();
+        }
+        for (const DecideResponse& response : responses) {
           ASSERT_TRUE(response.status.ok()) << response.status;
           ASSERT_FALSE(response.sheet.offers.empty());
         }
@@ -219,6 +232,7 @@ TEST(ServingResolveTest, ResolveStormNeverBlocksOrBreaksDecideBatch) {
     });
   }
 
+  readers_answered.wait();
   std::thread storm([&lane, &ids] {
     for (int i = 0; i < kRescales; ++i) {
       const double factor = i % 2 == 0 ? 1.25 : 0.8;

@@ -1,4 +1,4 @@
-// SolveWave tests: batched solving over the SolverPool farm is
+// SolveWave tests: batched solving over a ThreadPool farm is
 // bit-identical to sequential Engine::Solve (Serialize() equality), for
 // any pool size; mixed-kind waves keep spec order with per-slot errors;
 // coinciding rate profiles share pmf blocks through the wave's cache; and
@@ -6,7 +6,9 @@
 
 #include "engine/solve_wave.h"
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,7 +73,7 @@ TEST(SolveWaveTest, BitIdenticalToSequentialSolveForAnyPoolSize) {
   }
 
   for (int threads : {1, 2, 3}) {
-    SolverPool pool(threads);
+    ThreadPool pool(threads);
     kernel::PmfShareCache cache;
     SolveWaveOptions options;
     options.pool = &pool;
@@ -93,7 +95,7 @@ TEST(SolveWaveTest, CoincidingProfilesSharePmfBlocks) {
   for (int i = 0; i < 4; ++i) {
     specs.push_back(DeadlineSpec(20 + i, 1700.0));  // one shared profile
   }
-  SolverPool pool(2);
+  ThreadPool pool(2);
   kernel::PmfShareCache cache;
   SolveWaveOptions options;
   options.pool = &pool;
@@ -116,7 +118,7 @@ TEST(SolveWaveTest, PerSlotErrorsNeverPoisonTheWave) {
   specs.push_back(bad);
   specs.push_back(DeadlineSpec(18, 2100.0));
 
-  SolverPool pool(2);
+  ThreadPool pool(2);
   auto results = SolveWave(specs);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].ok()) << results[0].status();
@@ -129,7 +131,7 @@ TEST(SolveWaveTest, EvaluateFlagPrecomputesNominalEvaluation) {
   specs.push_back(DeadlineSpec(15, 1400.0));
   specs.push_back(DeadlineSpec(22, 2100.0));
 
-  SolverPool pool(2);
+  ThreadPool pool(2);
   kernel::PmfShareCache cache;
   SolveWaveOptions options;
   options.pool = &pool;
@@ -163,7 +165,7 @@ TEST(SolveWaveTest, AdaptiveSpecsPassThroughUntouched) {
   std::vector<PolicySpec> specs;
   specs.push_back(adaptive);
 
-  SolverPool pool(1);
+  ThreadPool pool(1);
   SolveWaveOptions options;
   options.pool = &pool;
   auto results = SolveWave(specs, options);
@@ -177,7 +179,7 @@ TEST(SolveWaveTest, AdaptiveSpecsPassThroughUntouched) {
 }
 
 TEST(SolveWaveTest, PoolCountersBalanceAfterWaves) {
-  SolverPool pool(2);
+  ThreadPool pool(2);
   std::vector<PolicySpec> specs;
   for (int i = 0; i < 5; ++i) specs.push_back(DeadlineSpec(12 + i, 1600.0));
   SolveWaveOptions options;
@@ -185,6 +187,14 @@ TEST(SolveWaveTest, PoolCountersBalanceAfterWaves) {
   options.share_cache = nullptr;  // sharing off is also a supported mode
   auto results = SolveWave(specs, options);
   for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.status();
+  // The wave returns on its last job's own signal, which can come before
+  // the worker counts that job as completed.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pool.completed() < pool.submitted() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(pool.submitted(), 5);
   EXPECT_EQ(pool.completed(), 5);
 }

@@ -25,7 +25,7 @@
 // `solve` is the batch entry to the solve farm: each non-comment line of
 // the --wave file is one deadline campaign "tasks hours rate [penalty]"
 // (penalty omitted = bound mode at E[remaining] <= 0.5), and the whole
-// file is solved as one engine::SolveWave over a SolverPool, sharing
+// file is solved as one engine::SolveWave over a ThreadPool, sharing
 // truncated-Poisson blocks across campaigns via the process-wide
 // PmfShareCache.
 // `multitype` solves the §6 joint two-type policy, plays it through the
@@ -702,7 +702,7 @@ int RunSolveWave(const Args& args) {
     return 1;
   }
 
-  engine::SolverPool pool(threads, /*background=*/false);
+  ThreadPool pool(threads, /*background=*/false);
   engine::SolveWaveOptions options;
   options.pool = &pool;
   options.evaluate = args.Has("evaluate");
