@@ -43,6 +43,7 @@
 #include "pricing/policy_eval.h"
 #include "serving/campaign_shard_map.h"
 #include "serving/resolve_lane.h"
+#include "stats/descriptive.h"
 #include "stats/poisson.h"
 #include "util/stringf.h"
 #include "util/table.h"
@@ -135,14 +136,6 @@ double LegacyNominalEvaluate(const pricing::DeadlinePlan& plan) {
     dist.swap(next);
   }
   return expected_cost;
-}
-
-double Percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const size_t idx = static_cast<size_t>(
-      q * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[std::min(idx, samples.size() - 1)];
 }
 
 }  // namespace
@@ -351,7 +344,7 @@ int main(int argc, char** argv) {
     return ms;
   };
 
-  const double p99_quiet = Percentile(time_passes(), 0.99);
+  BENCH_ASSIGN(const double p99_quiet, stats::Percentile(time_passes(), 0.99));
 
   // Storm: a background-priority farm chews re-solves while the same
   // passes are timed. The lane coalesces per campaign, so keep re-arming
@@ -377,7 +370,7 @@ int main(int argc, char** argv) {
       }
     }
   });
-  const double p99_storm = Percentile(time_passes(), 0.99);
+  BENCH_ASSIGN(const double p99_storm, stats::Percentile(time_passes(), 0.99));
   storm_done.store(true, std::memory_order_relaxed);
   storm.join();
   lane.Drain();

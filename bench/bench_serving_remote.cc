@@ -10,171 +10,23 @@
 //   * sheets/second sustained across all connections, and
 //   * the p50 / p99 per-batch round-trip latency observed by the clients.
 //
-// The generators are forked BEFORE the server exists (fork and threads do
-// not mix), idle in a pipe-driven round loop, and connect only when their
-// round begins; the parent owns the map, the campaigns, and the server.
+// The generators (bench/load_gen.h) are forked before the server exists
+// and connect only when their round begins; the parent owns the map, the
+// campaigns, and the server.
 //
 // Emits BENCH_serving_remote.json with the per-cell sweep plus top-level
 // p50_ms / p99_ms / sheets_per_sec from the widest cell.
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <vector>
 
 #include "bench_common.h"
-#include "choice/acceptance.h"
-#include "engine/engine.h"
-#include "net/client.h"
+#include "load_gen.h"
 #include "net/server.h"
 #include "serving/campaign_shard_map.h"
 #include "util/table.h"
 
 using namespace crowdprice;
-
-namespace {
-
-constexpr int kMaxCampaigns = 64;
-constexpr int kLatencyBuckets = 48;
-
-/// One sweep cell's marching orders, parent -> child over a pipe.
-struct RoundConfig {
-  int32_t done = 0;  ///< 1: no more rounds, exit.
-  int32_t participate = 0;
-  uint32_t port = 0;
-  int32_t batch_size = 0;
-  int32_t batches = 0;
-  int32_t num_campaigns = 0;
-  uint64_t campaign_ids[kMaxCampaigns] = {};
-};
-
-/// One child's cell results, child -> parent. Latencies ride as a log2
-/// microsecond histogram (bucket i covers [2^i, 2^{i+1}) us) so the
-/// struct stays fixed-size; quantiles are read off the merged histogram.
-struct RoundResult {
-  int64_t batches_completed = 0;
-  int64_t sheets = 0;
-  int64_t failures = 0;
-  double seconds = 0.0;
-  uint64_t histogram[kLatencyBuckets] = {};
-};
-
-bool ReadFull(int fd, void* out, size_t size) {
-  auto* bytes = static_cast<char*>(out);
-  size_t got = 0;
-  while (got < size) {
-    const ssize_t n = read(fd, bytes + got, size - got);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    got += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool WriteFull(int fd, const void* data, size_t size) {
-  const auto* bytes = static_cast<const char*>(data);
-  size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = write(fd, bytes + sent, size - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-int LatencyBucket(double micros) {
-  if (micros < 1.0) return 0;
-  const int bucket = static_cast<int>(std::log2(micros));
-  return std::min(bucket, kLatencyBuckets - 1);
-}
-
-/// Geometric bucket midpoint in milliseconds.
-double BucketMidMs(int bucket) {
-  return std::exp2(static_cast<double>(bucket) + 0.5) / 1000.0;
-}
-
-double QuantileMs(const uint64_t histogram[kLatencyBuckets], double q) {
-  uint64_t total = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) total += histogram[i];
-  if (total == 0) return 0.0;
-  const auto target = static_cast<uint64_t>(q * static_cast<double>(total));
-  uint64_t seen = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    seen += histogram[i];
-    if (seen > target) return BucketMidMs(i);
-  }
-  return BucketMidMs(kLatencyBuckets - 1);
-}
-
-/// The load-generator body: runs in the forked child, never returns.
-/// Each round: connect, stream `batches` decide-batch frames round-robin
-/// over the campaign fleet, report the latency histogram, disconnect.
-[[noreturn]] void GeneratorLoop(int config_fd, int result_fd, int index) {
-  for (;;) {
-    RoundConfig config;
-    if (!ReadFull(config_fd, &config, sizeof(config)) || config.done != 0) {
-      break;
-    }
-    RoundResult result;
-    if (config.participate != 0) {
-      auto client = net::PricingClient::Connect(
-          "127.0.0.1", static_cast<uint16_t>(config.port));
-      if (!client.ok()) {
-        result.failures = config.batches;
-      } else {
-        std::vector<serving::DecideRequest> batch;
-        batch.reserve(static_cast<size_t>(config.batch_size));
-        const auto start = std::chrono::steady_clock::now();
-        for (int b = 0; b < config.batches; ++b) {
-          batch.clear();
-          for (int r = 0; r < config.batch_size; ++r) {
-            // Spread requests over the fleet; stagger by child index so
-            // connections do not march over campaigns in lockstep.
-            const int pick =
-                (index + b * config.batch_size + r) % config.num_campaigns;
-            batch.push_back(serving::DecideRequest::Single(
-                config.campaign_ids[pick], 1.0 + 0.25 * (r % 8),
-                1 + (b + r) % 16));
-          }
-          const auto sent = std::chrono::steady_clock::now();
-          const auto responses = client->DecideBatch(batch);
-          const double micros =
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - sent)
-                  .count();
-          if (!responses.ok()) {
-            ++result.failures;
-            continue;
-          }
-          ++result.batches_completed;
-          ++result.histogram[LatencyBucket(micros)];
-          for (const serving::DecideResponse& response : *responses) {
-            if (response.status.ok()) ++result.sheets;
-          }
-        }
-        result.seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-      }
-    }
-    if (!WriteFull(result_fd, &result, sizeof(result))) break;
-  }
-  _exit(0);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::Init(argc, argv);
@@ -182,79 +34,20 @@ int main(int argc, char** argv) {
 
   const std::vector<int> conn_counts =
       bench::Smoke() ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
-  const int max_conns = conn_counts.back();
   const int batches = bench::SmokeN(400, 40);
   constexpr int kBatchSize = 16;
-  constexpr int kCampaigns = kMaxCampaigns;
 
   // Fork the generator pool before anything spawns a thread (the engine
-  // solve and the server both do); children idle on their config pipes.
-  std::fflush(stdout);
-  struct Child {
-    pid_t pid = -1;
-    int config_fd = -1;  ///< Parent writes round configs here.
-    int result_fd = -1;  ///< Parent reads round results here.
-  };
-  std::vector<Child> children(static_cast<size_t>(max_conns));
-  for (int i = 0; i < max_conns; ++i) {
-    int to_child[2];
-    int to_parent[2];
-    if (pipe(to_child) != 0 || pipe(to_parent) != 0) {
-      std::cerr << "bench_serving_remote: pipe: " << std::strerror(errno)
-                << "\n";
-      return 1;
-    }
-    const pid_t pid = fork();
-    if (pid < 0) {
-      std::cerr << "bench_serving_remote: fork: " << std::strerror(errno)
-                << "\n";
-      return 1;
-    }
-    if (pid == 0) {
-      close(to_child[1]);
-      close(to_parent[0]);
-      for (int j = 0; j < i; ++j) {
-        close(children[static_cast<size_t>(j)].config_fd);
-        close(children[static_cast<size_t>(j)].result_fd);
-      }
-      GeneratorLoop(to_child[0], to_parent[1], i);
-    }
-    close(to_child[0]);
-    close(to_parent[1]);
-    children[static_cast<size_t>(i)] =
-        Child{pid, to_child[1], to_parent[0]};
-  }
+  // solve and the server both do).
+  bench::LoadGenerator generators(conn_counts.back());
 
   // Parent only from here: solve one artifact, admit the fleet, serve.
-  engine::DeadlineDpSpec spec;
-  spec.problem.num_tasks = 20;
-  spec.problem.num_intervals = 8;
-  spec.problem.penalty_cents = 150.0;
-  spec.interval_lambdas.assign(8, 60.0);
-  auto actions = pricing::ActionSet::FromPriceGrid(
-      30, choice::LogitAcceptance::Paper2014());
-  bench::DieOnError(actions.status(), "actions");
-  spec.actions = std::move(actions).value();
-  auto solved = engine::Engine::Solve(spec);
-  bench::DieOnError(solved.status(), "solve");
-  const auto artifact =
-      std::make_shared<const engine::PolicyArtifact>(std::move(*solved));
-
   auto map = serving::CampaignShardMap::Create(8);
   bench::DieOnError(map.status(), "shard map");
-  RoundConfig base;
-  base.batch_size = kBatchSize;
-  base.batches = batches;
-  base.num_campaigns = kCampaigns;
-  for (int i = 0; i < kCampaigns; ++i) {
-    serving::CampaignLimits limits;
-    limits.total_tasks = 20;
-    limits.deadline_hours = 8.0;
-    auto admitted =
-        map->Apply(serving::ControlOp::AdmitShared(artifact, limits));
-    bench::DieOnError(admitted.status(), "admit");
-    base.campaign_ids[i] = admitted->id;
-  }
+  bench::RoundConfig round;
+  round.batch_size = kBatchSize;
+  round.batches = batches;
+  bench::AdmitServingFleet(*map, bench::SolveServingArtifact(), &round);
 
   net::ServerOptions options;
   options.port = 0;
@@ -262,62 +55,37 @@ int main(int argc, char** argv) {
   auto server = net::PricingServer::Create(&map.value(), options);
   bench::DieOnError(server.status(), "server create");
   bench::DieOnError(server->Start(), "server start");
-  base.port = server->port();
+  round.port = server->port();
   std::cout << StringF(
       "%d campaigns, %d-request batches, %d batches per connection\n\n",
-      kCampaigns, kBatchSize, batches);
+      bench::kServingCampaigns, kBatchSize, batches);
 
   bench::BenchRecord record("serving_remote");
   record.Label("layer", "net+serving");
-  record.Param("campaigns", kCampaigns);
+  record.Param("campaigns", bench::kServingCampaigns);
   record.Param("batch_size", kBatchSize);
   record.Param("batches_per_conn", batches);
 
   Table table({"conns", "sheets/sec", "p50 ms", "p99 ms", "failures"});
   double final_p50 = 0.0, final_p99 = 0.0, final_sheets_per_sec = 0.0;
   for (const int conns : conn_counts) {
-    for (int i = 0; i < max_conns; ++i) {
-      RoundConfig config = base;
-      config.participate = i < conns ? 1 : 0;
-      if (!WriteFull(children[static_cast<size_t>(i)].config_fd, &config,
-                     sizeof(config))) {
-        bench::DieOnError(Status::Internal("config pipe closed early"),
-                          "round dispatch");
-      }
-    }
-    uint64_t merged[kLatencyBuckets] = {};
-    int64_t sheets = 0, failures = 0, completed = 0;
-    double slowest = 0.0;
-    for (int i = 0; i < max_conns; ++i) {
-      RoundResult result;
-      if (!ReadFull(children[static_cast<size_t>(i)].result_fd, &result,
-                    sizeof(result))) {
-        bench::DieOnError(Status::Internal("result pipe closed early"),
-                          "round collect");
-      }
-      for (int b = 0; b < kLatencyBuckets; ++b) {
-        merged[b] += result.histogram[b];
-      }
-      sheets += result.sheets;
-      failures += result.failures;
-      completed += result.batches_completed;
-      slowest = std::max(slowest, result.seconds);
-    }
-    const double p50 = QuantileMs(merged, 0.50);
-    const double p99 = QuantileMs(merged, 0.99);
-    const double sheets_per_sec =
-        slowest > 0.0 ? static_cast<double>(sheets) / slowest : 0.0;
-    bench::Check(failures == 0,
+    const bench::RoundResult result = generators.RunRound(round, conns);
+    const double p50 = result.latency.QuantileMs(0.50);
+    const double p99 = result.latency.QuantileMs(0.99);
+    const double sheets_per_sec = result.SheetsPerSec();
+    bench::Check(result.failures == 0,
                  StringF("conns=%d: no failed batches", conns));
-    bench::Check(completed == static_cast<int64_t>(conns) * batches,
-                 StringF("conns=%d: every batch answered", conns));
+    bench::Check(
+        result.batches_completed == static_cast<int64_t>(conns) * batches,
+        StringF("conns=%d: every batch answered", conns));
     record.Metric(StringF("sheets_per_sec_conns_%d", conns), sheets_per_sec);
     record.Metric(StringF("p50_ms_conns_%d", conns), p50);
     record.Metric(StringF("p99_ms_conns_%d", conns), p99);
     bench::DieOnError(
-        table.AddRow({StringF("%d", conns), StringF("%.0f", sheets_per_sec),
-                      StringF("%.3f", p50), StringF("%.3f", p99),
-                      StringF("%lld", static_cast<long long>(failures))}),
+        table.AddRow(
+            {StringF("%d", conns), StringF("%.0f", sheets_per_sec),
+             StringF("%.3f", p50), StringF("%.3f", p99),
+             StringF("%lld", static_cast<long long>(result.failures))}),
         "row");
     final_p50 = p50;
     final_p99 = p99;
@@ -325,20 +93,7 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  // Tear the pool down: EOF on the config pipes ends the round loops.
-  for (Child& child : children) {
-    RoundConfig config;
-    config.done = 1;
-    WriteFull(child.config_fd, &config, sizeof(config));
-    close(child.config_fd);
-    close(child.result_fd);
-  }
-  for (Child& child : children) {
-    int wstatus = 0;
-    waitpid(child.pid, &wstatus, 0);
-    bench::Check(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0,
-                 "load generator exited cleanly");
-  }
+  generators.Stop();
   bench::DieOnError(server->Stop(), "server stop");
 
   const net::ServerStats stats = server->stats();

@@ -14,29 +14,22 @@
 // noise armor for oversubscribed single-core CI hosts, where one
 // scheduler spike can double an isolated round's tail.)
 //
-// Latencies ride a quarter-octave log histogram (2^(1/4) resolution) so
-// the overhead ratio is not quantized to powers of two.
+// The generators and their quarter-octave latency histogram are
+// bench/load_gen.h, shared with bench_serving_remote.
 //
 // Emits BENCH_serving_router.json with per-backend-count sweeps plus
 // top-level p50_ms / p99_ms / sheets_per_sec from the 3-backend cell (the
 // soak topology) and the worst-case p99_overhead_vs_direct.
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
-#include "choice/acceptance.h"
-#include "engine/engine.h"
-#include "net/client.h"
+#include "load_gen.h"
 #include "net/server.h"
 #include "router/router.h"
 #include "serving/campaign_shard_map.h"
@@ -45,138 +38,6 @@
 using namespace crowdprice;
 
 namespace {
-
-constexpr int kMaxCampaigns = 64;
-constexpr int kLatencyBuckets = 96;  ///< Quarter octaves up to ~16s.
-
-/// One sweep cell's marching orders, parent -> child over a pipe.
-struct RoundConfig {
-  int32_t done = 0;  ///< 1: no more rounds, exit.
-  int32_t participate = 0;
-  uint32_t port = 0;
-  int32_t batch_size = 0;
-  int32_t batches = 0;
-  int32_t num_campaigns = 0;
-  uint64_t campaign_ids[kMaxCampaigns] = {};
-};
-
-/// One child's cell results, child -> parent. Latencies ride as a
-/// quarter-octave microsecond histogram (bucket i covers
-/// [2^(i/4), 2^((i+1)/4)) us) so the struct stays fixed-size.
-struct RoundResult {
-  int64_t batches_completed = 0;
-  int64_t sheets = 0;
-  int64_t failures = 0;
-  double seconds = 0.0;
-  uint64_t histogram[kLatencyBuckets] = {};
-};
-
-bool ReadFull(int fd, void* out, size_t size) {
-  auto* bytes = static_cast<char*>(out);
-  size_t got = 0;
-  while (got < size) {
-    const ssize_t n = read(fd, bytes + got, size - got);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    got += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool WriteFull(int fd, const void* data, size_t size) {
-  const auto* bytes = static_cast<const char*>(data);
-  size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = write(fd, bytes + sent, size - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-int LatencyBucket(double micros) {
-  if (micros < 1.0) return 0;
-  const int bucket = static_cast<int>(4.0 * std::log2(micros));
-  return std::min(bucket, kLatencyBuckets - 1);
-}
-
-/// Geometric bucket midpoint in milliseconds.
-double BucketMidMs(int bucket) {
-  return std::exp2((static_cast<double>(bucket) + 0.5) / 4.0) / 1000.0;
-}
-
-double QuantileMs(const uint64_t histogram[kLatencyBuckets], double q) {
-  uint64_t total = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) total += histogram[i];
-  if (total == 0) return 0.0;
-  const auto target = static_cast<uint64_t>(q * static_cast<double>(total));
-  uint64_t seen = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    seen += histogram[i];
-    if (seen > target) return BucketMidMs(i);
-  }
-  return BucketMidMs(kLatencyBuckets - 1);
-}
-
-/// The load-generator body: runs in the forked child, never returns.
-[[noreturn]] void GeneratorLoop(int config_fd, int result_fd, int index) {
-  for (;;) {
-    RoundConfig config;
-    if (!ReadFull(config_fd, &config, sizeof(config)) || config.done != 0) {
-      break;
-    }
-    RoundResult result;
-    if (config.participate != 0) {
-      auto client = net::PricingClient::Connect(
-          "127.0.0.1", static_cast<uint16_t>(config.port));
-      if (!client.ok()) {
-        result.failures = config.batches;
-      } else {
-        std::vector<serving::DecideRequest> batch;
-        batch.reserve(static_cast<size_t>(config.batch_size));
-        const auto start = std::chrono::steady_clock::now();
-        for (int b = 0; b < config.batches; ++b) {
-          batch.clear();
-          for (int r = 0; r < config.batch_size; ++r) {
-            // Spread requests over the fleet so routed batches mix owners
-            // (the fan-out path, not the single-backend shortcut).
-            const int pick =
-                (index + b * config.batch_size + r) % config.num_campaigns;
-            batch.push_back(serving::DecideRequest::Single(
-                config.campaign_ids[pick], 1.0 + 0.25 * (r % 8),
-                1 + (b + r) % 16));
-          }
-          const auto sent = std::chrono::steady_clock::now();
-          const auto responses = client->DecideBatch(batch);
-          const double micros =
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - sent)
-                  .count();
-          if (!responses.ok()) {
-            ++result.failures;
-            continue;
-          }
-          ++result.batches_completed;
-          ++result.histogram[LatencyBucket(micros)];
-          for (const serving::DecideResponse& response : *responses) {
-            if (response.status.ok()) ++result.sheets;
-          }
-        }
-        result.seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-      }
-    }
-    if (!WriteFull(result_fd, &result, sizeof(result))) break;
-  }
-  _exit(0);
-}
 
 struct CellResult {
   double p50 = 0.0;
@@ -194,113 +55,32 @@ int main(int argc, char** argv) {
   const int conns = bench::Smoke() ? 2 : 4;
   const int batches = bench::SmokeN(300, 30);
   constexpr int kBatchSize = 16;
-  constexpr int kCampaigns = kMaxCampaigns;
 
   // Fork the generator pool before anything spawns a thread (the engine
   // solve, the servers, and the router's fan-out all do).
-  std::fflush(stdout);
-  struct Child {
-    pid_t pid = -1;
-    int config_fd = -1;
-    int result_fd = -1;
-  };
-  std::vector<Child> children(static_cast<size_t>(conns));
-  for (int i = 0; i < conns; ++i) {
-    int to_child[2];
-    int to_parent[2];
-    if (pipe(to_child) != 0 || pipe(to_parent) != 0) {
-      std::cerr << "bench_serving_router: pipe: " << std::strerror(errno)
-                << "\n";
-      return 1;
-    }
-    const pid_t pid = fork();
-    if (pid < 0) {
-      std::cerr << "bench_serving_router: fork: " << std::strerror(errno)
-                << "\n";
-      return 1;
-    }
-    if (pid == 0) {
-      close(to_child[1]);
-      close(to_parent[0]);
-      for (int j = 0; j < i; ++j) {
-        close(children[static_cast<size_t>(j)].config_fd);
-        close(children[static_cast<size_t>(j)].result_fd);
-      }
-      GeneratorLoop(to_child[0], to_parent[1], i);
-    }
-    close(to_child[0]);
-    close(to_parent[1]);
-    children[static_cast<size_t>(i)] = Child{pid, to_child[1], to_parent[0]};
-  }
+  bench::LoadGenerator generators(conns);
 
   // Parent only from here.
-  engine::DeadlineDpSpec spec;
-  spec.problem.num_tasks = 20;
-  spec.problem.num_intervals = 8;
-  spec.problem.penalty_cents = 150.0;
-  spec.interval_lambdas.assign(8, 60.0);
-  auto actions = pricing::ActionSet::FromPriceGrid(
-      30, choice::LogitAcceptance::Paper2014());
-  bench::DieOnError(actions.status(), "actions");
-  spec.actions = std::move(actions).value();
-  auto solved = engine::Engine::Solve(spec);
-  bench::DieOnError(solved.status(), "solve");
-  const auto artifact =
-      std::make_shared<const engine::PolicyArtifact>(std::move(*solved));
-  serving::CampaignLimits limits;
-  limits.total_tasks = 20;
-  limits.deadline_hours = 8.0;
+  const auto artifact = bench::SolveServingArtifact();
+  bench::RoundConfig base;
+  base.batch_size = kBatchSize;
+  base.batches = batches;
 
-  // One round: every generator streams `batches` frames at `port`, the
-  // parent merges histograms and throughput.
-  const auto run_round = [&](uint32_t port,
-                             const uint64_t ids[kMaxCampaigns]) {
-    RoundConfig config;
-    config.participate = 1;
-    config.port = port;
-    config.batch_size = kBatchSize;
-    config.batches = batches;
-    config.num_campaigns = kCampaigns;
-    std::memcpy(config.campaign_ids, ids, sizeof(config.campaign_ids));
-    for (int i = 0; i < conns; ++i) {
-      if (!WriteFull(children[static_cast<size_t>(i)].config_fd, &config,
-                     sizeof(config))) {
-        bench::DieOnError(Status::Internal("config pipe closed early"),
-                          "round dispatch");
-      }
-    }
-    uint64_t merged[kLatencyBuckets] = {};
-    int64_t sheets = 0, failures = 0, completed = 0;
-    double slowest = 0.0;
-    for (int i = 0; i < conns; ++i) {
-      RoundResult result;
-      if (!ReadFull(children[static_cast<size_t>(i)].result_fd, &result,
-                    sizeof(result))) {
-        bench::DieOnError(Status::Internal("result pipe closed early"),
-                          "round collect");
-      }
-      for (int b = 0; b < kLatencyBuckets; ++b) {
-        merged[b] += result.histogram[b];
-      }
-      sheets += result.sheets;
-      failures += result.failures;
-      completed += result.batches_completed;
-      slowest = std::max(slowest, result.seconds);
-    }
-    bench::Check(failures == 0, "no failed batches");
-    bench::Check(completed == static_cast<int64_t>(conns) * batches,
-                 "every batch answered");
-    CellResult cell;
-    cell.p50 = QuantileMs(merged, 0.50);
-    cell.p99 = QuantileMs(merged, 0.99);
-    cell.sheets_per_sec =
-        slowest > 0.0 ? static_cast<double>(sheets) / slowest : 0.0;
-    return cell;
+  // One round: every generator streams `batches` frames at the fleet
+  // `round` names.
+  const auto run_round = [&](const bench::RoundConfig& round) {
+    const bench::RoundResult result = generators.RunRound(round, conns);
+    bench::Check(result.failures == 0, "no failed batches");
+    bench::Check(
+        result.batches_completed == static_cast<int64_t>(conns) * batches,
+        "every batch answered");
+    return CellResult{result.latency.QuantileMs(0.50),
+                      result.latency.QuantileMs(0.99), result.SheetsPerSec()};
   };
 
   bench::BenchRecord record("serving_router");
   record.Label("layer", "router+net+serving");
-  record.Param("campaigns", kCampaigns);
+  record.Param("campaigns", bench::kServingCampaigns);
   record.Param("batch_size", kBatchSize);
   record.Param("batches_per_conn", batches);
   record.Param("connections", conns);
@@ -314,20 +94,16 @@ int main(int argc, char** argv) {
   const auto run_direct = [&]() {
     auto map = serving::CampaignShardMap::Create(8);
     bench::DieOnError(map.status(), "direct map");
-    uint64_t ids[kMaxCampaigns] = {};
-    for (int i = 0; i < kCampaigns; ++i) {
-      auto admitted =
-          map->Apply(serving::ControlOp::AdmitShared(artifact, limits));
-      bench::DieOnError(admitted.status(), "direct admit");
-      ids[i] = admitted->id;
-    }
+    bench::RoundConfig round = base;
+    bench::AdmitServingFleet(*map, artifact, &round);
     net::ServerOptions options;
     options.port = 0;
     options.num_workers = 4;
     auto server = net::PricingServer::Create(&map.value(), options);
     bench::DieOnError(server.status(), "direct server");
     bench::DieOnError(server->Start(), "direct start");
-    const CellResult cell = run_round(server->port(), ids);
+    round.port = server->port();
+    const CellResult cell = run_round(round);
     bench::DieOnError(server->Stop(), "direct stop");
     return cell;
   };
@@ -335,8 +111,8 @@ int main(int argc, char** argv) {
   std::cout << StringF(
       "%d campaigns, %d-request batches, %d batches x %d connections\n"
       "direct baseline: %.0f sheets/sec, p50 %.3f ms, p99 %.3f ms\n\n",
-      kCampaigns, kBatchSize, batches, conns, direct.sheets_per_sec,
-      direct.p50, direct.p99);
+      bench::kServingCampaigns, kBatchSize, batches, conns,
+      direct.sheets_per_sec, direct.p50, direct.p99);
 
   Table table(
       {"backends", "sheets/sec", "p50 ms", "p99 ms", "p99 vs direct"});
@@ -366,13 +142,8 @@ int main(int argc, char** argv) {
     router_options.pool.probe_interval_ms = 100;  // Probes under load.
     auto router = router::CampaignRouter::Create(names, router_options);
     bench::DieOnError(router.status(), "router");
-    uint64_t ids[kMaxCampaigns] = {};
-    for (int i = 0; i < kCampaigns; ++i) {
-      auto admitted =
-          router->Apply(serving::ControlOp::AdmitShared(artifact, limits));
-      bench::DieOnError(admitted.status(), "routed admit");
-      ids[i] = admitted->id;
-    }
+    bench::RoundConfig round = base;
+    bench::AdmitServingFleet(*router, artifact, &round);
     net::ServerOptions front_options;
     front_options.port = 0;
     front_options.num_workers = 4;
@@ -383,8 +154,9 @@ int main(int argc, char** argv) {
     // Best of two rounds per cell: on an oversubscribed host a single
     // scheduler spike can double a round's p99, and one retry suppresses
     // exactly that kind of one-off noise.
-    CellResult cell = run_round(front->port(), ids);
-    const CellResult retry = run_round(front->port(), ids);
+    round.port = front->port();
+    CellResult cell = run_round(round);
+    const CellResult retry = run_round(round);
     if (retry.p99 < cell.p99) cell = retry;
     if (backends == 3) soak_cell = cell;
     routed_cells.emplace_back(backends, cell);
@@ -427,20 +199,7 @@ int main(int argc, char** argv) {
       direct_envelope_p99, direct.p99, direct_after.p99);
   table.Print(std::cout);
 
-  // Tear the pool down: EOF on the config pipes ends the round loops.
-  for (Child& child : children) {
-    RoundConfig config;
-    config.done = 1;
-    WriteFull(child.config_fd, &config, sizeof(config));
-    close(child.config_fd);
-    close(child.result_fd);
-  }
-  for (Child& child : children) {
-    int wstatus = 0;
-    waitpid(child.pid, &wstatus, 0);
-    bench::Check(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0,
-                 "load generator exited cleanly");
-  }
+  generators.Stop();
 
   // The router's promise: routed p99 stays within 2x of direct. Smoke
   // runs are too short for stable quantiles, so the tight gate is

@@ -280,14 +280,6 @@ PricingClient& PricingClient::operator=(PricingClient&&) noexcept = default;
 
 Result<PricingClient> PricingClient::Connect(const std::string& host,
                                              uint16_t port,
-                                             uint32_t max_frame_bytes) {
-  ClientOptions options;
-  options.max_frame_bytes = max_frame_bytes;
-  return Connect(host, port, options);
-}
-
-Result<PricingClient> PricingClient::Connect(const std::string& host,
-                                             uint16_t port,
                                              const ClientOptions& options) {
   auto impl = std::make_unique<Impl>();
   impl->host = host;

@@ -76,14 +76,10 @@ struct ClientOptions {
 
 class PricingClient {
  public:
-  /// Connects to a numeric IPv4 address ("127.0.0.1") and port.
+  /// Connects to a numeric IPv4 address ("127.0.0.1") and port, running
+  /// the TLS and auth handshakes `options` ask for.
   static Result<PricingClient> Connect(const std::string& host, uint16_t port,
-                                       uint32_t max_frame_bytes =
-                                           kDefaultMaxFrameBytes);
-
-  /// Same, with the full option set (auth handshake included).
-  static Result<PricingClient> Connect(const std::string& host, uint16_t port,
-                                       const ClientOptions& options);
+                                       const ClientOptions& options = {});
 
   ~PricingClient();  ///< Closes the connection.
   PricingClient(PricingClient&&) noexcept;

@@ -43,6 +43,7 @@ constexpr size_t kMaxUnflushedBytes = size_t{1} << 20;
 /// so a connection with bytes left is reported again).
 constexpr size_t kReadChunk = 64 * 1024;
 constexpr int kReadsPerTurn = 16;
+constexpr int kListenBacklog = 128;
 
 /// epoll keys: a reactor's eventfd, the listening socket (reactor 0 only),
 /// and then one id per connection, never reused within a run.
@@ -714,11 +715,6 @@ Status ValidateOptions(const ServerOptions& options) {
     return Status::InvalidArgument(
         StringF("num_workers must be >= 1; got %d", options.num_workers));
   }
-  if (options.listen_backlog < 1) {
-    return Status::InvalidArgument(
-        StringF("listen_backlog must be >= 1; got %d",
-                options.listen_backlog));
-  }
   return Status::OK();
 }
 
@@ -798,7 +794,7 @@ Status PricingServer::Start() {
   if (bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     return fail(Errno("bind"));
   }
-  if (listen(listen_fd, impl_->options.listen_backlog) != 0) {
+  if (listen(listen_fd, kListenBacklog) != 0) {
     return fail(Errno("listen"));
   }
   socklen_t addr_len = sizeof(addr);

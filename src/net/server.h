@@ -151,8 +151,6 @@ struct ServerOptions {
   int num_workers = 4;
   /// Reject frames whose payload exceeds this many bytes.
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// listen(2) backlog.
-  int listen_backlog = 128;
   /// Stop(): how long each reactor waits for parked ops to finish and
   /// answers to flush before closing its connections anyway.
   int drain_timeout_ms = 5000;

@@ -108,8 +108,8 @@ Status ExpectNoMoreFields(std::string_view rest, const char* what) {
   return Status::OK();
 }
 
-/// The `<now> <campaign> <k> <remaining...>` suffix shared by the single
-/// request line and batch request lines.
+/// The `<now> <campaign> <k> <remaining...>` fields a request line carries
+/// after its campaign id.
 void AppendRequestFields(const market::DecisionRequest& request,
                          std::string* out) {
   AppendHex(request.now_hours, out);
@@ -146,8 +146,8 @@ Result<market::DecisionRequest> ParseRequestFields(std::string_view rest,
   return request;
 }
 
-/// The `<k> <price> <group> ...` suffix shared by the sheet line and ok
-/// response lines.
+/// The `<k> <price> <group> ...` fields an ok response line carries after
+/// its verdict.
 void AppendSheetFields(const market::OfferSheet& sheet, std::string* out) {
   *out += std::to_string(sheet.offers.size());
   for (const market::Offer& offer : sheet.offers) {
@@ -413,52 +413,6 @@ Status DecodeStatusFragment(std::string_view fragment, Status* decoded) {
   }
   *decoded = Status(code, std::move(message));
   return Status::OK();
-}
-
-std::string SerializeDecisionRequest(const market::DecisionRequest& request) {
-  std::string out = "request ";
-  AppendRequestFields(request, &out);
-  out += '\n';
-  return out;
-}
-
-Result<market::DecisionRequest> DeserializeDecisionRequest(
-    const std::string& text) {
-  CP_ASSIGN_OR_RETURN(std::string_view line, SoleLine(text, "request line"));
-  if (NextToken(&line) != "request") {
-    return Status::InvalidArgument(
-        "expected 'request <now> <campaign> <k> ...'");
-  }
-  return ParseRequestFields(line, "request line");
-}
-
-std::string SerializeOfferSheet(const market::OfferSheet& sheet) {
-  std::string out = "sheet ";
-  AppendSheetFields(sheet, &out);
-  out += '\n';
-  return out;
-}
-
-Result<market::OfferSheet> DeserializeOfferSheet(const std::string& text) {
-  CP_ASSIGN_OR_RETURN(std::string_view line, SoleLine(text, "sheet line"));
-  if (NextToken(&line) != "sheet") {
-    return Status::InvalidArgument("expected 'sheet <k> ...'");
-  }
-  return ParseSheetFields(line, "sheet line");
-}
-
-std::string SerializeDecideResponse(const serving::DecideResponse& response) {
-  std::string out;
-  AppendDecideResponseLine(response, &out);
-  out += '\n';
-  return out;
-}
-
-Result<serving::DecideResponse> DeserializeDecideResponse(
-    const std::string& text) {
-  CP_ASSIGN_OR_RETURN(const std::string_view line,
-                      SoleLine(text, "response line"));
-  return DeserializeDecideResponseLine(line);
 }
 
 Result<std::string> SerializeControlOp(const serving::ControlOp& op) {

@@ -38,7 +38,6 @@
 #include <string_view>
 #include <vector>
 
-#include "market/types.h"
 #include "serving/campaign_shard_map.h"
 #include "util/result.h"
 
@@ -108,21 +107,7 @@ std::string EncodeStatusFragment(const Status& status);
 /// escapes, OK when `*decoded` holds the transported status.
 Status DecodeStatusFragment(std::string_view fragment, Status* decoded);
 
-// --- Single-object payload codecs ----------------------------------------
-// Each Serialize emits one '\n'-terminated line ("request ...",
-// "sheet ...", "response ..."); each Deserialize requires exactly that
-// line and nothing else.
-
-std::string SerializeDecisionRequest(const market::DecisionRequest& request);
-Result<market::DecisionRequest> DeserializeDecisionRequest(
-    const std::string& text);
-
-std::string SerializeOfferSheet(const market::OfferSheet& sheet);
-Result<market::OfferSheet> DeserializeOfferSheet(const std::string& text);
-
-std::string SerializeDecideResponse(const serving::DecideResponse& response);
-Result<serving::DecideResponse> DeserializeDecideResponse(
-    const std::string& text);
+// --- Control plane ---------------------------------------------------------
 
 /// Control ops serialize to a "control ..." stanza; admit and swap ops
 /// embed their artifact's Serialize() text as a byte-counted block.

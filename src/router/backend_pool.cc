@@ -19,6 +19,11 @@ namespace crowdprice::router {
 
 namespace {
 
+/// Deadline for one probe's dial + ping, in place of the client options'
+/// (much longer) serving deadlines: a wedged backend costs the probe sweep
+/// this long, not a serving timeout.
+constexpr int kProbeTimeoutMs = 2000;
+
 struct Endpoint {
   std::string host;
   uint16_t port = 0;
@@ -255,10 +260,8 @@ struct BackendPool::Impl {
 
   void ProbeNow() {
     net::ClientOptions probe_options = options.client;
-    if (options.probe_timeout_ms > 0) {
-      probe_options.connect_timeout_ms = options.probe_timeout_ms;
-      probe_options.io_timeout_ms = options.probe_timeout_ms;
-    }
+    probe_options.connect_timeout_ms = kProbeTimeoutMs;
+    probe_options.io_timeout_ms = kProbeTimeoutMs;
     for (const std::shared_ptr<Backend>& backend : SnapshotBackends()) {
       // A fresh connection per probe: a serving call mid-flight on the
       // leased connection never delays (or fails) the health verdict.

@@ -40,16 +40,12 @@ namespace crowdprice::router {
 
 struct BackendPoolOptions {
   /// Per-connection options (frame cap + auth token), used for leased
-  /// serving connections and health probes alike.
+  /// serving connections and health probes alike; a probe's dial and ping
+  /// get a 2 s deadline in place of these serving deadlines.
   net::ClientOptions client;
   /// Health-probe period. <= 0 disables the probe thread; tests drive
   /// ProbeNow() by hand instead.
   int probe_interval_ms = 250;
-  /// Deadline for one probe's dial + ping, overriding the client
-  /// options' (much longer) serving deadlines. A wedged backend must
-  /// cost the probe sweep this long, not a serving timeout. <= 0 keeps
-  /// the client options' deadlines.
-  int probe_timeout_ms = 2000;
   /// Consecutive failures (probe misses or exhausted calls) before a
   /// backend is marked down. At least 1.
   int down_after_failures = 2;

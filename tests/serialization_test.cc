@@ -416,56 +416,61 @@ TEST(WireFrameTest, MalformedHeadersAreStatusErrors) {
 }
 
 TEST(WireSerializationTest, DecisionRequestRoundTripIsBitExact) {
-  market::DecisionRequest request;
-  request.now_hours = 1.0 / 3.0;
-  request.campaign_hours = 0.1;
-  request.remaining = {17, 0, 123456789012345};
-  const std::string text = SerializeDecisionRequest(request);
-  const auto restored = DeserializeDecisionRequest(text);
+  serving::DecideRequest request;
+  request.campaign_id = 5;
+  request.request.now_hours = 1.0 / 3.0;
+  request.request.campaign_hours = 0.1;
+  request.request.remaining = {17, 0, 123456789012345};
+  const std::string text = SerializeDecideBatchRequest({request});
+  const auto restored = DeserializeDecideBatchRequest(text);
   ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->now_hours, request.now_hours);
-  EXPECT_EQ(restored->campaign_hours, request.campaign_hours);
-  EXPECT_EQ(restored->remaining, request.remaining);
+  ASSERT_EQ(restored->size(), 1u);
+  const market::DecisionRequest& back = (*restored)[0].request;
+  EXPECT_EQ(back.now_hours, request.request.now_hours);
+  EXPECT_EQ(back.campaign_hours, request.request.campaign_hours);
+  EXPECT_EQ(back.remaining, request.request.remaining);
   // Hex-float convention: re-serializing reproduces the bytes.
-  EXPECT_EQ(SerializeDecisionRequest(*restored), text);
+  EXPECT_EQ(SerializeDecideBatchRequest(*restored), text);
 }
 
 TEST(WireSerializationTest, OfferSheetRoundTripIsBitExact) {
-  market::OfferSheet sheet;
-  sheet.offers = {{12.75, 1}, {0.0, 3}, {99.999999999, 40}};
-  const std::string text = SerializeOfferSheet(sheet);
-  const auto restored = DeserializeOfferSheet(text);
+  serving::DecideResponse response;
+  response.campaign_id = 6;
+  response.sheet.offers = {{12.75, 1}, {0.0, 3}, {99.999999999, 40}};
+  const std::string text = SerializeDecideBatchResponse({response});
+  const auto restored = DeserializeDecideBatchResponse(text);
   ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored->offers.size(), sheet.offers.size());
+  ASSERT_EQ(restored->size(), 1u);
+  const market::OfferSheet& sheet = (*restored)[0].sheet;
+  ASSERT_EQ(sheet.offers.size(), response.sheet.offers.size());
   for (size_t i = 0; i < sheet.offers.size(); ++i) {
-    EXPECT_EQ(restored->offers[i].per_task_reward_cents,
-              sheet.offers[i].per_task_reward_cents);
-    EXPECT_EQ(restored->offers[i].group_size, sheet.offers[i].group_size);
+    EXPECT_EQ(sheet.offers[i].per_task_reward_cents,
+              response.sheet.offers[i].per_task_reward_cents);
+    EXPECT_EQ(sheet.offers[i].group_size,
+              response.sheet.offers[i].group_size);
   }
-  EXPECT_EQ(SerializeOfferSheet(*restored), text);
+  EXPECT_EQ(SerializeDecideBatchResponse(*restored), text);
 }
 
 TEST(WireSerializationTest, DecideResponseCarriesSheetOrStatus) {
   serving::DecideResponse ok;
   ok.campaign_id = 7;
   ok.sheet = market::OfferSheet::Single({33.5, 2});
-  const auto ok_restored = DeserializeDecideResponse(SerializeDecideResponse(ok));
-  ASSERT_TRUE(ok_restored.ok());
-  EXPECT_EQ(ok_restored->campaign_id, 7u);
-  EXPECT_TRUE(ok_restored->status.ok());
-  ASSERT_EQ(ok_restored->sheet.offers.size(), 1u);
-  EXPECT_EQ(ok_restored->sheet.offers[0].per_task_reward_cents, 33.5);
-
   // Failures survive with code and message intact, quirky bytes included.
   serving::DecideResponse err;
   err.campaign_id = 8;
   err.status = Status::NotFound("campaign 8\nis not\\ live  here");
-  const auto err_restored =
-      DeserializeDecideResponse(SerializeDecideResponse(err));
-  ASSERT_TRUE(err_restored.ok());
-  EXPECT_EQ(err_restored->campaign_id, 8u);
-  EXPECT_TRUE(err_restored->status.IsNotFound());
-  EXPECT_EQ(err_restored->status.message(), err.status.message());
+  const auto restored =
+      DeserializeDecideBatchResponse(SerializeDecideBatchResponse({ok, err}));
+  ASSERT_TRUE(restored.ok());
+  ASSERT_EQ(restored->size(), 2u);
+  EXPECT_EQ((*restored)[0].campaign_id, 7u);
+  EXPECT_TRUE((*restored)[0].status.ok());
+  ASSERT_EQ((*restored)[0].sheet.offers.size(), 1u);
+  EXPECT_EQ((*restored)[0].sheet.offers[0].per_task_reward_cents, 33.5);
+  EXPECT_EQ((*restored)[1].campaign_id, 8u);
+  EXPECT_TRUE((*restored)[1].status.IsNotFound());
+  EXPECT_EQ((*restored)[1].status.message(), err.status.message());
 }
 
 TEST(WireSerializationTest, ControlOpsRoundTripIncludingArtifactBlocks) {
@@ -586,8 +591,6 @@ TEST(WireSerializationTest, DecideBatchesRoundTripIndexForIndex) {
 
 TEST(WireSerializationTest, MalformedPayloadsAreStatusErrorsNeverCrashes) {
   // Empty and truncated inputs.
-  EXPECT_FALSE(DeserializeDecisionRequest("").ok());
-  EXPECT_FALSE(DeserializeOfferSheet("").ok());
   EXPECT_FALSE(DeserializeControlOp("").ok());
   EXPECT_FALSE(DeserializeControlAck("").ok());
   EXPECT_FALSE(DeserializeDecideBatchRequest("").ok());
@@ -599,15 +602,22 @@ TEST(WireSerializationTest, MalformedPayloadsAreStatusErrorsNeverCrashes) {
   EXPECT_FALSE(DeserializeDecideBatchRequest("decide-batch zebra\n").ok());
   EXPECT_FALSE(DeserializeDecideBatchRequest("decide-batch 99999999\n").ok());
   // Garbage numbers inside an otherwise shaped line.
-  EXPECT_FALSE(DeserializeDecisionRequest("request x y 1 5\n").ok());
-  EXPECT_FALSE(DeserializeOfferSheet("sheet 1 nope 1\n").ok());
-  // Wrong leading keyword.
-  EXPECT_FALSE(DeserializeDecisionRequest("sheet 1 0x1p0 1\n").ok());
-  // Trailing garbage after a complete object.
-  market::DecisionRequest request = market::DecisionRequest::Single(1.0, 5);
   EXPECT_FALSE(
-      DeserializeDecisionRequest(SerializeDecisionRequest(request) + "extra\n")
+      DeserializeDecideBatchRequest("decide-batch 1\nrequest 3 x y 1 5\n")
           .ok());
+  EXPECT_FALSE(DeserializeDecideBatchResponse(
+                   "decide-batch 1\nresponse 3 ok 1 nope 1\n")
+                   .ok());
+  // Wrong leading keyword.
+  EXPECT_FALSE(DeserializeDecideBatchRequest(
+                   "decide-batch 1\nresponse 3 ok 1 0x1p0 1\n")
+                   .ok());
+  // Trailing garbage after a complete batch.
+  EXPECT_FALSE(DeserializeDecideBatchRequest(
+                   SerializeDecideBatchRequest(
+                       {serving::DecideRequest::Single(3, 1.0, 5)}) +
+                   "extra\n")
+                   .ok());
   // An artifact block whose byte count overruns the payload.
   EXPECT_FALSE(
       DeserializeControlOp("control swap 3 artifact 5000\nshort\n").ok());
@@ -617,26 +627,29 @@ TEST(WireSerializationTest, MalformedPayloadsAreStatusErrorsNeverCrashes) {
 
 TEST(WireSerializationTest, NumbersOutsideTheirFieldAreRejected) {
   // 4294967298 narrowed to int would be group_size 2.
-  EXPECT_TRUE(DeserializeOfferSheet("sheet 1 0x1p+3 4294967298\n")
+  EXPECT_TRUE(DeserializeDecideBatchResponse(
+                  "decide-batch 1\nresponse 3 ok 1 0x1p+3 4294967298\n")
                   .status()
                   .IsInvalidArgument());
   // Past INT64_MAX: an error, not a value clamped to INT64_MAX.
-  EXPECT_TRUE(
-      DeserializeDecisionRequest("request 0x0p+0 0x0p+0 1 "
-                                 "99999999999999999999999\n")
-          .status()
-          .IsInvalidArgument());
+  EXPECT_TRUE(DeserializeDecideBatchRequest(
+                  "decide-batch 1\nrequest 3 0x0p+0 0x0p+0 1 "
+                  "99999999999999999999999\n")
+                  .status()
+                  .IsInvalidArgument());
   // A double that overflows is out of range too, not +inf.
-  EXPECT_TRUE(DeserializeDecisionRequest("request 1e999 0x0p+0 1 5\n")
+  EXPECT_TRUE(DeserializeDecideBatchRequest(
+                  "decide-batch 1\nrequest 3 1e999 0x0p+0 1 5\n")
                   .status()
                   .IsInvalidArgument());
   // Every in-range spelling strtod/strtol took still parses.
-  const auto lenient =
-      DeserializeDecisionRequest("request +2.5 -0x1p+1 1 +7\n");
+  const auto lenient = DeserializeDecideBatchRequest(
+      "decide-batch 1\nrequest 3 +2.5 -0x1p+1 1 +7\n");
   ASSERT_TRUE(lenient.ok()) << lenient.status();
-  EXPECT_EQ(lenient->now_hours, 2.5);
-  EXPECT_EQ(lenient->campaign_hours, -2.0);
-  EXPECT_EQ(lenient->remaining, std::vector<int64_t>{7});
+  ASSERT_EQ(lenient->size(), 1u);
+  EXPECT_EQ((*lenient)[0].request.now_hours, 2.5);
+  EXPECT_EQ((*lenient)[0].request.campaign_hours, -2.0);
+  EXPECT_EQ((*lenient)[0].request.remaining, std::vector<int64_t>{7});
 }
 
 TEST(WireSerializationTest, PingAndHelloRoundTrip) {

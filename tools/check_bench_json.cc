@@ -38,8 +38,15 @@
 // hw_threads >= 4; on narrower hosts a decide can stall one scheduler
 // timeslice behind an already-running background solve, so the gate
 // relaxes to collapse-only (32x, 16x for smoke) with an absolute escape:
-// a storm p99 under 5 ms is never a stall whatever the ratio. Exit code 0
-// when every file validates, 1 otherwise.
+// a storm p99 under 5 ms is never a stall whatever the ratio.
+//
+// The serving_remote and serving_router records carry a latency-quantile
+// gate: every p50 metric (p50_ms, p50_ms_<cell>, direct_p50_ms) must be
+// positive and no larger than the p99 metric of the same name. The benches
+// read both quantiles off one merged load-generator histogram, so an empty
+// or mis-merged histogram reads 0 or inverts the pair -- and smoke mode
+// tolerates the benches' own failed CHECKs, so only this gate catches it.
+// Exit code 0 when every file validates, 1 otherwise.
 
 #include <cctype>
 #include <cerrno>
@@ -461,6 +468,27 @@ bool ValidateRouterOverhead(const JsonObject& params,
   return true;
 }
 
+// The latency-quantile gate for the serving_remote and serving_router
+// records (see file comment).
+bool ValidateLatencyQuantiles(const JsonObject& metrics, std::string& error) {
+  for (const auto& [key, value] : metrics) {
+    const size_t at = key.find("p50_ms");
+    if (at == std::string::npos) continue;
+    std::string p99_key = key;
+    p99_key.replace(at, 6, "p99_ms");
+    const double p50 = std::get<double>(value.value);
+    double p99 = 0.0;
+    if (!RequireNumber(metrics, "metric", p99_key, p99, error)) return false;
+    if (!(p50 > 0.0) || p50 > p99) {
+      error = "latency quantile gate: " + key + " (" + std::to_string(p50) +
+              ") must be positive and no larger than " + p99_key + " (" +
+              std::to_string(p99) + ")";
+      return false;
+    }
+  }
+  return true;
+}
+
 // The solve-farm gates for the fleet_solve record (see file comment):
 // batched evaluation speedup and storm-vs-quiet serving p99, re-derived
 // from the record's own hw_threads/smoke params exactly as the bench
@@ -543,6 +571,12 @@ bool ValidateRequirements(const std::string& bench, const JsonObject& params,
   }
   if (bench == "fleet_throughput") {
     if (!ValidateFleetScalingCurve(params, metrics, error)) {
+      error = "\"" + bench + "\" " + error;
+      return false;
+    }
+  }
+  if (bench == "serving_remote" || bench == "serving_router") {
+    if (!ValidateLatencyQuantiles(metrics, error)) {
       error = "\"" + bench + "\" " + error;
       return false;
     }
