@@ -21,7 +21,6 @@
 #include "engine/policy_artifact.h" // IWYU pragma: export
 #include "engine/policy_spec.h"     // IWYU pragma: export
 #include "engine/solve_wave.h"      // IWYU pragma: export
-#include "engine/solver_registry.h" // IWYU pragma: export
 #include "kernel/layer_scan.h"      // IWYU pragma: export
 #include "kernel/pmf_arena.h"       // IWYU pragma: export
 #include "kernel/pmf_cache.h"       // IWYU pragma: export

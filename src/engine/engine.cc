@@ -10,7 +10,6 @@
 #include "pricing/policy_eval.h"
 #include "pricing/tradeoff.h"
 #include "util/macros.h"
-#include "util/stringf.h"
 
 namespace crowdprice::engine {
 
@@ -151,65 +150,16 @@ const char* KindName(PolicyKind kind) {
   return "unknown";
 }
 
-SolverRegistry& SolverRegistry::Global() {
-  static SolverRegistry* registry = [] {
-    auto* r = new SolverRegistry();
-    (void)r->Register(PolicyKind::kDeadlineDp, "deadline-dp/backward-induction",
-                      SolveDeadline);
-    (void)r->Register(PolicyKind::kBudgetStatic,
-                      "budget-static/hull-lp+exact-dp", SolveBudgetStatic);
-    (void)r->Register(PolicyKind::kFixedPrice, "fixed-price/binary-search",
-                      SolveFixedPrice);
-    (void)r->Register(PolicyKind::kAdaptive, "adaptive/rate-correction",
-                      SolveAdaptive);
-    (void)r->Register(PolicyKind::kMultiType, "multitype/joint-dp",
-                      SolveMultiTypeSpec);
-    (void)r->Register(PolicyKind::kTradeoff, "tradeoff/per-task-decoupled",
-                      SolveTradeoff);
-    return r;
-  }();
-  return *registry;
-}
-
-Status SolverRegistry::Register(PolicyKind kind, std::string name,
-                                SolverFn solver) {
-  if (!solver) {
-    return Status::InvalidArgument("cannot register a null solver");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  solvers_[kind] = Entry{std::move(name), std::move(solver)};
-  return Status::OK();
-}
-
-Result<SolverRegistry::SolverFn> SolverRegistry::Find(PolicyKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = solvers_.find(kind);
-  if (it == solvers_.end()) {
-    return Status::NotFound(
-        StringF("no solver registered for kind '%s'", KindName(kind)));
-  }
-  return it->second.solver;
-}
-
-std::vector<std::string> SolverRegistry::Describe() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(solvers_.size());
-  for (const auto& [kind, entry] : solvers_) {
-    out.push_back(StringF("%s -> %s", KindName(kind), entry.name.c_str()));
-  }
-  return out;
-}
-
-Result<PolicyArtifact> Engine::Solve(const SolverRegistry& registry,
-                                     const PolicySpec& spec) {
-  CP_ASSIGN_OR_RETURN(SolverRegistry::SolverFn solver,
-                      registry.Find(spec.kind()));
-  return solver(spec);
-}
-
 Result<PolicyArtifact> Engine::Solve(const PolicySpec& spec) {
-  return Solve(SolverRegistry::Global(), spec);
+  switch (spec.kind()) {
+    case PolicyKind::kDeadlineDp: return SolveDeadline(spec);
+    case PolicyKind::kBudgetStatic: return SolveBudgetStatic(spec);
+    case PolicyKind::kFixedPrice: return SolveFixedPrice(spec);
+    case PolicyKind::kAdaptive: return SolveAdaptive(spec);
+    case PolicyKind::kMultiType: return SolveMultiTypeSpec(spec);
+    case PolicyKind::kTradeoff: return SolveTradeoff(spec);
+  }
+  return Status::Internal("unknown policy kind");
 }
 
 }  // namespace crowdprice::engine

@@ -1,12 +1,12 @@
 // Engine::Solve -- the single entry point for producing pricing policies.
 //
 // Callers build a PolicySpec naming the solver family and its options; the
-// engine dispatches through the SolverRegistry and returns a PolicyArtifact
-// that can be played (market::PricingController), persisted (Serialize /
-// Deserialize) and scored (policy_eval). Everything outside src/ -- the
-// CLI, the examples, the experiment benches -- obtains policies through
-// this interface only, so swapping a solver implementation (or registering
-// a custom one) never touches call sites.
+// engine switches on the spec's kind to that family's solver and returns a
+// PolicyArtifact that can be played (market::PricingController), persisted
+// (Serialize / Deserialize) and scored (policy_eval). Everything outside
+// src/ -- the CLI, the examples, the experiment benches -- obtains policies
+// through this interface only, so a solver implementation can change
+// without touching call sites.
 //
 //   engine::DeadlineDpSpec spec;
 //   spec.problem = {...};
@@ -22,20 +22,14 @@
 
 #include "engine/policy_artifact.h"
 #include "engine/policy_spec.h"
-#include "engine/solver_registry.h"
 #include "util/result.h"
 
 namespace crowdprice::engine {
 
 class Engine {
  public:
-  /// Solves `spec` with the solver registered for its kind in the global
-  /// registry.
+  /// Solves `spec` with the built-in solver for its kind.
   static Result<PolicyArtifact> Solve(const PolicySpec& spec);
-
-  /// Same, against an explicit registry.
-  static Result<PolicyArtifact> Solve(const SolverRegistry& registry,
-                                      const PolicySpec& spec);
 };
 
 /// Free-function convenience for Engine::Solve(spec).

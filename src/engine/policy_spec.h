@@ -5,8 +5,8 @@
 // §4, the fixed-price baseline of §5.2, the adaptive re-planner of §5.2.5,
 // and the §6 extensions). Before the engine existed each caller wired the
 // family it wanted by hand; a PolicySpec names the family (PolicyKind) plus
-// its options, so callers describe *what* policy they want and the
-// SolverRegistry picks *how* to produce it.
+// its options, so callers describe *what* policy they want and
+// Engine::Solve picks *how* to produce it.
 //
 // Acceptance functions are held by const pointer and are NOT owned: the
 // caller keeps the AcceptanceFunction alive until Solve returns (specs are

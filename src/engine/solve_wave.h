@@ -2,11 +2,12 @@
 //
 // A fleet re-prices campaigns in waves: thousands of PolicySpecs at once,
 // most of them small deadline solves stamped from a handful of rate
-// profiles. SolveWave fans the specs out across a ThreadPool (one solve
-// per job; the caller's thread helps drain the queue instead of sleeping)
-// and routes every deadline solve through a shared PmfShareCache, so
-// campaigns whose rates coincide adopt each other's truncated-Poisson
-// blocks instead of rebuilding them.
+// profiles. SolveWave runs the specs as one ThreadPool::ParallelFor region
+// (the calling thread solves too; a one-spec wave runs inline) and routes
+// every deadline solve through a shared PmfShareCache, so campaigns whose
+// rates coincide adopt each other's truncated-Poisson blocks instead of
+// rebuilding them. Each deadline solve runs single-threaded: the wave's
+// parallelism is across campaigns, not within one solve.
 //
 // Determinism: each artifact is bit-identical to what sequential
 // Engine::Solve(spec) produces for the same spec -- the cache keys are
@@ -57,7 +58,8 @@ struct SolveWaveOptions {
 /// Solves every spec, fanned out over the farm; results in spec order.
 /// Blocks until the whole wave is done (the calling thread participates in
 /// the work). Safe to call concurrently from several threads against the
-/// same pool -- waves interleave without blocking each other.
+/// same pool, and from inside a job running on that pool: waves interleave
+/// without blocking each other.
 std::vector<Result<PolicyArtifact>> SolveWave(
     std::span<const PolicySpec> specs, const SolveWaveOptions& options = {});
 

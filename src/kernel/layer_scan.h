@@ -1,5 +1,5 @@
 // LayerScanKernel: the batched, runtime-dispatched inner loops of the DP
-// solvers, mirroring how SolverRegistry abstracts whole solvers.
+// solvers.
 //
 // The deadline MDP's hot path evaluates
 //
@@ -10,7 +10,7 @@
 // per (n, a), a kernel evaluates a whole layer (ScanLayer), one state's
 // action bracket (ScanState -- Algorithm 2's inner search), or the joint
 // DP's collapsed transition rows (CollapseCorrelate / Axpy / MinCombine)
-// per call, over tables packed in a PmfArena.
+// per call, over the pmf tables of a PmfArena.
 //
 // Backends and dispatch. Three backends ship: "scalar" (portable; its
 // per-term arithmetic is bit-identical to the historical hand-rolled
@@ -125,10 +125,9 @@ std::unique_ptr<LayerScanKernel> MakeScalarKernel();
 std::unique_ptr<LayerScanKernel> MakeAvx2Kernel();
 std::unique_ptr<LayerScanKernel> MakeNeonKernel();
 
-/// Process-wide backend table, mirroring engine::SolverRegistry. Later
-/// registrations take precedence for automatic selection, so an
-/// accelerator backend registered at startup becomes the default without
-/// touching solver call sites.
+/// Process-wide backend table. Later registrations take precedence for
+/// automatic selection, so an accelerator backend registered at startup
+/// becomes the default without touching solver call sites.
 class KernelRegistry {
  public:
   /// The global registry, populated on first use with "scalar" plus every

@@ -1,5 +1,6 @@
 #include "kernel/pmf_arena.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -14,7 +15,7 @@ namespace crowdprice::kernel {
 
 namespace {
 
-// Every array in the block starts on a 64-byte boundary (8 doubles), the
+// Every array in a block starts on a 64-byte boundary (8 doubles), the
 // widest vector width the backends use plus one cache line.
 constexpr size_t kAlignDoubles = 8;
 
@@ -24,17 +25,51 @@ size_t AlignUp(size_t doubles) {
 
 }  // namespace
 
+Result<std::shared_ptr<const PmfBlock>> PmfBlock::Build(double rate,
+                                                        double epsilon) {
+  CP_ASSIGN_OR_RETURN(stats::TruncatedPoisson tp,
+                      stats::MakeTruncatedPoisson(rate, epsilon));
+  const size_t len = tp.pmf.size();  // max(s0, 1)
+  const size_t mass_offset = AlignUp(len);
+  const size_t weighted_offset = AlignUp(mass_offset + len + 1);
+  const size_t doubles = AlignUp(weighted_offset + len + 1);
+
+  // aligned_alloc requires the size to be a multiple of the alignment;
+  // AlignUp guarantees that in doubles, hence in bytes.
+  double* data =
+      static_cast<double*>(std::aligned_alloc(64, doubles * sizeof(double)));
+  if (data == nullptr) {
+    return Status::Internal(StringF("PmfBlock allocation of %zu bytes failed",
+                                    doubles * sizeof(double)));
+  }
+  auto block = std::shared_ptr<PmfBlock>(new PmfBlock());
+  block->data_.reset(data);
+  block->doubles_ = doubles;
+
+  double* pmf = data;
+  double* mass = data + mass_offset;
+  double* weighted = data + weighted_offset;
+  mass[0] = 0.0;
+  weighted[0] = 0.0;
+  for (size_t k = 0; k < len; ++k) {
+    pmf[k] = tp.pmf[k];
+    mass[k + 1] = mass[k] + pmf[k];
+    weighted[k + 1] = weighted[k] + static_cast<double>(k) * pmf[k];
+  }
+  block->view_.pmf = pmf;
+  block->view_.prefix_mass = mass;
+  block->view_.prefix_weighted = weighted;
+  block->view_.len = static_cast<int>(len);
+  block->view_.tail_mass = std::max(0.0, 1.0 - mass[len]);
+  return std::shared_ptr<const PmfBlock>(std::move(block));
+}
+
 Result<PmfArena> PmfArena::Build(const std::vector<double>& rates,
                                  double epsilon, Dedup dedup,
                                  PmfShareCache* share_cache) {
   PmfArena arena;
   arena.request_tables_.reserve(rates.size());
-
-  // Pass 1: deduplicate (quantized or exact-bit keys) and size every table
-  // so the whole block can be laid out before anything is built.
   std::unordered_map<uint64_t, int> by_key;
-  std::vector<double> build_rates;  // one entry per distinct table
-  size_t offset = 0;
   for (size_t i = 0; i < rates.size(); ++i) {
     const double rate = rates[i];
     if (!(rate >= 0.0) || !std::isfinite(rate)) {
@@ -44,107 +79,25 @@ Result<PmfArena> PmfArena::Build(const std::vector<double>& rates,
     const uint64_t key = dedup == Dedup::kQuantizedRate
                              ? stats::QuantizedRateKey(rate)
                              : std::bit_cast<uint64_t>(rate);
-    auto it = by_key.find(key);
-    if (it != by_key.end()) {
-      arena.request_tables_.push_back(it->second);
-      continue;
+    const auto [it, inserted] =
+        by_key.emplace(key, static_cast<int>(arena.blocks_.size()));
+    if (inserted) {
+      // Quantized keys are for DEDUP only; the table itself is built at
+      // the first-seen exact rate. Solves whose rates repeat exactly (the
+      // common case) therefore see tables bit-identical to a per-rate
+      // cache, which is what keeps scalar-backend plans bit-identical
+      // across refactors -- and what lets a share cache keyed on exact
+      // rate bits hand the arena a block it would have built itself.
+      CP_ASSIGN_OR_RETURN(std::shared_ptr<const PmfBlock> block,
+                          share_cache != nullptr
+                              ? share_cache->GetOrBuild(rate, epsilon)
+                              : PmfBlock::Build(rate, epsilon));
+      arena.views_.push_back(block->view());
+      arena.blocks_.push_back(std::move(block));
     }
-    // Quantized keys are for DEDUP only; the table itself is built at the
-    // first-seen exact rate. Solves whose rates repeat exactly (the common
-    // case) therefore see tables bit-identical to a per-rate cache, which
-    // is what keeps scalar-backend plans bit-identical across refactors.
-    CP_ASSIGN_OR_RETURN(int s0, stats::PoissonTruncationPoint(rate, epsilon));
-    const int len = std::max(s0, 1);
-    TableMeta meta;
-    meta.len = len;
-    meta.pmf_offset = offset;
-    offset = AlignUp(offset + static_cast<size_t>(len));
-    meta.mass_offset = offset;
-    offset = AlignUp(offset + static_cast<size_t>(len) + 1);
-    meta.weighted_offset = offset;
-    offset = AlignUp(offset + static_cast<size_t>(len) + 1);
-    const int id = static_cast<int>(arena.tables_.size());
-    arena.tables_.push_back(meta);
-    build_rates.push_back(rate);
-    by_key.emplace(key, id);
-    arena.request_tables_.push_back(id);
-  }
-
-  if (share_cache != nullptr) {
-    // Adopt every distinct table from the cross-solve cache instead of
-    // building a contiguous block. Cache keys are the exact build-rate
-    // bits, so an adopted block is bit-identical to what pass 2 below
-    // would have produced.
-    arena.shared_.reserve(arena.tables_.size());
-    for (size_t id = 0; id < arena.tables_.size(); ++id) {
-      CP_ASSIGN_OR_RETURN(
-          std::shared_ptr<const PmfBlock> block,
-          share_cache->GetOrBuild(build_rates[id], epsilon));
-      TableMeta& meta = arena.tables_[id];
-      if (block->len() != meta.len) {
-        return Status::Internal("PmfArena cached table length drifted");
-      }
-      meta.tail_mass = block->tail_mass();
-      arena.shared_.push_back(std::move(block));
-    }
-    arena.block_doubles_ = 0;
-    return arena;
-  }
-
-  arena.block_doubles_ = offset;
-  if (offset > 0) {
-    // aligned_alloc requires the size to be a multiple of the alignment;
-    // AlignUp above already guarantees that in doubles, hence in bytes.
-    double* block = static_cast<double*>(
-        std::aligned_alloc(64, offset * sizeof(double)));
-    if (block == nullptr) {
-      return Status::Internal(
-          StringF("PmfArena allocation of %zu bytes failed",
-                  offset * sizeof(double)));
-    }
-    arena.block_.reset(block);
-  }
-
-  // Pass 2: build each distinct table in place and derive its prefixes.
-  // The pmf is bit-identical to stats::MakeTruncatedPoisson at the
-  // first-seen rate (it IS that function's output, copied), so
-  // arena-backed solves agree exactly with cache-backed ones.
-  for (size_t id = 0; id < arena.tables_.size(); ++id) {
-    TableMeta& meta = arena.tables_[id];
-    CP_ASSIGN_OR_RETURN(stats::TruncatedPoisson tp,
-                        stats::MakeTruncatedPoisson(build_rates[id], epsilon));
-    if (static_cast<int>(tp.pmf.size()) != meta.len) {
-      return Status::Internal("PmfArena table length drifted between passes");
-    }
-    double* pmf = arena.block_.get() + meta.pmf_offset;
-    double* mass = arena.block_.get() + meta.mass_offset;
-    double* weighted = arena.block_.get() + meta.weighted_offset;
-    mass[0] = 0.0;
-    weighted[0] = 0.0;
-    for (int k = 0; k < meta.len; ++k) {
-      pmf[k] = tp.pmf[static_cast<size_t>(k)];
-      mass[k + 1] = mass[k] + pmf[k];
-      weighted[k + 1] = weighted[k] + static_cast<double>(k) * pmf[k];
-    }
-    meta.tail_mass = std::max(0.0, 1.0 - mass[meta.len]);
+    arena.request_tables_.push_back(it->second);
   }
   return arena;
-}
-
-PmfView PmfArena::View(int table) const {
-  if (!shared_.empty()) {
-    // Share-cache arenas hold no contiguous block; each table is an
-    // adopted cache block with the same layout.
-    return shared_[static_cast<size_t>(table)]->view();
-  }
-  const TableMeta& meta = tables_[static_cast<size_t>(table)];
-  PmfView view;
-  view.pmf = block_.get() + meta.pmf_offset;
-  view.prefix_mass = block_.get() + meta.mass_offset;
-  view.prefix_weighted = block_.get() + meta.weighted_offset;
-  view.len = meta.len;
-  view.tail_mass = meta.tail_mass;
-  return view;
 }
 
 }  // namespace crowdprice::kernel

@@ -1,71 +1,10 @@
 #include "kernel/pmf_cache.h"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 
-#include "stats/poisson.h"
 #include "util/macros.h"
-#include "util/stringf.h"
 
 namespace crowdprice::kernel {
-
-namespace {
-
-// Mirrors the PmfArena layout constants: every array starts on a 64-byte
-// boundary (8 doubles).
-constexpr size_t kAlignDoubles = 8;
-
-size_t AlignUp(size_t doubles) {
-  return (doubles + kAlignDoubles - 1) & ~(kAlignDoubles - 1);
-}
-
-}  // namespace
-
-Result<std::shared_ptr<const PmfBlock>> PmfBlock::Build(double rate,
-                                                        double epsilon) {
-  if (!(rate >= 0.0) || !std::isfinite(rate)) {
-    return Status::InvalidArgument(
-        StringF("PmfBlock rate %g must be finite and >= 0", rate));
-  }
-  CP_ASSIGN_OR_RETURN(stats::TruncatedPoisson tp,
-                      stats::MakeTruncatedPoisson(rate, epsilon));
-  const int len = std::max(static_cast<int>(tp.pmf.size()), 1);
-  // pmf | S0 | S1, each 64-byte aligned -- the PmfArena table layout.
-  size_t offset = AlignUp(static_cast<size_t>(len));
-  const size_t mass_offset = offset;
-  offset = AlignUp(offset + static_cast<size_t>(len) + 1);
-  const size_t weighted_offset = offset;
-  offset = AlignUp(offset + static_cast<size_t>(len) + 1);
-
-  auto block = std::shared_ptr<PmfBlock>(new PmfBlock());
-  double* data =
-      static_cast<double*>(std::aligned_alloc(64, offset * sizeof(double)));
-  if (data == nullptr) {
-    return Status::Internal(StringF("PmfBlock allocation of %zu bytes failed",
-                                    offset * sizeof(double)));
-  }
-  block->data_.reset(data);
-  block->doubles_ = offset;
-  block->mass_offset_ = mass_offset;
-  block->weighted_offset_ = weighted_offset;
-  block->len_ = len;
-
-  double* pmf = data;
-  double* mass = data + mass_offset;
-  double* weighted = data + weighted_offset;
-  mass[0] = 0.0;
-  weighted[0] = 0.0;
-  for (int k = 0; k < len; ++k) {
-    pmf[k] = k < static_cast<int>(tp.pmf.size())
-                 ? tp.pmf[static_cast<size_t>(k)]
-                 : 0.0;
-    mass[k + 1] = mass[k] + pmf[k];
-    weighted[k + 1] = weighted[k] + static_cast<double>(k) * pmf[k];
-  }
-  block->tail_mass_ = std::max(0.0, 1.0 - mass[len]);
-  return std::shared_ptr<const PmfBlock>(std::move(block));
-}
 
 PmfShareCache& PmfShareCache::Global() {
   static PmfShareCache* cache = new PmfShareCache();

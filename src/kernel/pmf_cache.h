@@ -3,10 +3,9 @@
 // A solve farm re-prices thousands of campaigns per wave, and fleets are
 // built from a handful of rate profiles: most solves request pmf tables at
 // rates some earlier solve already built. The cache maps
-// (exact rate bits, truncation-epsilon bits) to a refcounted, 64-byte
-// aligned block holding the table's pmf and its S0/S1 prefixes -- the same
-// layout a PmfArena table has -- so PmfArena::Build can adopt an existing
-// block instead of rebuilding it.
+// (exact rate bits, truncation-epsilon bits) to a refcounted PmfBlock
+// (kernel/pmf_arena.h) -- the one table type every PmfArena holds -- so
+// PmfArena::Build can adopt an existing block instead of rebuilding it.
 //
 // Keys are the EXACT bit pattern of the rate each block was built at, not
 // the quantized dedup key. That is what keeps wave solves bit-identical to
@@ -27,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -37,47 +35,6 @@
 #include "util/result.h"
 
 namespace crowdprice::kernel {
-
-/// One shared truncated-Poisson table: pmf, S0 and S1 prefixes in a single
-/// 64-byte-aligned allocation, immutable after Build.
-class PmfBlock {
- public:
-  /// Builds the block for `rate` (finite, >= 0) at truncation `epsilon`,
-  /// bit-identical to the table a PmfArena would lay out for that rate.
-  static Result<std::shared_ptr<const PmfBlock>> Build(double rate,
-                                                       double epsilon);
-
-  PmfView view() const {
-    PmfView v;
-    v.pmf = data_.get();
-    v.prefix_mass = data_.get() + mass_offset_;
-    v.prefix_weighted = data_.get() + weighted_offset_;
-    v.len = len_;
-    v.tail_mass = tail_mass_;
-    return v;
-  }
-
-  int len() const { return len_; }
-  double tail_mass() const { return tail_mass_; }
-  size_t bytes() const { return doubles_ * sizeof(double); }
-
-  PmfBlock(const PmfBlock&) = delete;
-  PmfBlock& operator=(const PmfBlock&) = delete;
-
- private:
-  PmfBlock() = default;
-
-  struct FreeDeleter {
-    void operator()(double* p) const { std::free(p); }
-  };
-
-  std::unique_ptr<double, FreeDeleter> data_;
-  size_t doubles_ = 0;
-  size_t mass_offset_ = 0;
-  size_t weighted_offset_ = 0;
-  int len_ = 0;
-  double tail_mass_ = 0.0;
-};
 
 class PmfShareCache {
  public:

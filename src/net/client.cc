@@ -415,11 +415,6 @@ Result<serving::CampaignState> PricingClient::Tick(serving::CampaignId id,
   return outcome.state;
 }
 
-Result<serving::CampaignExport> PricingClient::Export(serving::CampaignId id) {
-  CP_ASSIGN_OR_RETURN(const std::string payload, ExportPayload(id));
-  return DeserializeExportResponse(payload);
-}
-
 Result<std::string> PricingClient::ExportPayload(serving::CampaignId id) {
   return impl_->RoundTrip(FrameType::kExportRequest, SerializeExportRequest(id),
                           FrameType::kExportResponse);

@@ -160,11 +160,8 @@ class PricingClient {
   Result<serving::CampaignState> Tick(serving::CampaignId id, double now_hours,
                                       int64_t remaining_tasks);
 
-  /// Serializes a live campaign off the server for migration: id, limits,
-  /// and the artifact bytes, deserialized back into a shareable artifact.
-  Result<serving::CampaignExport> Export(serving::CampaignId id);
-
-  /// Export's raw round trip: the export response payload, unparsed.
+  /// Serializes a live campaign off the server for migration: the export
+  /// response payload (id, limits and the artifact bytes), unparsed.
   Result<std::string> ExportPayload(serving::CampaignId id);
 
  private:

@@ -125,8 +125,7 @@ Result<PolicyEvaluation> EvaluatePolicy(const DeadlinePlan& plan,
   const int num_actions = static_cast<int>(plan.actions().size());
 
   EvalTables tables;
-  if (options.reuse_plan_arena &&
-      CanReusePlanArena(plan, true_lambdas, true_probs)) {
+  if (CanReusePlanArena(plan, true_lambdas, true_probs)) {
     tables.arena = plan.solve_arena().get();
     tables.grid = plan.arena_table_ids().data();
   } else {

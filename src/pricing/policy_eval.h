@@ -43,13 +43,6 @@ struct EvalOptions {
   /// Cross-solve cache for freshly built evaluation tables (exact-bit
   /// keys; see kernel/pmf_cache.h). Not owned; may be null.
   kernel::PmfShareCache* share_cache = nullptr;
-  /// When the evaluation trace equals the plan's planning model and the
-  /// plan still carries its solve arena, replay over that arena instead of
-  /// rebuilding every truncated pmf (the nominal-evaluation fast path).
-  /// The solver deduplicates by quantized rate, so if distinct exact rates
-  /// shared a bucket during the solve the reused tables can differ from a
-  /// fresh build in the last ulp; set false to force the rebuild.
-  bool reuse_plan_arena = true;
 };
 
 struct PolicyEvaluation {
@@ -72,6 +65,14 @@ struct PolicyEvaluation {
 /// means `true_lambdas` (same length as the plan's intervals). Pass the
 /// plan's own action acceptances / lambdas to evaluate under the planning
 /// model.
+///
+/// When the trace is the planning model and the plan still carries its
+/// solve arena, the forward pass replays over that arena instead of
+/// rebuilding every truncated pmf (the nominal-evaluation fast path). The
+/// solver deduplicates by quantized rate, so if distinct exact rates shared
+/// a bucket during the solve, the replayed tables can differ from a fresh
+/// build in the last ulp. A plan without a solve arena -- a deserialized
+/// one -- always gets fresh exact-rate tables.
 Result<PolicyEvaluation> EvaluatePolicy(const DeadlinePlan& plan,
                                         const std::vector<double>& true_lambdas,
                                         const std::vector<double>& true_probs,
@@ -85,8 +86,8 @@ Result<PolicyEvaluation> EvaluatePolicyUnderMarket(
     const EvalOptions& options = {});
 
 /// Evaluates under the planning model itself (sanity: expected_objective
-/// matches plan.TotalObjective() up to truncation error). Reuses the
-/// plan's solve arena when present (see EvalOptions::reuse_plan_arena).
+/// matches plan.TotalObjective() up to truncation error). Replays the
+/// plan's solve arena when present (see EvaluatePolicy).
 Result<PolicyEvaluation> EvaluatePolicyNominal(const DeadlinePlan& plan,
                                                const EvalOptions& options = {});
 

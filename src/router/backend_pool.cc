@@ -344,14 +344,6 @@ bool BackendPool::Has(const std::string& endpoint) const {
   return impl_->Find(endpoint) != nullptr;
 }
 
-std::vector<std::string> BackendPool::Names() const {
-  std::vector<std::string> names;
-  std::lock_guard<std::mutex> lock(impl_->map_mu);
-  names.reserve(impl_->backends.size());
-  for (const auto& [name, backend] : impl_->backends) names.push_back(name);
-  return names;
-}
-
 Status BackendPool::WithClient(
     const std::string& name,
     const std::function<Status(net::PricingClient&)>& fn) {
@@ -360,11 +352,6 @@ Status BackendPool::WithClient(
 
 void BackendPool::ScatterDecideLines(std::vector<DecideSlice>* slices) {
   impl_->ScatterDecideLines(*slices);
-}
-
-bool BackendPool::IsUp(const std::string& name) const {
-  const std::shared_ptr<Backend> backend = impl_->Find(name);
-  return backend != nullptr && backend->up.load(std::memory_order_acquire);
 }
 
 std::vector<BackendHealth> BackendPool::Health() const {

@@ -93,7 +93,6 @@ class BackendPool {
   /// against their leased connection.
   Status Remove(const std::string& endpoint);
   bool Has(const std::string& endpoint) const;
-  std::vector<std::string> Names() const;
 
   /// Runs `fn` over the named backend's leased connection (dialing or
   /// redialing first when needed). Unavailable outcomes -- from the dial,
@@ -113,7 +112,6 @@ class BackendPool {
   /// and down-marking on its own. Slices must name distinct backends.
   void ScatterDecideLines(std::vector<DecideSlice>* slices);
 
-  bool IsUp(const std::string& name) const;
   std::vector<BackendHealth> Health() const;
 
   /// One synchronous probe sweep over every backend (what the probe

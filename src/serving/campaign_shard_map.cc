@@ -145,20 +145,6 @@ ControlOp ControlOp::Tick(CampaignId id, double now_hours,
   return op;
 }
 
-const char* CampaignStateName(CampaignState state) {
-  switch (state) {
-    case CampaignState::kLive:
-      return "live";
-    case CampaignState::kRetiredCompleted:
-      return "completed";
-    case CampaignState::kRetiredDeadline:
-      return "deadline";
-    case CampaignState::kRetiredExplicit:
-      return "retired";
-  }
-  return "unknown";
-}
-
 BorrowedController::BorrowedController(BorrowedController&& other) noexcept
     : snapshot_(other.snapshot_), controller_(other.controller_) {
   other.snapshot_ = nullptr;

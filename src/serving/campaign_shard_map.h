@@ -367,9 +367,6 @@ class CampaignShardMap {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Stable names for CampaignState ("live", "completed", "deadline").
-const char* CampaignStateName(CampaignState state);
-
 }  // namespace crowdprice::serving
 
 #endif  // CROWDPRICE_SERVING_CAMPAIGN_SHARD_MAP_H_

@@ -5,8 +5,7 @@
 #include <memory>
 #include <utility>
 
-#include "engine/engine.h"
-#include "kernel/pmf_cache.h"
+#include "engine/solve_wave.h"
 #include "util/macros.h"
 #include "util/stringf.h"
 
@@ -50,15 +49,16 @@ Status ResolveLane::EnqueueRescale(CampaignId id, double factor) {
   spec.algorithm = plan->actions().uniform_unit_bundle()
                        ? engine::DeadlineDpSpec::Algorithm::kImproved
                        : engine::DeadlineDpSpec::Algorithm::kSimple;
-  // One worker per solve (the farm's parallelism is across campaigns);
-  // re-solves share pmf blocks through the process-wide cache.
-  spec.dp_options.num_threads = 1;
-  spec.dp_options.share_cache = &kernel::PmfShareCache::Global();
   return EnqueueResolve(id, engine::PolicySpec(std::move(spec)));
 }
 
 void ResolveLane::RunResolve(CampaignId id, const engine::PolicySpec& spec) {
-  Result<engine::PolicyArtifact> solved = engine::Engine::Solve(spec);
+  // A one-spec wave runs inline on this job's thread, with the farm's
+  // per-solve settings (one thread, the process-wide pmf share cache).
+  engine::SolveWaveOptions options;
+  options.pool = pool_;
+  Result<engine::PolicyArtifact> solved =
+      std::move(engine::SolveWave({&spec, 1}, options).front());
   bool ok = solved.ok();
   bool swapped = false;
   if (ok) {

@@ -5,10 +5,12 @@
 // Apply a swap -- a re-solve storm stalled whatever thread it ran on. The
 // lane decouples the two halves: EnqueueResolve hands the solve to a
 // ThreadPool (by default ThreadPool::Background(), whose workers run at
-// idle priority) and the finished artifact hot-swaps in via
-// ControlOp::SwapArtifactShared -- which publishes a fresh RCU snapshot,
-// so DecideBatch never blocks on a re-solve; lookups answer from the old
-// policy until the instant the new one is published.
+// idle priority), where it runs as a one-spec engine::SolveWave -- so a
+// deadline re-solve gets the farm's settings: one thread, pmf blocks
+// shared through the process-wide PmfShareCache. The finished artifact
+// hot-swaps in via ControlOp::SwapArtifactShared -- which publishes a
+// fresh RCU snapshot, so DecideBatch never blocks on a re-solve; lookups
+// answer from the old policy until the instant the new one is published.
 //
 // Per-campaign coalescing: while a campaign's re-solve is queued or
 // running, further enqueues for it are dropped (counted in
@@ -64,9 +66,9 @@ class ResolveLane {
 
   /// The adaptive-fleet trigger: re-solve campaign `id`'s deadline policy
   /// with its arrival belief scaled by `factor` (> 0, finite -- the
-  /// shrinkage correction of pricing/adaptive.h computed fleet-side), via
-  /// the process-wide pmf share cache. Fails NotFound for unknown
-  /// campaigns and FailedPrecondition for non-deadline policies.
+  /// shrinkage correction of pricing/adaptive.h computed fleet-side). Fails
+  /// NotFound for unknown campaigns and FailedPrecondition for non-deadline
+  /// policies.
   Status EnqueueRescale(CampaignId id, double factor);
 
   /// Blocks until every queued job has finished, helping the farm drain

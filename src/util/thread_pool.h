@@ -2,8 +2,9 @@
 //
 // Each worker owns a job deque: Submit pushes round-robin, a worker drains
 // its own deque front first and steals from the back of the others, and
-// any thread can help drain the pool with TryRunOne (how SolveWave lends
-// its own thread instead of sleeping). ParallelFor is built on Submit: the
+// any thread can help drain the pool with TryRunOne (how
+// ResolveLane::Drain lends its own thread instead of sleeping). ParallelFor
+// is built on Submit (SolveWave is one region over its specs): the
 // caller queues helper jobs and runs indices itself, and then waits only
 // for the helpers that already entered its region -- a helper that starts
 // later finds the region closed and returns. So regions from different

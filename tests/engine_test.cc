@@ -1,7 +1,7 @@
-// Engine, SolverRegistry and PolicyArtifact tests: every built-in kind
-// solves through Engine::Solve, artifacts play as controllers, and the
-// persistable kinds round-trip through Serialize/Deserialize with
-// bit-identical Decide outputs.
+// Engine and PolicyArtifact tests: every built-in kind solves through
+// Engine::Solve into an artifact of that kind, artifacts play as
+// controllers, and the persistable kinds round-trip through
+// Serialize/Deserialize with bit-identical Decide outputs.
 
 #include "engine/engine.h"
 
@@ -51,47 +51,6 @@ void ExpectIdenticalDecisions(market::PricingController& a,
       EXPECT_EQ(offer_a->group_size, offer_b->group_size);
     }
   }
-}
-
-TEST(SolverRegistryTest, GlobalRegistryKnowsEveryBuiltInKind) {
-  for (PolicyKind kind :
-       {PolicyKind::kDeadlineDp, PolicyKind::kBudgetStatic,
-        PolicyKind::kFixedPrice, PolicyKind::kAdaptive, PolicyKind::kMultiType,
-        PolicyKind::kTradeoff}) {
-    EXPECT_TRUE(SolverRegistry::Global().Find(kind).ok())
-        << "missing solver for " << KindName(kind);
-  }
-  EXPECT_EQ(SolverRegistry::Global().Describe().size(), 6u);
-}
-
-TEST(SolverRegistryTest, SideRegistryOverridesWithoutTouchingGlobal) {
-  SolverRegistry side;
-  EXPECT_TRUE(side.Find(PolicyKind::kFixedPrice).status().IsNotFound());
-  ASSERT_TRUE(side.Register(PolicyKind::kFixedPrice, "stub",
-                            [](const PolicySpec&) -> Result<PolicyArtifact> {
-                              pricing::FixedPriceSolution fixed;
-                              fixed.price_cents = 42;
-                              return PolicyArtifact(fixed);
-                            })
-                  .ok());
-  FixedPriceSpec spec;
-  spec.num_tasks = 10;
-  spec.interval_lambdas.assign(4, 2000.0);
-  spec.acceptance = &PaperAcceptance();
-  spec.max_price_cents = 50;
-  auto artifact = Engine::Solve(side, spec);
-  ASSERT_TRUE(artifact.ok()) << artifact.status();
-  EXPECT_EQ((*artifact->fixed_price())->price_cents, 42);
-  // The global registry is unaffected: it still solves properly.
-  auto real = Engine::Solve(spec);
-  ASSERT_TRUE(real.ok()) << real.status();
-  EXPECT_NE((*real->fixed_price())->price_cents, 42);
-}
-
-TEST(SolverRegistryTest, RejectsNullSolver) {
-  SolverRegistry side;
-  EXPECT_TRUE(side.Register(PolicyKind::kDeadlineDp, "null", nullptr)
-                  .IsInvalidArgument());
 }
 
 TEST(EngineTest, DeadlineSpecSolvesAndScores) {
@@ -410,6 +369,7 @@ TEST(EngineTest, EveryPolicyKindIsPlayable) {
     auto artifact = Solve(spec);
     ASSERT_TRUE(artifact.ok())
         << KindName(spec.kind()) << ": " << artifact.status();
+    EXPECT_EQ(artifact->kind(), spec.kind());
     auto controller = artifact->MakeController(8.0);
     ASSERT_TRUE(controller.ok())
         << KindName(spec.kind()) << ": " << controller.status();

@@ -24,6 +24,7 @@
 #include "kernel/pmf_cache.h"
 #include "pricing/deadline_dp.h"
 #include "pricing/policy_eval.h"
+#include "pricing/serialization.h"
 #include "stats/poisson.h"
 #include "util/stringf.h"
 
@@ -214,11 +215,14 @@ TEST(EvalKernelTest, ScalarNominalBitIdenticalOnBothArenaPaths) {
   auto want = LegacyReferenceEvaluate(f.plan, f.lambdas, probs);
   ASSERT_TRUE(want.ok()) << want.status();
 
-  // Fresh-rebuild path: exact-rate tables, bit-identical by construction.
+  // Fresh-rebuild path: a deserialized plan carries no solve arena, so it
+  // gets exact-rate tables, bit-identical by construction.
+  auto loaded = DeserializePlan(SerializePlan(f.plan));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_TRUE(loaded->solve_arena() == nullptr);
   EvalOptions rebuild;
   rebuild.kernel_backend = "scalar";
-  rebuild.reuse_plan_arena = false;
-  auto fresh = EvaluatePolicyNominal(f.plan, rebuild);
+  auto fresh = EvaluatePolicyNominal(*loaded, rebuild);
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   ExpectBitIdentical(*fresh, *want);
 
@@ -258,10 +262,12 @@ TEST(EvalKernelTest, BundledActionsBitIdenticalToPreKernelEvaluator) {
   auto want = LegacyReferenceEvaluate(plan, lams, probs);
   ASSERT_TRUE(want.ok()) << want.status();
 
+  // A deserialized plan carries no solve arena: fresh exact-rate tables.
+  auto loaded = DeserializePlan(SerializePlan(plan));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
   EvalOptions options;
   options.kernel_backend = "scalar";
-  options.reuse_plan_arena = false;
-  auto got = EvaluatePolicy(plan, lams, probs, options);
+  auto got = EvaluatePolicy(*loaded, lams, probs, options);
   ASSERT_TRUE(got.ok()) << got.status();
   ExpectBitIdentical(*got, *want);
 }

@@ -1,12 +1,14 @@
-// Kernel-layer tests: PmfArena layout/dedup invariants, KernelRegistry
-// dispatch, and the backend parity suite -- every registered backend must
-// agree with "scalar" to ~1e-12 with identical argmins on randomized
-// layers, and must agree with ITSELF bit-for-bit between the dense
-// (ScanLayer) and bracketed (ScanState) entry points, the contract that
-// makes Algorithm 1 and Algorithm 2 produce identical plans per backend.
+// Kernel-layer tests: PmfArena layout/dedup invariants (with and without a
+// PmfShareCache), KernelRegistry dispatch, and the backend parity suite --
+// every registered backend must agree with "scalar" to ~1e-12 with
+// identical argmins on randomized layers, and must agree with ITSELF
+// bit-for-bit between the dense (ScanLayer) and bracketed (ScanState)
+// entry points, the contract that makes Algorithm 1 and Algorithm 2
+// produce identical plans per backend.
 
 #include "kernel/layer_scan.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -16,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "kernel/pmf_arena.h"
+#include "kernel/pmf_cache.h"
 #include "stats/poisson.h"
 #include "util/rng.h"
 
@@ -26,46 +29,91 @@ bool Aligned64(const double* p) {
   return reinterpret_cast<uintptr_t>(p) % 64 == 0;
 }
 
+// Builds `rates` twice: without a share cache (the arena builds its own
+// blocks) and with `cache` (blocks adopted from, or built into, it). Both
+// arenas must resolve every request to the same table id and hold
+// bit-equal tables.
+std::vector<PmfArena> BuildWithAndWithoutCache(const std::vector<double>& rates,
+                                               PmfShareCache* cache) {
+  std::vector<PmfArena> arenas;
+  for (PmfShareCache* share_cache : {static_cast<PmfShareCache*>(nullptr),
+                                     cache}) {
+    auto arena = PmfArena::Build(rates, 1e-9, PmfArena::Dedup::kQuantizedRate,
+                                 share_cache);
+    EXPECT_TRUE(arena.ok()) << arena.status();
+    if (!arena.ok()) return {};
+    arenas.push_back(std::move(arena).value());
+  }
+  const PmfArena& plain = arenas[0];
+  const PmfArena& shared = arenas[1];
+  EXPECT_EQ(plain.num_tables(), shared.num_tables());
+  for (size_t i = 0; i < rates.size(); ++i) {
+    EXPECT_EQ(plain.TableOf(i), shared.TableOf(i)) << "request " << i;
+  }
+  const size_t tables = std::min(plain.num_tables(), shared.num_tables());
+  for (size_t t = 0; t < tables; ++t) {
+    const PmfView a = plain.View(static_cast<int>(t));
+    const PmfView b = shared.View(static_cast<int>(t));
+    EXPECT_EQ(a.len, b.len) << "table " << t;
+    if (a.len != b.len) continue;
+    const size_t len = static_cast<size_t>(a.len);
+    EXPECT_EQ(std::memcmp(a.pmf, b.pmf, len * sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(a.prefix_mass, b.prefix_mass,
+                          (len + 1) * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(a.prefix_weighted, b.prefix_weighted,
+                          (len + 1) * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(&a.tail_mass, &b.tail_mass, sizeof(double)), 0);
+  }
+  return arenas;
+}
+
 TEST(PmfArenaTest, PacksAlignedTablesWithPrefixSums) {
   const std::vector<double> rates = {0.0, 5.0, 50.0, 500.0};
-  auto arena = PmfArena::Build(rates, 1e-9);
-  ASSERT_TRUE(arena.ok()) << arena.status();
-  ASSERT_EQ(arena->num_tables(), rates.size());
-  for (size_t i = 0; i < rates.size(); ++i) {
-    const PmfView v = arena->View(arena->TableOf(i));
-    EXPECT_TRUE(Aligned64(v.pmf));
-    EXPECT_TRUE(Aligned64(v.prefix_mass));
-    EXPECT_TRUE(Aligned64(v.prefix_weighted));
-    auto tp = stats::MakeTruncatedPoisson(rates[i], 1e-9);
-    ASSERT_TRUE(tp.ok());
-    ASSERT_EQ(v.len, static_cast<int>(tp->pmf.size()));
-    double mass = 0.0, weighted = 0.0;
-    EXPECT_EQ(v.prefix_mass[0], 0.0);
-    EXPECT_EQ(v.prefix_weighted[0], 0.0);
-    for (int k = 0; k < v.len; ++k) {
-      // The packed pmf is the canonical table, bit for bit.
-      EXPECT_EQ(v.pmf[k], tp->pmf[static_cast<size_t>(k)]);
-      mass += v.pmf[k];
-      weighted += static_cast<double>(k) * v.pmf[k];
-      EXPECT_EQ(v.prefix_mass[k + 1], mass);
-      EXPECT_EQ(v.prefix_weighted[k + 1], weighted);
+  PmfShareCache cache;
+  const std::vector<PmfArena> arenas = BuildWithAndWithoutCache(rates, &cache);
+  ASSERT_EQ(arenas.size(), 2u);
+  for (const PmfArena& arena : arenas) {
+    ASSERT_EQ(arena.num_tables(), rates.size());
+    for (size_t i = 0; i < rates.size(); ++i) {
+      const PmfView v = arena.View(arena.TableOf(i));
+      EXPECT_TRUE(Aligned64(v.pmf));
+      EXPECT_TRUE(Aligned64(v.prefix_mass));
+      EXPECT_TRUE(Aligned64(v.prefix_weighted));
+      auto tp = stats::MakeTruncatedPoisson(rates[i], 1e-9);
+      ASSERT_TRUE(tp.ok());
+      ASSERT_EQ(v.len, static_cast<int>(tp->pmf.size()));
+      double mass = 0.0, weighted = 0.0;
+      EXPECT_EQ(v.prefix_mass[0], 0.0);
+      EXPECT_EQ(v.prefix_weighted[0], 0.0);
+      for (int k = 0; k < v.len; ++k) {
+        // The block's pmf is the canonical table, bit for bit.
+        EXPECT_EQ(v.pmf[k], tp->pmf[static_cast<size_t>(k)]);
+        mass += v.pmf[k];
+        weighted += static_cast<double>(k) * v.pmf[k];
+        EXPECT_EQ(v.prefix_mass[k + 1], mass);
+        EXPECT_EQ(v.prefix_weighted[k + 1], weighted);
+      }
+      EXPECT_EQ(v.tail_mass, tp->tail_mass);
     }
-    EXPECT_EQ(v.tail_mass, tp->tail_mass);
   }
-  EXPECT_GT(arena->bytes(), 0u);
 }
 
 TEST(PmfArenaTest, DeduplicatesQuantizedRates) {
   const double rate = 610.0 * 0.731264987;
   const std::vector<double> rates = {rate, rate * (1.0 + 1e-15), rate, 42.0};
-  auto arena = PmfArena::Build(rates, 1e-9);
-  ASSERT_TRUE(arena.ok()) << arena.status();
-  EXPECT_EQ(arena->num_tables(), 2u);
-  EXPECT_EQ(arena->tables_built(), 2);
-  EXPECT_EQ(arena->table_reuses(), 2);
-  EXPECT_EQ(arena->TableOf(0), arena->TableOf(1));
-  EXPECT_EQ(arena->TableOf(0), arena->TableOf(2));
-  EXPECT_NE(arena->TableOf(0), arena->TableOf(3));
+  PmfShareCache cache;
+  const std::vector<PmfArena> arenas = BuildWithAndWithoutCache(rates, &cache);
+  ASSERT_EQ(arenas.size(), 2u);
+  for (const PmfArena& arena : arenas) {
+    EXPECT_EQ(arena.num_tables(), 2u);
+    EXPECT_EQ(arena.tables_built(), 2);
+    EXPECT_EQ(arena.table_reuses(), 2);
+    EXPECT_EQ(arena.TableOf(0), arena.TableOf(1));
+    EXPECT_EQ(arena.TableOf(0), arena.TableOf(2));
+    EXPECT_NE(arena.TableOf(0), arena.TableOf(3));
+  }
 }
 
 TEST(PmfArenaTest, CountsMatchTheSolversCachePattern) {

@@ -1,12 +1,14 @@
 // SolveWave tests: batched solving over a ThreadPool farm is
 // bit-identical to sequential Engine::Solve (Serialize() equality), for
-// any pool size; mixed-kind waves keep spec order with per-slot errors;
+// any pool size and for waves run side by side or nested on one pool;
+// mixed-kind waves keep spec order with per-slot errors;
 // coinciding rate profiles share pmf blocks through the wave's cache; and
 // evaluate=true precomputes the same nominal evaluation Evaluate() would.
 
 #include "engine/solve_wave.h"
 
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,16 +189,61 @@ TEST(SolveWaveTest, PoolCountersBalanceAfterWaves) {
   options.share_cache = nullptr;  // sharing off is also a supported mode
   auto results = SolveWave(specs, options);
   for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.status();
-  // The wave returns on its last job's own signal, which can come before
-  // the worker counts that job as completed.
+  // The wave returns once every helper inside its region is done; a helper
+  // that starts later finds the region closed and returns, and a worker
+  // counts a job as completed only after it returns.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (pool.completed() < pool.submitted() &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(pool.submitted(), 5);
-  EXPECT_EQ(pool.completed(), 5);
+  EXPECT_EQ(pool.completed(), pool.submitted());
+  // A wave is one ParallelFor region: at most one helper job per worker,
+  // whatever the number of specs.
+  EXPECT_LE(pool.submitted(), pool.size());
+}
+
+TEST(SolveWaveTest, ConcurrentAndNestedWavesMatchSequential) {
+  const std::vector<PolicySpec> specs = MixedWave();
+  std::vector<std::string> sequential;
+  for (const PolicySpec& spec : specs) {
+    auto artifact = Engine::Solve(spec);
+    ASSERT_TRUE(artifact.ok()) << artifact.status();
+    sequential.push_back(artifact->Serialize().value());
+  }
+
+  // Two caller threads each run a wave on one pool while a third wave runs
+  // inside a job on that same pool, so regions close side by side and one
+  // nests on a worker.
+  std::vector<std::vector<Result<PolicyArtifact>>> waves(3);
+  test_util::RunWithWatchdog(
+      "concurrent and nested waves", std::chrono::seconds(120), [&] {
+        kernel::PmfShareCache cache;
+        ThreadPool pool(2);
+        SolveWaveOptions options;
+        options.pool = &pool;
+        options.share_cache = &cache;
+        std::promise<std::vector<Result<PolicyArtifact>>> nested;
+        std::future<std::vector<Result<PolicyArtifact>>> nested_wave =
+            nested.get_future();
+        pool.Submit([&] { nested.set_value(SolveWave(specs, options)); });
+        std::thread first([&] { waves[0] = SolveWave(specs, options); });
+        std::thread second([&] { waves[1] = SolveWave(specs, options); });
+        first.join();
+        second.join();
+        waves[2] = nested_wave.get();
+      });
+
+  for (size_t w = 0; w < waves.size(); ++w) {
+    ASSERT_EQ(waves[w].size(), specs.size()) << "wave " << w;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      ASSERT_TRUE(waves[w][i].ok())
+          << "wave " << w << " slot " << i << ": " << waves[w][i].status();
+      EXPECT_EQ(waves[w][i]->Serialize().value(), sequential[i])
+          << "wave " << w << " slot " << i;
+    }
+  }
 }
 
 }  // namespace

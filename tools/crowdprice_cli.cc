@@ -767,9 +767,12 @@ int RunSolveWave(const Args& args) {
 }
 
 int RunSolvers() {
-  std::cout << "registered solvers:\n";
-  for (const std::string& line : engine::SolverRegistry::Global().Describe()) {
-    std::cout << "  " << line << "\n";
+  std::cout << "policy kinds engine::Solve accepts:\n";
+  for (engine::PolicyKind kind :
+       {engine::PolicyKind::kDeadlineDp, engine::PolicyKind::kBudgetStatic,
+        engine::PolicyKind::kFixedPrice, engine::PolicyKind::kAdaptive,
+        engine::PolicyKind::kMultiType, engine::PolicyKind::kTradeoff}) {
+    std::cout << "  " << engine::KindName(kind) << "\n";
   }
   return 0;
 }

@@ -34,14 +34,15 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/server.h"
 #include "router/router.h"
+#include "util/hexfloat.h"
 
 namespace {
 
@@ -49,10 +50,16 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
 
-long FlagValue(int argc, char** argv, const char* name, long fallback) {
+// The value of integer flag `name`, or `fallback` when it is absent;
+// nullopt when the value is not a base-10 integer in [lo, hi].
+std::optional<int> IntFlag(int argc, char** argv, const char* name,
+                           int fallback, int lo, int hi) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], name) == 0) {
-      return std::strtol(argv[i + 1], nullptr, 10);
+      const crowdprice::Result<int> value =
+          crowdprice::ParseInt<int>(argv[i + 1], name);
+      if (!value.ok() || *value < lo || *value > hi) return std::nullopt;
+      return *value;
     }
   }
   return fallback;
@@ -125,18 +132,25 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-  const long port = FlagValue(argc, argv, "--port", 7700);
-  const long workers = FlagValue(argc, argv, "--workers", 4);
-  const long max_frame_mb = FlagValue(argc, argv, "--max-frame-mb", 64);
-  const long probe_ms = FlagValue(argc, argv, "--probe-interval-ms", 250);
-  const long stats_every = FlagValue(argc, argv, "--stats-every", 10);
+  const std::optional<int> port =
+      IntFlag(argc, argv, "--port", 7700, 0, 65535);
+  const std::optional<int> workers =
+      IntFlag(argc, argv, "--workers", 4, 1, 1024);
+  // 4095 MiB is the largest cap whose byte count fits the uint32_t options.
+  const std::optional<int> max_frame_mb =
+      IntFlag(argc, argv, "--max-frame-mb", 64, 1, 4095);
+  // 0 turns the health probes off.
+  const std::optional<int> probe_ms =
+      IntFlag(argc, argv, "--probe-interval-ms", 250, 0, 3600000);
+  const std::optional<int> stats_every =
+      IntFlag(argc, argv, "--stats-every", 10, 0, 86400);
   const std::string auth_token = FlagString(argc, argv, "--auth-token", "");
   const std::string tls_cert = FlagString(argc, argv, "--tls-cert", "");
   const std::string tls_key = FlagString(argc, argv, "--tls-key", "");
   const std::string tls_ca = FlagString(argc, argv, "--tls-ca", "");
   const std::vector<std::string> backends =
       SplitCommas(FlagString(argc, argv, "--backends", ""));
-  if (port < 0 || port > 65535 || workers < 1 || max_frame_mb < 1) {
+  if (!port || !workers || !max_frame_mb || !probe_ms || !stats_every) {
     std::fprintf(stderr, "crowdprice_router: bad flag value\n");
     return 1;
   }
@@ -149,7 +163,7 @@ int main(int argc, char** argv) {
 
   crowdprice::router::RouterOptions router_options;
   router_options.pool.client.max_frame_bytes =
-      static_cast<uint32_t>(max_frame_mb) * (1u << 20);
+      static_cast<uint32_t>(*max_frame_mb) << 20;
   router_options.pool.client.auth_token = auth_token;
   if (!tls_ca.empty()) {
     router_options.pool.client.tls.ca_file = tls_ca;
@@ -158,7 +172,7 @@ int main(int argc, char** argv) {
     router_options.pool.client.tls.cert_file = tls_cert;
     router_options.pool.client.tls.key_file = tls_key;
   }
-  router_options.pool.probe_interval_ms = static_cast<int>(probe_ms);
+  router_options.pool.probe_interval_ms = *probe_ms;
   auto router =
       crowdprice::router::CampaignRouter::Create(backends, router_options);
   if (!router.ok()) {
@@ -168,9 +182,9 @@ int main(int argc, char** argv) {
   }
 
   crowdprice::net::ServerOptions options;
-  options.port = static_cast<uint16_t>(port);
-  options.num_workers = static_cast<int>(workers);
-  options.max_frame_bytes = static_cast<uint32_t>(max_frame_mb) * (1u << 20);
+  options.port = static_cast<uint16_t>(*port);
+  options.num_workers = *workers;
+  options.max_frame_bytes = static_cast<uint32_t>(*max_frame_mb) << 20;
   options.auth_token = auth_token;
   // The router's own port terminates TLS with cert/key only; demanding
   // client certificates of pricing clients is a frame-auth job
@@ -192,9 +206,9 @@ int main(int argc, char** argv) {
   }
   std::printf("PORT %u\n", server->port());
   std::printf(
-      "crowdprice_router listening on port %u (%zu backends, %ld "
+      "crowdprice_router listening on port %u (%zu backends, %d "
       "workers%s%s%s)\n",
-      server->port(), backends.size(), workers,
+      server->port(), backends.size(), *workers,
       auth_token.empty() ? "" : ", auth required",
       options.tls.enabled() ? ", tls front" : "",
       tls_ca.empty() ? "" : ", tls backends");
@@ -205,7 +219,7 @@ int main(int argc, char** argv) {
   int ticks = 0;
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    if (stats_every > 0 && ++ticks >= stats_every * 5) {
+    if (*stats_every > 0 && ++ticks >= *stats_every * 5) {
       ticks = 0;
       PrintStats(*server, *router);
     }

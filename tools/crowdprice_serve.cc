@@ -29,13 +29,14 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "net/server.h"
 #include "serving/campaign_shard_map.h"
+#include "util/hexfloat.h"
 
 namespace {
 
@@ -43,10 +44,16 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
 
-long FlagValue(int argc, char** argv, const char* name, long fallback) {
+// The value of integer flag `name`, or `fallback` when it is absent;
+// nullopt when the value is not a base-10 integer in [lo, hi].
+std::optional<int> IntFlag(int argc, char** argv, const char* name,
+                           int fallback, int lo, int hi) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], name) == 0) {
-      return std::strtol(argv[i + 1], nullptr, 10);
+      const crowdprice::Result<int> value =
+          crowdprice::ParseInt<int>(argv[i + 1], name);
+      if (!value.ok() || *value < lo || *value > hi) return std::nullopt;
+      return *value;
     }
   }
   return fallback;
@@ -93,23 +100,27 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-  const long port = FlagValue(argc, argv, "--port", 7710);
-  const long shards = FlagValue(argc, argv, "--shards", 8);
-  const long workers = FlagValue(argc, argv, "--workers", 4);
-  const long max_frame_mb = FlagValue(argc, argv, "--max-frame-mb", 64);
-  const long stats_every = FlagValue(argc, argv, "--stats-every", 10);
+  const std::optional<int> port =
+      IntFlag(argc, argv, "--port", 7710, 0, 65535);
+  const std::optional<int> shards =
+      IntFlag(argc, argv, "--shards", 8, 1, 4096);
+  const std::optional<int> workers =
+      IntFlag(argc, argv, "--workers", 4, 1, 1024);
+  // 4095 MiB is the largest cap whose byte count fits the uint32_t option.
+  const std::optional<int> max_frame_mb =
+      IntFlag(argc, argv, "--max-frame-mb", 64, 1, 4095);
+  const std::optional<int> stats_every =
+      IntFlag(argc, argv, "--stats-every", 10, 0, 86400);
   const std::string auth_token = FlagString(argc, argv, "--auth-token", "");
   const std::string tls_cert = FlagString(argc, argv, "--tls-cert", "");
   const std::string tls_key = FlagString(argc, argv, "--tls-key", "");
   const std::string tls_ca = FlagString(argc, argv, "--tls-ca", "");
-  if (port < 0 || port > 65535 || shards < 1 || workers < 1 ||
-      max_frame_mb < 1) {
+  if (!port || !shards || !workers || !max_frame_mb || !stats_every) {
     std::fprintf(stderr, "crowdprice_serve: bad flag value\n");
     return 1;
   }
 
-  auto map = crowdprice::serving::CampaignShardMap::Create(
-      static_cast<int>(shards));
+  auto map = crowdprice::serving::CampaignShardMap::Create(*shards);
   if (!map.ok()) {
     std::fprintf(stderr, "crowdprice_serve: %s\n",
                  map.status().ToString().c_str());
@@ -117,9 +128,9 @@ int main(int argc, char** argv) {
   }
 
   crowdprice::net::ServerOptions options;
-  options.port = static_cast<uint16_t>(port);
-  options.num_workers = static_cast<int>(workers);
-  options.max_frame_bytes = static_cast<uint32_t>(max_frame_mb) * (1u << 20);
+  options.port = static_cast<uint16_t>(*port);
+  options.num_workers = *workers;
+  options.max_frame_bytes = static_cast<uint32_t>(*max_frame_mb) << 20;
   options.auth_token = auth_token;
   options.tls.cert_file = tls_cert;
   options.tls.key_file = tls_key;
@@ -138,8 +149,8 @@ int main(int argc, char** argv) {
   }
   std::printf("PORT %u\n", server->port());
   std::printf(
-      "crowdprice_serve listening on port %u (%ld shards, %ld workers%s%s)\n",
-      server->port(), shards, workers,
+      "crowdprice_serve listening on port %u (%d shards, %d workers%s%s)\n",
+      server->port(), *shards, *workers,
       auth_token.empty() ? "" : ", auth required",
       options.tls.enabled() ? ", tls" : "");
   std::fflush(stdout);
@@ -149,7 +160,7 @@ int main(int argc, char** argv) {
   int ticks = 0;
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    if (stats_every > 0 && ++ticks >= stats_every * 5) {
+    if (*stats_every > 0 && ++ticks >= *stats_every * 5) {
       ticks = 0;
       PrintStats(*server, *map);
     }
