@@ -188,7 +188,7 @@ Result<std::string> PolicyArtifact::Serialize() const {
   };
   const auto num = [&out](auto v, const char* sep = " ") {
     out += sep;
-    out += std::to_string(v);
+    AppendInt(v, &out);
   };
   switch (kind()) {
     case PolicyKind::kDeadlineDp: {
@@ -241,6 +241,15 @@ Result<std::string> PolicyArtifact::Serialize() const {
     case PolicyKind::kMultiType: {
       const auto& plan = std::get<pricing::MultiTypePlan>(payload_);
       const pricing::MultiTypeProblem& p = plan.problem();
+      // Every field at its longest, plus a separator: the text is reserved
+      // once and each table row written in place through a cursor.
+      const auto intervals = static_cast<size_t>(p.num_intervals);
+      const size_t rows = static_cast<size_t>(p.num_tasks_1 + 1) *
+                          static_cast<size_t>(p.num_tasks_2 + 1);
+      const size_t policy_row = intervals * (kMaxIntChars + 1);
+      const size_t opt_row = (intervals + 1) * (kMaxHexChars + 1);
+      out.reserve(out.size() + 256 + intervals * (kMaxHexChars + 1) +
+                  rows * (policy_row + opt_row));
       out += "multitype-meta";
       num(p.num_tasks_1);
       num(p.num_tasks_2);
@@ -255,19 +264,27 @@ Result<std::string> PolicyArtifact::Serialize() const {
       out += "\npolicy\n";
       for (int n1 = 0; n1 <= p.num_tasks_1; ++n1) {
         for (int n2 = 0; n2 <= p.num_tasks_2; ++n2) {
-          for (int t = 0; t < p.num_intervals; ++t) {
-            num(plan.policy()[plan.PolicyIndex(n1, n2, t)], t > 0 ? " " : "");
-          }
-          out += '\n';
+          AppendRow(&out, policy_row, [&](char* c) {
+            for (int t = 0; t < p.num_intervals; ++t) {
+              if (t > 0) *c++ = ' ';
+              c = PutInt(plan.policy()[plan.PolicyIndex(n1, n2, t)], c);
+            }
+            *c++ = '\n';
+            return c;
+          });
         }
       }
       out += "opt\n";
       for (int n1 = 0; n1 <= p.num_tasks_1; ++n1) {
         for (int n2 = 0; n2 <= p.num_tasks_2; ++n2) {
-          for (int t = 0; t <= p.num_intervals; ++t) {
-            hex(plan.opt()[plan.StateIndex(n1, n2, t)], t > 0 ? " " : "");
-          }
-          out += '\n';
+          AppendRow(&out, opt_row, [&](char* c) {
+            for (int t = 0; t <= p.num_intervals; ++t) {
+              if (t > 0) *c++ = ' ';
+              c = PutHex(plan.opt()[plan.StateIndex(n1, n2, t)], c);
+            }
+            *c++ = '\n';
+            return c;
+          });
         }
       }
       return out;
@@ -480,21 +497,20 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
     for (int r1 = 0; r1 <= problem.num_tasks_1; ++r1) {
       for (int r2 = 0; r2 <= problem.num_tasks_2; ++r2) {
         CP_ASSIGN_OR_RETURN(auto line, reader.Next("policy row"));
-        CP_ASSIGN_OR_RETURN(
-            auto tokens,
-            Tokens(line, static_cast<size_t>(problem.num_intervals),
-                   "policy row"));
-        for (int t = 0; t < problem.num_intervals; ++t) {
-          CP_ASSIGN_OR_RETURN(
-              const int packed,
-              ParseInt<int>(tokens[static_cast<size_t>(t)], "policy entry"));
-          if (packed < -1 || packed >= kMaxPacked) {
-            return Status::InvalidArgument(
-                StringF("policy entry %d out of range at (%d, %d, t=%d)",
-                        packed, r1, r2, t));
-          }
-          plan.policy()[plan.PolicyIndex(r1, r2, t)] = packed;
-        }
+        CP_RETURN_IF_ERROR(ForEachToken(
+            line, static_cast<size_t>(problem.num_intervals), "policy row",
+            [&](size_t t, std::string_view token) -> Status {
+              CP_ASSIGN_OR_RETURN(const int packed,
+                                  ParseInt<int>(token, "policy entry"));
+              if (packed < -1 || packed >= kMaxPacked) {
+                return Status::InvalidArgument(
+                    StringF("policy entry %d out of range at (%d, %d, t=%zu)",
+                            packed, r1, r2, t));
+              }
+              plan.policy()[plan.PolicyIndex(r1, r2, static_cast<int>(t))] =
+                  packed;
+              return Status::OK();
+            }));
       }
     }
 
@@ -505,16 +521,14 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
     for (int r1 = 0; r1 <= problem.num_tasks_1; ++r1) {
       for (int r2 = 0; r2 <= problem.num_tasks_2; ++r2) {
         CP_ASSIGN_OR_RETURN(auto line, reader.Next("opt row"));
-        CP_ASSIGN_OR_RETURN(
-            auto tokens,
-            Tokens(line, static_cast<size_t>(problem.num_intervals) + 1,
-                   "opt row"));
-        for (int t = 0; t <= problem.num_intervals; ++t) {
-          CP_ASSIGN_OR_RETURN(
-              double v,
-              ParseDouble(tokens[static_cast<size_t>(t)], "opt value"));
-          plan.opt()[plan.StateIndex(r1, r2, t)] = v;
-        }
+        CP_RETURN_IF_ERROR(ForEachToken(
+            line, static_cast<size_t>(problem.num_intervals) + 1, "opt row",
+            [&](size_t t, std::string_view token) -> Status {
+              CP_ASSIGN_OR_RETURN(const double v,
+                                  ParseDouble(token, "opt value"));
+              plan.opt()[plan.StateIndex(r1, r2, static_cast<int>(t))] = v;
+              return Status::OK();
+            }));
       }
     }
     return PolicyArtifact(std::move(plan));

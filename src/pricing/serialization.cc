@@ -18,11 +18,21 @@ constexpr char kHeader[] = "crowdprice-plan v1";
 
 void AppendPlan(const DeadlinePlan& plan, std::string* out) {
   const DeadlineProblem& p = plan.problem();
+  const auto tasks = static_cast<size_t>(p.num_tasks);
+  const auto intervals = static_cast<size_t>(p.num_intervals);
+  // Every field at its longest, plus a separator: the text is reserved once
+  // and each table row written in place through a cursor.
+  const size_t policy_row = intervals * (kMaxIntChars + 1);
+  const size_t opt_row = (intervals + 1) * (kMaxHexChars + 1);
+  const size_t head = 256 + intervals * (kMaxHexChars + 1) +
+                      plan.actions().size() * (2 * kMaxHexChars + 24);
+  out->reserve(out->size() + head + tasks * policy_row +
+               (tasks + 1) * opt_row);
   *out += kHeader;
   *out += "\nproblem ";
-  *out += std::to_string(p.num_tasks);
+  AppendInt(p.num_tasks, out);
   *out += ' ';
-  *out += std::to_string(p.num_intervals);
+  AppendInt(p.num_intervals, out);
   *out += ' ';
   AppendHex(p.penalty_cents, out);
   *out += ' ';
@@ -35,31 +45,37 @@ void AppendPlan(const DeadlinePlan& plan, std::string* out) {
     AppendHex(lam, out);
   }
   *out += "\nactions ";
-  *out += std::to_string(plan.actions().size());
+  AppendInt(plan.actions().size(), out);
   *out += '\n';
   for (const PricingAction& a : plan.actions().actions()) {
     AppendHex(a.cost_per_task_cents, out);
     *out += ' ';
-    *out += std::to_string(a.bundle);
+    AppendInt(a.bundle, out);
     *out += ' ';
     AppendHex(a.acceptance, out);
     *out += '\n';
   }
   *out += "policy\n";
   for (int n = 1; n <= p.num_tasks; ++n) {
-    for (int t = 0; t < p.num_intervals; ++t) {
-      if (t > 0) *out += ' ';
-      *out += std::to_string(plan.ActionIndexUnchecked(n, t));
-    }
-    *out += '\n';
+    AppendRow(out, policy_row, [&](char* c) {
+      for (int t = 0; t < p.num_intervals; ++t) {
+        if (t > 0) *c++ = ' ';
+        c = PutInt(plan.ActionIndexUnchecked(n, t), c);
+      }
+      *c++ = '\n';
+      return c;
+    });
   }
   *out += "opt\n";
   for (int n = 0; n <= p.num_tasks; ++n) {
-    for (int t = 0; t <= p.num_intervals; ++t) {
-      if (t > 0) *out += ' ';
-      AppendHex(plan.OptUnchecked(n, t), out);
-    }
-    *out += '\n';
+    AppendRow(out, opt_row, [&](char* c) {
+      for (int t = 0; t <= p.num_intervals; ++t) {
+        if (t > 0) *c++ = ' ';
+        c = PutHex(plan.OptUnchecked(n, t), c);
+      }
+      *c++ = '\n';
+      return c;
+    });
   }
 }
 
@@ -150,19 +166,19 @@ Result<DeadlinePlan> DeserializePlan(std::string_view text) {
   }
   for (int n = 1; n <= problem.num_tasks; ++n) {
     CP_ASSIGN_OR_RETURN(auto line, reader.Next("policy row"));
-    CP_ASSIGN_OR_RETURN(
-        auto tokens,
-        Tokens(line, static_cast<size_t>(problem.num_intervals), "policy row"));
-    for (int t = 0; t < problem.num_intervals; ++t) {
-      CP_ASSIGN_OR_RETURN(
-          const int idx,
-          ParseInt<int>(tokens[static_cast<size_t>(t)], "policy index"));
-      if (idx < -1 || idx >= num_actions) {
-        return Status::InvalidArgument(StringF(
-            "policy index %d out of range at (n=%d, t=%d)", idx, n, t));
-      }
-      plan.SetActionIndex(n, t, idx);
-    }
+    CP_RETURN_IF_ERROR(ForEachToken(
+        line, static_cast<size_t>(problem.num_intervals), "policy row",
+        [&](size_t t, std::string_view token) -> Status {
+          CP_ASSIGN_OR_RETURN(const int idx,
+                              ParseInt<int>(token, "policy index"));
+          if (idx < -1 || idx >= num_actions) {
+            return Status::InvalidArgument(
+                StringF("policy index %d out of range at (n=%d, t=%zu)", idx,
+                        n, t));
+          }
+          plan.SetActionIndex(n, static_cast<int>(t), idx);
+          return Status::OK();
+        }));
   }
 
   CP_ASSIGN_OR_RETURN(auto opt_marker, reader.Next("opt marker"));
@@ -171,15 +187,13 @@ Result<DeadlinePlan> DeserializePlan(std::string_view text) {
   }
   for (int n = 0; n <= problem.num_tasks; ++n) {
     CP_ASSIGN_OR_RETURN(auto line, reader.Next("opt row"));
-    CP_ASSIGN_OR_RETURN(auto tokens,
-                        Tokens(line,
-                               static_cast<size_t>(problem.num_intervals) + 1,
-                               "opt row"));
-    for (int t = 0; t <= problem.num_intervals; ++t) {
-      CP_ASSIGN_OR_RETURN(
-          double v, ParseDouble(tokens[static_cast<size_t>(t)], "opt value"));
-      plan.SetOpt(n, t, v);
-    }
+    CP_RETURN_IF_ERROR(ForEachToken(
+        line, static_cast<size_t>(problem.num_intervals) + 1, "opt row",
+        [&](size_t t, std::string_view token) -> Status {
+          CP_ASSIGN_OR_RETURN(const double v, ParseDouble(token, "opt value"));
+          plan.SetOpt(n, static_cast<int>(t), v);
+          return Status::OK();
+        }));
   }
   return plan;
 }

@@ -1,5 +1,6 @@
 #include "util/hexfloat.h"
 
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cstdint>
@@ -22,6 +23,86 @@ bool IsHexDigit(char c) {
          (c >= 'A' && c <= 'F');
 }
 
+// The value of each byte as a digit of the canonical text: 0-15 for '0'-'9'
+// and 'a'-'f', kNotDigit for every other byte (upper case included, which
+// PutHex never prints): one load per byte instead of range tests on it.
+constexpr uint8_t kNotDigit = 0xff;
+constexpr std::array<uint8_t, 256> kDigitValue = [] {
+  std::array<uint8_t, 256> table{};
+  table.fill(kNotDigit);
+  for (int c = '0'; c <= '9'; ++c) table[c] = static_cast<uint8_t>(c - '0');
+  for (int c = 'a'; c <= 'f'; ++c) {
+    table[c] = static_cast<uint8_t>(c - 'a' + 10);
+  }
+  return table;
+}();
+
+uint8_t DigitValue(char c) {
+  return kDigitValue[static_cast<unsigned char>(c)];
+}
+
+// Reads `token` into `*value` if it is exactly a form PutHex prints for a
+// finite value: [-]0x1[.h{1,13}]p(+|-)d{1,4} with an exponent in
+// [-1022, 1023], [-]0x0p+0, or [-]0x0.h{1,13}p-1022. Each of these names
+// one double exactly, so the bits are built directly. Returns false for
+// any other token, which the general parser then reads.
+bool ParseCanonicalHex(std::string_view token, double* value) {
+  const char* p = token.data();
+  const char* const end = p + token.size();
+  uint64_t bits = 0;
+  if (p != end && *p == '-') {
+    bits = uint64_t{1} << 63;
+    ++p;
+  }
+  // The shortest form, "0x0p+0", is 6 bytes; every read below is behind a
+  // check that the byte lies inside the token.
+  if (end - p < 6 || p[0] != '0' || p[1] != 'x' ||
+      (p[2] != '0' && p[2] != '1')) {
+    return false;
+  }
+  const bool normal = p[2] == '1';
+  p += 3;
+  const bool has_fraction = *p == '.';
+  uint64_t fraction = 0;
+  if (has_fraction) {
+    const char* const first = ++p;
+    // Up to 14 digits are read, so that 14 or more fail below.
+    for (; p != end && p - first < 14; ++p) {
+      const uint8_t digit = DigitValue(*p);
+      if (digit == kNotDigit) break;
+      fraction = fraction << 4 | digit;
+    }
+    const ptrdiff_t digits = p - first;
+    if (digits == 0 || digits > 13) return false;
+    fraction <<= 4 * (13 - digits);
+  }
+  if (end - p < 3 || p[0] != 'p' || (p[1] != '+' && p[1] != '-')) {
+    return false;
+  }
+  const bool negative_exponent = p[1] == '-';
+  p += 2;
+  const ptrdiff_t exponent_digits = end - p;
+  if (exponent_digits > 4) return false;
+  int exponent = 0;
+  for (; p != end; ++p) {
+    const uint8_t digit = DigitValue(*p);
+    if (digit > 9) return false;
+    exponent = exponent * 10 + digit;
+  }
+  if (negative_exponent) exponent = -exponent;
+  if (normal) {
+    if (exponent < -1022 || exponent > 1023) return false;
+    bits |= static_cast<uint64_t>(exponent + 1023) << 52 | fraction;
+  } else if (has_fraction) {
+    if (exponent != -1022) return false;
+    bits |= fraction;
+  } else if (negative_exponent || exponent_digits != 1 || exponent != 0) {
+    return false;
+  }
+  *value = std::bit_cast<double>(bits);
+  return true;
+}
+
 Status BadToken(const char* what, const char* kind, std::string_view token) {
   return Status::InvalidArgument(StringF("%s: %s '%.*s'", what, kind,
                                          static_cast<int>(token.size()),
@@ -30,39 +111,40 @@ Status BadToken(const char* what, const char* kind, std::string_view token) {
 
 }  // namespace
 
-void AppendHex(double v, std::string* out) {
-  // The longest form, "-0x1.fffffffffffffp+1023", is 24 bytes.
-  char buf[32];
-  char* p = buf;
+char* PutHex(double v, char* out) {
+  char* p = out;
   const uint64_t bits = std::bit_cast<uint64_t>(v);
   const int biased = static_cast<int>((bits >> 52) & 0x7ff);
-  uint64_t fraction = bits & ((uint64_t{1} << 52) - 1);
+  const uint64_t fraction = bits & ((uint64_t{1} << 52) - 1);
   if ((bits >> 63) != 0) *p++ = '-';
   if (biased == 0x7ff) {
     std::memcpy(p, fraction == 0 ? "inf" : "nan", 3);
-    out->append(buf, static_cast<size_t>(p + 3 - buf));
-    return;
+    return p + 3;
   }
   // Subnormals print unnormalized, as 0x0.<fraction>p-1022, the way glibc
   // does; std::to_chars prints them that way or as 0x1p-1074 depending on
   // the C++ runtime, so the digits are produced here instead.
-  *p++ = '0';
-  *p++ = 'x';
-  *p++ = biased == 0 ? '0' : '1';
+  std::memcpy(p, biased == 0 ? "0x0" : "0x1", 3);
+  p += 3;
   if (fraction != 0) {
     *p++ = '.';
-    for (int shift = 48; fraction != 0; shift -= 4) {
-      *p++ = "0123456789abcdef"[(fraction >> shift) & 0xf];
-      fraction &= (uint64_t{1} << shift) - 1;
+    // All 13 digits, then back over the trailing zeros.
+    for (int i = 0; i < 13; ++i) {
+      p[i] = "0123456789abcdef"[(fraction >> (48 - 4 * i)) & 0xf];
     }
+    p += 13 - std::countr_zero(fraction) / 4;
   }
   int exponent = biased - 1023;
-  if (biased == 0) exponent = (bits << 1) == 0 ? 0 : -1022;
+  if (biased == 0) exponent = fraction == 0 ? 0 : -1022;
   *p++ = 'p';
   *p++ = exponent < 0 ? '-' : '+';
   const int magnitude = exponent < 0 ? -exponent : exponent;
-  p = std::to_chars(p, buf + sizeof(buf), magnitude).ptr;
-  out->append(buf, static_cast<size_t>(p - buf));
+  return std::to_chars(p, p + 4, magnitude).ptr;
+}
+
+void AppendHex(double v, std::string* out) {
+  char buf[kMaxHexChars];
+  out->append(buf, static_cast<size_t>(PutHex(v, buf) - buf));
 }
 
 std::string FormatHex(double v) {
@@ -72,6 +154,8 @@ std::string FormatHex(double v) {
 }
 
 Result<double> ParseDouble(std::string_view token, const char* what) {
+  double value = 0.0;
+  if (ParseCanonicalHex(token, &value)) return value;
   std::string_view body = token;
   bool negative = false;
   if (!body.empty() && (body[0] == '+' || body[0] == '-')) {
@@ -90,7 +174,6 @@ Result<double> ParseDouble(std::string_view token, const char* what) {
   if (body.empty() || body[0] == '+' || body[0] == '-') {
     return BadToken(what, "bad number", token);
   }
-  double value = 0.0;
   const std::from_chars_result parsed =
       std::from_chars(body.data(), body.data() + body.size(), value, format);
   if (parsed.ec == std::errc::result_out_of_range) {
@@ -149,10 +232,14 @@ Result<std::vector<std::string_view>> Tokens(std::string_view line,
                                              const char* what) {
   std::vector<std::string_view> tokens = Tokens(line);
   if (tokens.size() != expected) {
-    return Status::InvalidArgument(StringF("%s: expected %zu fields, found %zu",
-                                           what, expected, tokens.size()));
+    return FieldCountError(what, expected, tokens.size());
   }
   return tokens;
+}
+
+Status FieldCountError(const char* what, size_t expected, size_t found) {
+  return Status::InvalidArgument(
+      StringF("%s: expected %zu fields, found %zu", what, expected, found));
 }
 
 Result<std::string_view> LineReader::Next(const char* what) {

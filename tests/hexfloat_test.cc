@@ -11,21 +11,26 @@
 
 #include <bit>
 #include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "engine/policy_artifact.h"
 #include "net/wire.h"
 #include "pricing/plan.h"
 #include "util/rng.h"
+#include "util/stringf.h"
 
 namespace crowdprice {
 namespace {
@@ -106,6 +111,142 @@ TEST(HexFloatTest, ParsersRejectPartialAndOutOfRangeTokens) {
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(ParseInt<uint64_t>("-1", "x").status().IsInvalidArgument());
+}
+
+/// ParseDouble as it was before the canonical fast path, std::from_chars
+/// for every token: the reference the fast path must agree with.
+Result<double> ReferenceParseDouble(std::string_view token, const char* what) {
+  const auto bad = [&](const char* kind) {
+    return Status::InvalidArgument(StringF("%s: %s '%.*s'", what, kind,
+                                           static_cast<int>(token.size()),
+                                           token.data()));
+  };
+  std::string_view body = token;
+  bool negative = false;
+  if (!body.empty() && (body[0] == '+' || body[0] == '-')) {
+    negative = body[0] == '-';
+    body.remove_prefix(1);
+  }
+  std::chars_format format = std::chars_format::general;
+  if (body.size() > 2 && body[0] == '0' && (body[1] == 'x' || body[1] == 'X')) {
+    body.remove_prefix(2);
+    format = std::chars_format::hex;
+    const char c = body[0];
+    const bool hex_digit = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
+                           (c >= 'A' && c <= 'F');
+    if (!hex_digit && c != '.') return bad("bad number");
+  }
+  if (body.empty() || body[0] == '+' || body[0] == '-') {
+    return bad("bad number");
+  }
+  double value = 0.0;
+  const std::from_chars_result parsed =
+      std::from_chars(body.data(), body.data() + body.size(), value, format);
+  if (parsed.ec == std::errc::result_out_of_range) {
+    return bad("number out of range");
+  }
+  if (parsed.ec != std::errc() || parsed.ptr != body.data() + body.size()) {
+    return bad("bad number");
+  }
+  return negative ? -value : value;
+}
+
+/// Parses `text` both ways from an exactly sized heap copy with no
+/// terminator, so a read past the token is an AddressSanitizer error.
+/// Returns a description of the difference, or "" if they agree on
+/// ok/error, the error message and the bits.
+std::string CompareWithReference(std::string_view text) {
+  const std::unique_ptr<char[]> bytes(new char[text.size()]);
+  if (!text.empty()) std::memcpy(bytes.get(), text.data(), text.size());
+  const std::string_view token(bytes.get(), text.size());
+  const Result<double> got = ParseDouble(token, "v");
+  const Result<double> want = ReferenceParseDouble(token, "v");
+  if (got.ok() != want.ok()) {
+    return StringF("'%s': ok %d, reference ok %d", std::string(text).c_str(),
+                   got.ok(), want.ok());
+  }
+  if (!got.ok()) {
+    if (got.status().message() == want.status().message()) return "";
+    return StringF("'%s': %s vs reference %s", std::string(text).c_str(),
+                   got.status().message().c_str(),
+                   want.status().message().c_str());
+  }
+  if (std::bit_cast<uint64_t>(*got) == std::bit_cast<uint64_t>(*want)) {
+    return "";
+  }
+  return StringF("'%s': %a vs reference %a", std::string(text).c_str(), *got,
+                 *want);
+}
+
+/// A double whose FormatHex text the fast path reads: a normal (its
+/// exponent now and then at an edge of the normal range), a subnormal or a
+/// signed zero, with 0-13 trailing fraction digits cleared so every digit
+/// count occurs.
+double CanonicalSample(Rng& rng, int i) {
+  uint64_t bits = rng.NextUint64() & ~(uint64_t{0x7ff} << 52);
+  const uint64_t fraction_bits = (uint64_t{1} << 52) - 1;
+  static constexpr uint64_t kEdgeExponents[] = {1, 2, 1022, 1023, 1024,
+                                                2045, 2046};
+  switch (i % 4) {
+    case 0:
+      bits |= static_cast<uint64_t>(rng.UniformInt(1, 2046)) << 52;
+      break;
+    case 1:
+      bits |= kEdgeExponents[rng.UniformInt(0, std::size(kEdgeExponents) - 1)]
+              << 52;
+      break;
+    case 2:
+      break;  // subnormal
+    default:
+      bits &= ~fraction_bits;  // zero
+  }
+  const int cleared = static_cast<int>(rng.UniformInt(0, 13));
+  bits &= ~((uint64_t{1} << (4 * cleared)) - 1) | ~fraction_bits;
+  return std::bit_cast<double>(bits);
+}
+
+TEST(HexFloatTest, CanonicalFastPathAgreesWithTheGeneralParser) {
+  std::vector<std::string> texts = {
+      "0x1p+1023",           "0x1p+1024",
+      "0x1p-1023",           "0x1p-1074",
+      "0x1p-1075",           "0x0.00000000000008p-1022",
+      "0x1.0000000000000p+0", "0x1.00000000000000p+0",
+      "0x1.p+0",             "0x1p+00001",
+      "0x0p-1022",           "0x1.fffffffffffff8p+1023",
+      "0x1.Ap+0"};
+  Rng rng(TestSeed());
+  for (int i = 0; i < (1 << 12); ++i) {
+    texts.push_back(FormatHex(CanonicalSample(rng, i)));
+  }
+  static constexpr char kInserts[] = "018fFpP+-.xX ";
+  size_t tokens = 0;
+  size_t mismatches = 0;
+  const auto check = [&](std::string_view token) {
+    ++tokens;
+    const std::string diff = CompareWithReference(token);
+    if (!diff.empty() && ++mismatches <= 20) ADD_FAILURE() << diff;
+  };
+  // `text` with `erase` bytes at `at` replaced by `put`.
+  const auto edited = [](const std::string& text, size_t at, size_t erase,
+                         std::string_view put) {
+    std::string out(text, 0, at);
+    out += put;
+    out.append(text, at + erase);
+    return out;
+  };
+  for (const std::string& text : texts) {
+    for (size_t i = 0; i <= text.size(); ++i) {
+      check(std::string_view(text).substr(0, i));
+      for (const char c : std::string_view(kInserts)) {
+        check(edited(text, i, 0, std::string_view(&c, 1)));
+        if (i < text.size()) check(edited(text, i, 1, std::string_view(&c, 1)));
+      }
+      if (i == text.size()) continue;
+      check(edited(text, i, 1, ""));
+      check(edited(text, i, 0, std::string_view(&text[i], 1)));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << tokens << " tokens";
 }
 
 TEST(HexFloatTest, TokensAndLinesAreViewsOfTheText) {

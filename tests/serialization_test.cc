@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "pricing/deadline_dp.h"
 #include "pricing/policy_eval.h"
 #include "util/rng.h"
+#include "util/stringf.h"
 
 #include "test_util.h"
 
@@ -216,7 +220,8 @@ TEST(SerializationTest, RandomMutationsNeverCrash) {
   SUCCEED();
 }
 
-TEST(SerializationTest, MultiTypeArtifactRoundTripIsBitExact) {
+/// A 5 x 4 x 3 joint two-type campaign.
+engine::MultiTypeSpec SampleMultiTypeSpec() {
   engine::MultiTypeSpec spec;
   spec.s1 = 10.0;
   spec.b1 = 1.3;
@@ -231,8 +236,12 @@ TEST(SerializationTest, MultiTypeArtifactRoundTripIsBitExact) {
   spec.problem.max_price_cents = 16;
   spec.problem.price_stride = 4;
   spec.interval_lambdas = {21.5, 33.75, 18.0};
+  return spec;
+}
+
+TEST(SerializationTest, MultiTypeArtifactRoundTripIsBitExact) {
   const engine::PolicyArtifact artifact =
-      engine::Engine::Solve(spec).value();
+      engine::Engine::Solve(SampleMultiTypeSpec()).value();
   const MultiTypePlan& plan = *artifact.multitype_plan().value();
 
   const std::string text = artifact.Serialize().value();
@@ -268,7 +277,8 @@ TEST(SerializationTest, MultiTypeArtifactRoundTripIsBitExact) {
   EXPECT_DOUBLE_EQ(reloaded.TotalObjective(), plan.TotalObjective());
 }
 
-TEST(SerializationTest, AdaptiveArtifactCheckpointsItsBelief) {
+/// An 18-task, 5-interval adaptive campaign.
+engine::AdaptiveSpec SampleAdaptiveSpec() {
   auto acc = choice::LogitAcceptance::Paper2014();
   engine::AdaptiveSpec spec;
   spec.problem.num_tasks = 18;
@@ -282,8 +292,12 @@ TEST(SerializationTest, AdaptiveArtifactCheckpointsItsBelief) {
   spec.options.prior_weight = 0.375;
   spec.options.min_factor = 0.5;
   spec.options.max_factor = 3.0;
+  return spec;
+}
+
+TEST(SerializationTest, AdaptiveArtifactCheckpointsItsBelief) {
   const engine::PolicyArtifact artifact =
-      engine::Engine::Solve(spec).value();
+      engine::Engine::Solve(SampleAdaptiveSpec()).value();
 
   const std::string text = artifact.Serialize().value();
   auto restored = engine::PolicyArtifact::Deserialize(text);
@@ -300,6 +314,119 @@ TEST(SerializationTest, AdaptiveArtifactCheckpointsItsBelief) {
   EXPECT_DOUBLE_EQ(offer_a.per_task_reward_cents,
                    offer_b.per_task_reward_cents);
   EXPECT_EQ(offer_a.group_size, offer_b.group_size);
+}
+
+TEST(SerializationTest, AdaptiveArtifactClaimingHugeDimensionsIsRejected) {
+  // One token turns the 18-task checkpoint into a 2e9-task one. Nothing
+  // here may call Decide: if the artifact were accepted, its first Decide
+  // would re-solve a 2e9 x 5 plan and abort on bad_alloc.
+  const std::string text =
+      engine::Engine::Solve(SampleAdaptiveSpec()).value().Serialize().value();
+  const std::string meta = "adaptive-meta 18 ";
+  const size_t pos = text.find(meta);
+  ASSERT_NE(pos, std::string::npos);
+  std::string huge = text;
+  huge.replace(pos, meta.size(), "adaptive-meta 2000000000 ");
+
+  const Status loaded = engine::PolicyArtifact::Deserialize(huge).status();
+  EXPECT_TRUE(loaded.IsInvalidArgument()) << loaded;
+  EXPECT_NE(loaded.message().find("implausible adaptive dimensions"),
+            std::string::npos)
+      << loaded;
+  const std::string admit = "control admit 18 0x1.4p+3 0x0p+0 artifact " +
+                            std::to_string(huge.size()) + "\n" + huge;
+  EXPECT_TRUE(net::DeserializeControlOp(admit).status().IsInvalidArgument());
+
+  engine::AdaptiveSpec spec = SampleAdaptiveSpec();
+  spec.problem.num_tasks = 2000000000;
+  EXPECT_TRUE(engine::Engine::Solve(spec).status().IsInvalidArgument());
+}
+
+std::string Printf(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+TEST(SerializationTest, LongestNumbersSerializeAsPrintfAndRoundTrip) {
+  // The longest texts a double prints as: a row of them must fit the room
+  // the row encoder reserves for it.
+  const double longest[] = {-DBL_MAX,
+                            -std::numeric_limits<double>::denorm_min()};
+  DeadlineProblem problem;
+  problem.num_tasks = 3;
+  problem.num_intervals = 4;
+  problem.penalty_cents = 150.0;
+  DeadlinePlan plan(
+      problem,
+      ActionSet::FromActions({{12.5, 1, 0.125}, {40.0, 1, 0.875}}).value(),
+      {60.0, 0.1, 1e300, -DBL_MAX});
+  std::string opt_rows;
+  for (int n = 0; n <= problem.num_tasks; ++n) {
+    for (int t = 0; t <= problem.num_intervals; ++t) {
+      const double v = longest[(n + t) % 2];
+      plan.SetOpt(n, t, v);
+      if (t > 0) opt_rows += ' ';
+      opt_rows += Printf(v);
+      if (n > 0 && t < problem.num_intervals) {
+        plan.SetActionIndex(n, t, (n + t) % 3 - 1);
+      }
+    }
+    opt_rows += '\n';
+  }
+  EXPECT_EQ(Printf(longest[0]), "-0x1.fffffffffffffp+1023");
+  EXPECT_EQ(Printf(longest[1]), "-0x0.0000000000001p-1022");
+
+  const std::string text = SerializePlan(plan);
+  const size_t opt = text.find("\nopt\n");
+  ASSERT_NE(opt, std::string::npos);
+  EXPECT_EQ(text.substr(opt + 5), opt_rows);
+  const auto restored = DeserializePlan(text);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(SerializePlan(*restored), text);
+}
+
+/// `text` with the first row under its `marker` line ("policy" or "opt")
+/// one token short (`delta` -1) or one token long (`delta` +1).
+std::string ResizeFirstRow(const std::string& text, const std::string& marker,
+                           int delta) {
+  const size_t row = text.find("\n" + marker + "\n") + marker.size() + 2;
+  const size_t end = text.find('\n', row);
+  if (delta < 0) {
+    const size_t last = text.rfind(' ', end);
+    return text.substr(0, last) + text.substr(end);
+  }
+  const std::string first = text.substr(row, text.find(' ', row) - row);
+  return text.substr(0, end) + " " + first + text.substr(end);
+}
+
+TEST(SerializationTest, RowsOneTokenShortOrLongNameTheirFieldCount) {
+  const std::string plan = SerializePlan(SolveSample());  // 5 intervals
+  const std::string multitype = engine::Engine::Solve(SampleMultiTypeSpec())
+                                    .value()
+                                    .Serialize()
+                                    .value();  // 3 intervals
+  ASSERT_TRUE(DeserializePlan(plan).ok());
+  ASSERT_TRUE(engine::PolicyArtifact::Deserialize(multitype).ok());
+  for (const std::string marker : {"policy", "opt"}) {
+    const size_t extra = marker == "opt" ? 1 : 0;  // opt rows include t = NT
+    for (const int delta : {-1, 1}) {
+      const Status in_plan =
+          DeserializePlan(ResizeFirstRow(plan, marker, delta)).status();
+      EXPECT_TRUE(in_plan.IsInvalidArgument()) << in_plan;
+      EXPECT_EQ(in_plan.message(),
+                StringF("%s row: expected %zu fields, found %zu",
+                        marker.c_str(), 5 + extra, 5 + extra + delta));
+      const Status in_multitype =
+          engine::PolicyArtifact::Deserialize(
+              ResizeFirstRow(multitype, marker, delta))
+              .status();
+      EXPECT_TRUE(in_multitype.IsInvalidArgument()) << in_multitype;
+      EXPECT_EQ(in_multitype.message(),
+                StringF("%s row: expected %zu fields, found %zu",
+                        marker.c_str(), 3 + extra, 3 + extra + delta));
+    }
+  }
 }
 
 TEST(SerializationTest, BundledActionsRoundTrip) {

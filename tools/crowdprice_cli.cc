@@ -34,22 +34,37 @@
 // prediction. The acceptance model defaults to the paper's Eq. 13 logit
 // (s=15, b=-0.39, M=2000); override with --accept-s/--accept-b/--accept-m
 // (single-type) or --s1/--b1/--s2/--b2/--m (joint).
+// Numeric flags are read whole, as their type: a value that does not parse
+// (--rate soon) or does not fit (--tasks 1e12) prints "bad flag value".
 // Exit code 0 on success, 1 on user error, 2 on solver failure.
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "crowdprice.h"
+#include "util/hexfloat.h"
 
 using namespace crowdprice;
 
 namespace {
+
+// A numeric flag whose value does not parse, or does not fit the type it
+// is read into, is a user error: it ends the run before anything is solved.
+[[noreturn]] void BadFlagValue(const std::string& key,
+                               const std::string& value) {
+  std::cerr << "crowdprice_cli: bad flag value --" << key << " '" << value
+            << "'\n";
+  std::exit(1);
+}
 
 struct Args {
   std::string command;
@@ -57,10 +72,23 @@ struct Args {
 
   bool Has(const std::string& key) const { return flags.count(key) > 0; }
 
+  /// The flag as a finite double, or `fallback` when it is absent.
   double Num(const std::string& key, double fallback) const {
     auto it = flags.find(key);
     if (it == flags.end()) return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
+    const Result<double> value = ParseDouble(it->second, key.c_str());
+    if (!value.ok() || !std::isfinite(*value)) BadFlagValue(key, it->second);
+    return *value;
+  }
+
+  /// The flag as a base-10 T, or `fallback` when it is absent.
+  template <typename T>
+  T Int(const std::string& key, T fallback) const {
+    auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    const Result<T> value = ParseInt<T>(it->second, key.c_str());
+    if (!value.ok()) BadFlagValue(key, it->second);
+    return *value;
   }
 
   std::string Str(const std::string& key, const std::string& fallback) const {
@@ -128,6 +156,14 @@ Result<Args> Parse(int argc, char** argv) {
   return args;
 }
 
+// `hours * per_hour` decision intervals, at least one, and clamped so the
+// conversion to int is defined however long the horizon.
+int IntervalsFor(double hours, double per_hour) {
+  return static_cast<int>(
+      std::clamp(hours * per_hour, 1.0,
+                 static_cast<double>(std::numeric_limits<int>::max())));
+}
+
 Result<choice::LogitAcceptance> Acceptance(const Args& args) {
   return choice::LogitAcceptance::Create(args.Num("accept-s", 15.0),
                                          args.Num("accept-b", -0.39),
@@ -135,12 +171,13 @@ Result<choice::LogitAcceptance> Acceptance(const Args& args) {
 }
 
 int RunDeadline(const Args& args) {
-  const int tasks = static_cast<int>(args.Num("tasks", 0));
+  const int tasks = args.Int("tasks", 0);
   const double hours = args.Num("hours", 0.0);
-  const int intervals =
-      static_cast<int>(args.Num("intervals", std::max(1.0, hours * 3.0)));
+  const int intervals = args.Int("intervals", IntervalsFor(hours, 3.0));
   const double rate = args.Num("rate", 5083.0);
-  const int max_price = static_cast<int>(args.Num("max-price", 50));
+  const int max_price = args.Int("max-price", 50);
+  const double penalty = args.Num("penalty", 0.0);
+  const double bound = args.Num("bound", 0.5);
   if (tasks < 1 || hours <= 0.0) {
     std::cerr << "deadline requires --tasks >= 1 and --hours > 0\n";
     return 1;
@@ -164,9 +201,9 @@ int RunDeadline(const Args& args) {
   spec.actions = std::move(actions).value();
   spec.dp_options.kernel_backend = args.Str("kernel", "");
   if (args.Has("penalty")) {
-    spec.problem.penalty_cents = args.Num("penalty", 0.0);
+    spec.problem.penalty_cents = penalty;
   } else {
-    spec.expected_remaining_bound = args.Num("bound", 0.5);
+    spec.expected_remaining_bound = bound;
   }
 
   auto artifact = engine::Solve(spec);
@@ -228,10 +265,10 @@ int RunDeadline(const Args& args) {
 }
 
 int RunBudget(const Args& args) {
-  const int64_t tasks = static_cast<int64_t>(args.Num("tasks", 0));
+  const int64_t tasks = args.Int<int64_t>("tasks", 0);
   const double budget = args.Num("budget", -1.0);
   const double rate = args.Num("rate", 5083.0);
-  const int max_price = static_cast<int>(args.Num("max-price", 50));
+  const int max_price = args.Int("max-price", 50);
   if (tasks < 1 || budget < 0.0) {
     std::cerr << "budget requires --tasks >= 1 and --budget >= 0 (cents)\n";
     return 1;
@@ -277,7 +314,7 @@ int RunBudget(const Args& args) {
 int RunTradeoff(const Args& args) {
   const double alpha = args.Num("alpha", -1.0);
   const double rate = args.Num("rate", 5083.0);
-  const int max_price = static_cast<int>(args.Num("max-price", 60));
+  const int max_price = args.Int("max-price", 60);
   if (alpha < 0.0) {
     std::cerr << "tradeoff requires --alpha >= 0 (cents per task-hour)\n";
     return 1;
@@ -312,15 +349,16 @@ int RunTradeoff(const Args& args) {
 }
 
 int RunFleet(const Args& args) {
-  const int campaigns = static_cast<int>(args.Num("campaigns", 0));
-  const int shards = static_cast<int>(args.Num("shards", 8));
-  const int tasks = static_cast<int>(args.Num("tasks", 40));
+  const int campaigns = args.Int("campaigns", 0);
+  const int shards = args.Int("shards", 8);
+  const int tasks = args.Int("tasks", 40);
   const double hours = args.Num("hours", 8.0);
   const double rate_per_hour = args.Num("rate", 400.0);
-  const int max_price = static_cast<int>(args.Num("max-price", 50));
-  const auto seed = static_cast<uint64_t>(args.Num("seed", 7.0));
+  const int max_price = args.Int("max-price", 50);
+  const auto seed = args.Int<uint64_t>("seed", 7);
   const double arrive_over = args.Num("arrive-over", 0.0);
   const double retire_frac = args.Num("retire-frac", 0.0);
+  const double bound = args.Num("bound", 0.5);
   if (campaigns < 1 || tasks < 1 || hours <= 0.0 || shards < 1) {
     std::cerr << "fleet requires --campaigns >= 1, --tasks >= 1, "
                  "--hours > 0, --shards >= 1\n";
@@ -343,7 +381,7 @@ int RunFleet(const Args& args) {
   }
 
   // One deadline policy, played by every campaign in the fleet.
-  const int intervals = std::max(1, static_cast<int>(hours * 3.0));
+  const int intervals = IntervalsFor(hours, 3.0);
   engine::DeadlineDpSpec spec;
   spec.problem.num_tasks = tasks;
   spec.problem.num_intervals = intervals;
@@ -351,7 +389,7 @@ int RunFleet(const Args& args) {
                                rate_per_hour * hours / intervals);
   spec.actions = std::move(actions).value();
   spec.dp_options.kernel_backend = args.Str("kernel", "");
-  spec.expected_remaining_bound = args.Num("bound", 0.5);
+  spec.expected_remaining_bound = bound;
   auto artifact = engine::Solve(spec);
   if (!artifact.ok()) {
     std::cerr << artifact.status() << "\n";
@@ -517,14 +555,15 @@ int RunFleet(const Args& args) {
 }
 
 int RunMultiType(const Args& args) {
-  const int tasks1 = static_cast<int>(args.Num("tasks1", 0));
-  const int tasks2 = static_cast<int>(args.Num("tasks2", 0));
+  const int tasks1 = args.Int("tasks1", 0);
+  const int tasks2 = args.Int("tasks2", 0);
   const double hours = args.Num("hours", 0.0);
-  const int intervals =
-      static_cast<int>(args.Num("intervals", std::max(1.0, hours)));
+  const int intervals = args.Int("intervals", IntervalsFor(hours, 1.0));
   const double rate_per_hour = args.Num("rate", 80.0);
-  const int replicates = static_cast<int>(args.Num("replicates", 50));
-  if (tasks1 < 0 || tasks2 < 0 || tasks1 + tasks2 < 1 || hours <= 0.0) {
+  const int replicates = args.Int("replicates", 50);
+  const auto seed = args.Int<uint64_t>("seed", 7);
+  if (tasks1 < 0 || tasks2 < 0 || (tasks1 == 0 && tasks2 == 0) ||
+      hours <= 0.0) {
     std::cerr << "multitype requires --tasks1/--tasks2 (>= 1 total) and "
                  "--hours > 0\n";
     return 1;
@@ -541,9 +580,8 @@ int RunMultiType(const Args& args) {
   spec.problem.num_intervals = intervals;
   spec.problem.penalty_1_cents = args.Num("penalty1", 200.0);
   spec.problem.penalty_2_cents = args.Num("penalty2", 150.0);
-  spec.problem.max_price_cents =
-      static_cast<int>(args.Num("max-price", 30));
-  spec.problem.price_stride = static_cast<int>(args.Num("stride", 2));
+  spec.problem.max_price_cents = args.Int("max-price", 30);
+  spec.problem.price_stride = args.Int("stride", 2);
   spec.kernel_backend = args.Str("kernel", "");
   spec.interval_lambdas.assign(static_cast<size_t>(intervals),
                                rate_per_hour * hours / intervals);
@@ -597,7 +635,7 @@ int RunMultiType(const Args& args) {
   sim.horizon_hours = hours;
   sim.decision_interval_hours = hours / intervals;
   double done1 = 0.0, done2 = 0.0, paid = 0.0;
-  Rng master(static_cast<uint64_t>(args.Num("seed", 7.0)));
+  Rng master(seed);
   for (int rep = 0; rep < std::max(1, replicates); ++rep) {
     Rng child = master.Fork();
     auto played = market::RunMultiTypeSimulation(sim, *rate, acceptance,
@@ -641,8 +679,8 @@ int RunSolveWave(const Args& args) {
                  "\"tasks hours rate [penalty]\")\n";
     return 1;
   }
-  const int threads = static_cast<int>(args.Num("threads", 0));
-  const int max_price = static_cast<int>(args.Num("max-price", 50));
+  const int threads = args.Int("threads", 0);
+  const int max_price = args.Int("max-price", 50);
   const double intervals_per_hour = args.Num("intervals-per-hour", 3.0);
   if (intervals_per_hour <= 0.0) {
     std::cerr << "solve requires --intervals-per-hour > 0\n";
@@ -681,8 +719,7 @@ int RunSolveWave(const Args& args) {
       return 1;
     }
     engine::DeadlineDpSpec spec;
-    const int intervals =
-        std::max(1, static_cast<int>(hours * intervals_per_hour));
+    const int intervals = IntervalsFor(hours, intervals_per_hour);
     spec.problem.num_tasks = tasks;
     spec.problem.num_intervals = intervals;
     spec.interval_lambdas.assign(static_cast<size_t>(intervals),
