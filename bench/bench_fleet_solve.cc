@@ -5,10 +5,11 @@
 // (N=36, NT=24, 20-action grid) and solve it through engine::SolveWave
 // over a ThreadPool with a shared PmfShareCache, against the sequential
 // Engine::Solve baseline. A sample of wave artifacts must serialize
-// bit-identically to their sequential counterparts (the farm's determinism
-// contract), and campaigns stamped from the same profile must share pmf
-// blocks instead of rebuilding them. Reports waves/sec at pool sizes
-// {1,2,4,8}.
+// bit-identically to their sequential counterparts and hold bit-identical
+// cost-to-go tables, which the policy-only text leaves out (the farm's
+// determinism contract), and campaigns stamped from the same profile must
+// share pmf blocks instead of rebuilding them. Reports waves/sec at pool
+// sizes {1,2,4,8}.
 //
 // Part 2 -- batched evaluation: the kernel-backed nominal forward pass
 // (EvaluatePolicyNominal on the plan's retained solve arena) against the
@@ -31,6 +32,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -177,6 +179,7 @@ int main(int argc, char** argv) {
 
   const auto sequential_start = std::chrono::steady_clock::now();
   std::vector<std::string> sample_serialized;
+  std::vector<engine::PolicyArtifact> sample_solved;
   const int kSampleStride = std::max(1, kCampaigns / 64);
   for (int i = 0; i < kCampaigns; ++i) {
     engine::PolicyArtifact artifact =
@@ -185,6 +188,7 @@ int main(int argc, char** argv) {
       auto text = artifact.Serialize();
       bench::DieOnError(text.status(), "serialize");
       sample_serialized.push_back(std::move(text).value());
+      sample_solved.push_back(std::move(artifact));
     }
   }
   const double sequential_seconds = Seconds(sequential_start);
@@ -207,10 +211,24 @@ int main(int argc, char** argv) {
     bench::DieOnError(text.status(), "wave serialize");
     identical =
         identical && *text == sample_serialized[static_cast<size_t>(s)];
+    auto got = wave[static_cast<size_t>(i)]->deadline_plan();
+    auto want = sample_solved[static_cast<size_t>(s)].deadline_plan();
+    bench::DieOnError(got.status(), "wave plan");
+    bench::DieOnError(want.status(), "sequential plan");
+    const pricing::DeadlinePlan& a = **got;
+    const pricing::DeadlinePlan& b = **want;
+    // WaveSpec varies num_tasks per slot, so size the table from the plans.
+    const size_t cells = static_cast<size_t>(b.num_tasks() + 1) *
+                         static_cast<size_t>(b.num_intervals() + 1);
+    identical = identical && a.num_tasks() == b.num_tasks() &&
+                a.num_intervals() == b.num_intervals() &&
+                std::memcmp(a.OptLayer(0), b.OptLayer(0),
+                            cells * sizeof(double)) == 0;
   }
   bench::Check(identical,
                StringF("sampled wave artifacts (every %dth of %d) serialize "
-                       "bit-identically to sequential Engine::Solve",
+                       "and hold opt tables bit-identical to sequential "
+                       "Engine::Solve",
                        kSampleStride, kCampaigns));
 
   const kernel::PmfArena::Stats share = wave_cache.stats();

@@ -247,9 +247,8 @@ Result<std::string> PolicyArtifact::Serialize() const {
       const size_t rows = static_cast<size_t>(p.num_tasks_1 + 1) *
                           static_cast<size_t>(p.num_tasks_2 + 1);
       const size_t policy_row = intervals * (kMaxIntChars + 1);
-      const size_t opt_row = (intervals + 1) * (kMaxHexChars + 1);
       out.reserve(out.size() + 256 + intervals * (kMaxHexChars + 1) +
-                  rows * (policy_row + opt_row));
+                  rows * policy_row);
       out += "multitype-meta";
       num(p.num_tasks_1);
       num(p.num_tasks_2);
@@ -268,19 +267,6 @@ Result<std::string> PolicyArtifact::Serialize() const {
             for (int t = 0; t < p.num_intervals; ++t) {
               if (t > 0) *c++ = ' ';
               c = PutInt(plan.policy()[plan.PolicyIndex(n1, n2, t)], c);
-            }
-            *c++ = '\n';
-            return c;
-          });
-        }
-      }
-      out += "opt\n";
-      for (int n1 = 0; n1 <= p.num_tasks_1; ++n1) {
-        for (int n2 = 0; n2 <= p.num_tasks_2; ++n2) {
-          AppendRow(&out, opt_row, [&](char* c) {
-            for (int t = 0; t <= p.num_intervals; ++t) {
-              if (t > 0) *c++ = ' ';
-              c = PutHex(plan.opt()[plan.StateIndex(n1, n2, t)], c);
             }
             *c++ = '\n';
             return c;
@@ -325,6 +311,7 @@ Result<std::string> PolicyArtifact::Serialize() const {
 
 Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
   LineReader reader(text, "artifact");
+  CP_RETURN_IF_ERROR(reader.ExpectFinalNewline());
   CP_ASSIGN_OR_RETURN(auto header, reader.Next("header"));
   if (header != kHeader) {
     return Status::InvalidArgument(
@@ -379,6 +366,7 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
       CP_ASSIGN_OR_RETURN(alloc.count, ParseInt<int64_t>(tokens[1], "count"));
       assignment.allocations.push_back(alloc);
     }
+    CP_RETURN_IF_ERROR(reader.ExpectEnd("budget allocations"));
     return PolicyArtifact(std::move(assignment));
   }
 
@@ -396,6 +384,7 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
                         ParseDouble(tokens[3], "prob finish"));
     CP_ASSIGN_OR_RETURN(fixed.expected_cost_cents,
                         ParseDouble(tokens[4], "expected cost"));
+    CP_RETURN_IF_ERROR(reader.ExpectEnd("fixed line"));
     return PolicyArtifact(std::move(fixed));
   }
 
@@ -427,6 +416,7 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
         sol.objective_curve.push_back(x);
       }
     }
+    CP_RETURN_IF_ERROR(reader.ExpectEnd("tradeoff"));
     return PolicyArtifact(std::move(sol));
   }
 
@@ -453,20 +443,9 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
                         ParseDouble(mtokens[7], "penalty_2"));
     CP_ASSIGN_OR_RETURN(problem.truncation_epsilon,
                         ParseDouble(mtokens[8], "epsilon"));
+    // Validate bounds the plan at kMaxPlanStates before anything is sized
+    // from the meta line.
     CP_RETURN_IF_ERROR(problem.Validate());
-    // Bound the state-table size before the plan constructor allocates it:
-    // a crafted meta line must not trigger a huge allocation (same spirit
-    // as the tradeoff curve and budget allocation caps).
-    const long long states =
-        (static_cast<long long>(problem.num_tasks_1) + 1) *
-        (static_cast<long long>(problem.num_tasks_2) + 1) *
-        (static_cast<long long>(problem.num_intervals) + 1);
-    if (states > (1LL << 24)) {
-      return Status::InvalidArgument(
-          StringF("implausible multitype dimensions: %d x %d x %d states",
-                  problem.num_tasks_1, problem.num_tasks_2,
-                  problem.num_intervals));
-    }
 
     CP_ASSIGN_OR_RETURN(auto lambda_line, reader.Next("lambdas"));
     CP_ASSIGN_OR_RETURN(
@@ -481,13 +460,14 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
       CP_ASSIGN_OR_RETURN(double lam, ParseDouble(ltokens[i], "lambda"));
       lambdas.push_back(lam);
     }
-    // The plan is sized from the meta line, so first check that the text
-    // left can hold the policy and opt tables it claims.
+    // The policy table is sized from the meta line, so first check that the
+    // text left can hold it.
     const auto intervals = static_cast<uint64_t>(problem.num_intervals);
-    const auto layer = static_cast<uint64_t>(states) / (intervals + 1);
-    const uint64_t entries = layer * intervals + layer * (intervals + 1);
-    CP_RETURN_IF_ERROR(reader.ExpectRoomFor(entries, "policy and opt"));
-    pricing::MultiTypePlan plan(problem, std::move(lambdas));
+    const auto layer = (static_cast<uint64_t>(problem.num_tasks_1) + 1) *
+                       (static_cast<uint64_t>(problem.num_tasks_2) + 1);
+    CP_RETURN_IF_ERROR(reader.ExpectRoomFor(layer * intervals, "policy"));
+    pricing::MultiTypePlan plan =
+        pricing::MultiTypePlan::PolicyOnly(problem, std::move(lambdas));
 
     CP_ASSIGN_OR_RETURN(auto policy_marker, reader.Next("policy marker"));
     if (policy_marker != "policy") {
@@ -514,23 +494,8 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
       }
     }
 
-    CP_ASSIGN_OR_RETURN(auto opt_marker, reader.Next("opt marker"));
-    if (opt_marker != "opt") {
-      return Status::InvalidArgument("expected 'opt' marker");
-    }
-    for (int r1 = 0; r1 <= problem.num_tasks_1; ++r1) {
-      for (int r2 = 0; r2 <= problem.num_tasks_2; ++r2) {
-        CP_ASSIGN_OR_RETURN(auto line, reader.Next("opt row"));
-        CP_RETURN_IF_ERROR(ForEachToken(
-            line, static_cast<size_t>(problem.num_intervals) + 1, "opt row",
-            [&](size_t t, std::string_view token) -> Status {
-              CP_ASSIGN_OR_RETURN(const double v,
-                                  ParseDouble(token, "opt value"));
-              plan.opt()[plan.StateIndex(r1, r2, static_cast<int>(t))] = v;
-              return Status::OK();
-            }));
-      }
-    }
+    CP_RETURN_IF_ERROR(pricing::SkipLegacyOpt(&reader, layer, intervals + 1,
+                                              "multitype plan"));
     return PolicyArtifact(std::move(plan));
   }
 
@@ -630,6 +595,7 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
                            problem, believed_lambdas, action_set,
                            horizon_hours, options)
                            .status());
+    CP_RETURN_IF_ERROR(reader.ExpectEnd("adaptive actions"));
     return PolicyArtifact(AdaptivePolicy{problem, std::move(believed_lambdas),
                                          std::move(action_set), horizon_hours,
                                          options});

@@ -3,7 +3,10 @@
 // An artifact is the solved policy in a uniform wrapper that can be
 //   (a) played against the marketplace as a market::PricingController,
 //   (b) persisted and reloaded (table-backed kinds) via the same
-//       line-oriented hex-float format as pricing/serialization, and
+//       line-oriented hex-float format as pricing/serialization -- a
+//       deadline or multitype text carries the policy table, not the
+//       solver's cost-to-go table, so a reloaded plan answers every decide
+//       but has no Opt(n, t) (OptAt fails, TotalObjective is NaN) -- and
 //   (c) scored by the pricing/policy_eval machinery (deadline kind).
 //
 // Controllers returned by MakeController may reference tables owned by the
@@ -103,13 +106,17 @@ class PolicyArtifact {
   Result<pricing::AdaptiveRateController> MakeAdaptiveController() const;
 
   // --- (b) persist --------------------------------------------------------
-  /// Self-contained text serialization for every kind. Bit-exact round
-  /// trip via hex-float encoding; the deadline payload embeds the
-  /// pricing/serialization plan format, the multitype payload its joint
-  /// policy/value tables, and the adaptive payload its belief state
+  /// Self-contained text serialization for every kind, ending in '\n'.
+  /// Bit-exact round trip via hex-float encoding; the deadline payload
+  /// embeds the pricing/serialization plan format, the multitype payload
+  /// its joint policy table, and the adaptive payload its belief state
   /// (believed lambdas, action set, options) -- a checkpoint of the
   /// re-planner's priors, not of any in-flight campaign state.
   Result<std::string> Serialize() const;
+  /// Reads Serialize()'s text. A legacy deadline or multitype text with an
+  /// `opt` section still decodes (the section is checked and discarded).
+  /// Rejects a text whose last line has no '\n' and any bytes after the
+  /// kind's last section.
   static Result<PolicyArtifact> Deserialize(std::string_view text);
 
   // --- (c) score ----------------------------------------------------------

@@ -13,16 +13,9 @@ Result<AdaptiveRateController> AdaptiveRateController::Create(
     ActionSet actions, double horizon_hours, AdaptiveOptions options) {
   CP_RETURN_IF_ERROR(problem.Validate());
   // Every Decide may re-solve an (N+1) x (NT+1) plan, so bound the state
-  // table here, as the multitype decoder bounds its own: a checkpoint that
-  // claims two billion tasks would otherwise load fine and abort the
-  // process on the first Decide.
-  const long long states = (static_cast<long long>(problem.num_tasks) + 1) *
-                           (static_cast<long long>(problem.num_intervals) + 1);
-  if (states > (1LL << 24)) {
-    return Status::InvalidArgument(
-        StringF("implausible adaptive dimensions: %d tasks x %d intervals",
-                problem.num_tasks, problem.num_intervals));
-  }
+  // table here: a checkpoint that claims two billion tasks would otherwise
+  // load fine and abort the process on the first Decide.
+  CP_RETURN_IF_ERROR(problem.CheckPlanStates("adaptive"));
   if (believed_lambdas.size() != static_cast<size_t>(problem.num_intervals)) {
     return Status::InvalidArgument(
         StringF("believed_lambdas has %zu entries; problem has %d intervals",

@@ -26,6 +26,7 @@ Status ValidateInputs(const DeadlineProblem& problem,
                       const std::vector<double>& interval_lambdas,
                       const ActionSet& actions) {
   CP_RETURN_IF_ERROR(problem.Validate());
+  CP_RETURN_IF_ERROR(problem.CheckPlanStates("deadline"));
   if (interval_lambdas.size() != static_cast<size_t>(problem.num_intervals)) {
     return Status::InvalidArgument(
         StringF("interval_lambdas has %zu entries; problem has %d intervals",

@@ -9,6 +9,7 @@
 
 #include "kernel/layer_scan.h"
 #include "kernel/pmf_arena.h"
+#include "pricing/problem.h"
 #include "stats/poisson.h"
 #include "util/macros.h"
 #include "util/stringf.h"
@@ -45,7 +46,8 @@ std::pair<double, double> JointLogitAcceptance::ProbabilitiesAt(
 }
 
 Status MultiTypeProblem::Validate() const {
-  if (num_tasks_1 < 0 || num_tasks_2 < 0 || num_tasks_1 + num_tasks_2 < 1) {
+  if (num_tasks_1 < 0 || num_tasks_2 < 0 ||
+      (num_tasks_1 == 0 && num_tasks_2 == 0)) {
     return Status::InvalidArgument("need n1, n2 >= 0 with n1 + n2 >= 1");
   }
   if (num_intervals < 1) {
@@ -63,15 +65,35 @@ Status MultiTypeProblem::Validate() const {
   if (!(truncation_epsilon > 0.0 && truncation_epsilon < 1.0)) {
     return Status::InvalidArgument("truncation_epsilon must be in (0, 1)");
   }
+  // A layer of at most 2^31 x 2^31 states fits int64_t; the product with
+  // NT+1 might not, so the cap is divided instead.
+  const int64_t layer = (int64_t{num_tasks_1} + 1) * (int64_t{num_tasks_2} + 1);
+  if (layer > kMaxPlanStates / (int64_t{num_intervals} + 1)) {
+    return Status::InvalidArgument(
+        StringF("implausible multitype dimensions: %d x %d x %d states",
+                num_tasks_1, num_tasks_2, num_intervals));
+  }
   return Status::OK();
 }
 
 MultiTypePlan::MultiTypePlan(MultiTypeProblem problem,
                              std::vector<double> interval_lambdas)
+    : MultiTypePlan(problem, std::move(interval_lambdas), /*with_opt=*/true) {}
+
+MultiTypePlan MultiTypePlan::PolicyOnly(MultiTypeProblem problem,
+                                        std::vector<double> interval_lambdas) {
+  return MultiTypePlan(problem, std::move(interval_lambdas),
+                       /*with_opt=*/false);
+}
+
+MultiTypePlan::MultiTypePlan(MultiTypeProblem problem,
+                             std::vector<double> interval_lambdas,
+                             bool with_opt)
     : problem_(problem), interval_lambdas_(std::move(interval_lambdas)) {
   const size_t states = states_per_layer();
-  opt_.assign(states * static_cast<size_t>(problem_.num_intervals + 1), 0.0);
   policy_.assign(states * static_cast<size_t>(problem_.num_intervals), -1);
+  if (!with_opt) return;
+  opt_.assign(states * static_cast<size_t>(problem_.num_intervals + 1), 0.0);
   for (int n1 = 0; n1 <= problem_.num_tasks_1; ++n1) {
     for (int n2 = 0; n2 <= problem_.num_tasks_2; ++n2) {
       opt_[StateIndex(n1, n2, problem_.num_intervals)] =
@@ -117,10 +139,14 @@ Result<double> MultiTypePlan::OptAt(int n1, int n2, int t) const {
   if (t < 0 || t > problem_.num_intervals) {
     return Status::OutOfRange("t out of range");
   }
+  if (opt_.empty()) {
+    return Status::FailedPrecondition("decoded plans carry the policy only");
+  }
   return opt_[StateIndex(n1, n2, t)];
 }
 
 double MultiTypePlan::TotalObjective() const {
+  if (opt_.empty()) return std::numeric_limits<double>::quiet_NaN();
   return opt_[StateIndex(problem_.num_tasks_1, problem_.num_tasks_2, 0)];
 }
 

@@ -54,17 +54,27 @@ struct MultiTypeProblem {
   Status Validate() const;
 };
 
-/// Solved joint policy: optimal price pair and cost-to-go per state.
+/// Solved joint policy: optimal price pair and cost-to-go per state. As for
+/// DeadlinePlan, a plan decoded from an artifact holds the policy only.
 class MultiTypePlan {
  public:
+  /// A plan with both tables: every policy entry unsolved (-1), the
+  /// cost-to-go zero except the terminal layer's penalties.
   MultiTypePlan(MultiTypeProblem problem, std::vector<double> interval_lambdas);
+
+  /// A plan with the policy table only, for decoders: OptAt fails,
+  /// TotalObjective is NaN, and opt() is empty.
+  static MultiTypePlan PolicyOnly(MultiTypeProblem problem,
+                                  std::vector<double> interval_lambdas);
 
   const MultiTypeProblem& problem() const { return problem_; }
 
   /// Optimal (price_1, price_2) at state (n1, n2, t); requires n1 + n2 > 0.
   Result<std::pair<int, int>> PricesAt(int n1, int n2, int t) const;
   /// Cost-to-go at (n1, n2, t), t up to num_intervals (terminal).
+  /// FailedPrecondition on a decoded (policy-only) plan.
   Result<double> OptAt(int n1, int n2, int t) const;
+  /// Opt(N1, N2, 0); NaN on a decoded (policy-only) plan.
   double TotalObjective() const;
 
   const std::vector<double>& interval_lambdas() const {
@@ -108,6 +118,9 @@ class MultiTypePlan {
   std::string kernel_backend;
 
  private:
+  MultiTypePlan(MultiTypeProblem problem, std::vector<double> interval_lambdas,
+                bool with_opt);
+
   MultiTypeProblem problem_;
   std::vector<double> interval_lambdas_;
   std::vector<double> opt_;

@@ -1,5 +1,7 @@
 #include "pricing/plan.h"
 
+#include <limits>
+
 #include "util/stringf.h"
 #include "util/macros.h"
 
@@ -7,13 +9,26 @@ namespace crowdprice::pricing {
 
 DeadlinePlan::DeadlinePlan(DeadlineProblem problem, ActionSet actions,
                            std::vector<double> interval_lambdas)
+    : DeadlinePlan(problem, std::move(actions), std::move(interval_lambdas),
+                   /*with_opt=*/true) {}
+
+DeadlinePlan DeadlinePlan::PolicyOnly(DeadlineProblem problem,
+                                      ActionSet actions,
+                                      std::vector<double> interval_lambdas) {
+  return DeadlinePlan(problem, std::move(actions), std::move(interval_lambdas),
+                      /*with_opt=*/false);
+}
+
+DeadlinePlan::DeadlinePlan(DeadlineProblem problem, ActionSet actions,
+                           std::vector<double> interval_lambdas, bool with_opt)
     : problem_(problem),
       actions_(std::move(actions)),
       interval_lambdas_(std::move(interval_lambdas)) {
   const size_t n_states = static_cast<size_t>(problem_.num_tasks) + 1;
   const size_t nt = static_cast<size_t>(problem_.num_intervals);
-  opt_.assign(n_states * (nt + 1), 0.0);
   action_idx_.assign(n_states * nt, -1);
+  if (!with_opt) return;
+  opt_.assign(n_states * (nt + 1), 0.0);
   // Terminal layer: Opt(n, NT) = terminal penalty.
   double* terminal = MutableOptLayer(problem_.num_intervals);
   for (int n = 0; n <= problem_.num_tasks; ++n) {
@@ -59,10 +74,14 @@ Result<double> DeadlinePlan::PriceAt(int n, int t) const {
 
 Result<double> DeadlinePlan::OptAt(int n, int t) const {
   CP_RETURN_IF_ERROR(CheckState(n, t, /*terminal_ok=*/true));
+  if (opt_.empty()) {
+    return Status::FailedPrecondition("decoded plans carry the policy only");
+  }
   return OptUnchecked(n, t);
 }
 
 double DeadlinePlan::TotalObjective() const {
+  if (opt_.empty()) return std::numeric_limits<double>::quiet_NaN();
   return OptUnchecked(problem_.num_tasks, 0);
 }
 

@@ -20,10 +20,20 @@ namespace crowdprice::pricing {
 
 /// Output of a deadline-DP solve: for every state (n, t) the optimal action
 /// index Price(n, t) and the optimal cost-to-go Opt(n, t) (paper §3.1).
+/// Opt is the backward induction's working state; a controller reads only
+/// Price, so a plan decoded from text (pricing/serialization.h) holds the
+/// policy table alone.
 class DeadlinePlan {
  public:
+  /// A plan with both tables: Price(n, t) unsolved (-1), Opt(n, t) zero
+  /// except the terminal layer, which holds the deadline penalty.
   DeadlinePlan(DeadlineProblem problem, ActionSet actions,
                std::vector<double> interval_lambdas);
+
+  /// A plan with the policy table only, for decoders: OptAt fails and
+  /// TotalObjective is NaN, and the opt accessors below must not be called.
+  static DeadlinePlan PolicyOnly(DeadlineProblem problem, ActionSet actions,
+                                 std::vector<double> interval_lambdas);
 
   const DeadlineProblem& problem() const { return problem_; }
   const ActionSet& actions() const { return actions_; }
@@ -43,9 +53,11 @@ class DeadlinePlan {
   /// Price(n, t).
   Result<double> PriceAt(int n, int t) const;
   /// Expected cost-to-go Opt(n, t); n in [0, N], t in [0, NT].
+  /// FailedPrecondition on a decoded (policy-only) plan.
   Result<double> OptAt(int n, int t) const;
 
-  /// Expected total objective starting from the full batch.
+  /// Expected total objective starting from the full batch, Opt(N, 0); NaN
+  /// on a decoded (policy-only) plan.
   double TotalObjective() const;
 
   // --- Solver-facing access ------------------------------------------
@@ -108,6 +120,9 @@ class DeadlinePlan {
   std::string kernel_backend;
 
  private:
+  DeadlinePlan(DeadlineProblem problem, ActionSet actions,
+               std::vector<double> interval_lambdas, bool with_opt);
+
   Status CheckState(int n, int t, bool terminal_ok) const;
   size_t LayerOffset(int t) const {
     return static_cast<size_t>(t) *
@@ -117,7 +132,8 @@ class DeadlinePlan {
   DeadlineProblem problem_;
   ActionSet actions_;
   std::vector<double> interval_lambdas_;
-  /// opt_[t * (N+1) + n], t in [0, NT], n in [0, N].
+  /// opt_[t * (N+1) + n], t in [0, NT], n in [0, N]; empty on a
+  /// policy-only plan.
   std::vector<double> opt_;
   /// action_idx_[t * (N+1) + n], t in [0, NT), n in [0, N] (n = 0 unused).
   std::vector<int32_t> action_idx_;

@@ -33,6 +33,17 @@ Status DeadlineProblem::Validate() const {
   return Status::OK();
 }
 
+Status DeadlineProblem::CheckPlanStates(const char* kind) const {
+  const int64_t states =
+      (int64_t{num_tasks} + 1) * (int64_t{num_intervals} + 1);
+  if (states > kMaxPlanStates) {
+    return Status::InvalidArgument(
+        StringF("implausible %s dimensions: %d tasks x %d intervals", kind,
+                num_tasks, num_intervals));
+  }
+  return Status::OK();
+}
+
 Result<std::vector<double>> IntervalWorkerMeans(
     const arrival::PiecewiseConstantRate& rate, double horizon_hours,
     int num_intervals) {

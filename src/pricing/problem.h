@@ -3,12 +3,20 @@
 #ifndef CROWDPRICE_PRICING_PROBLEM_H_
 #define CROWDPRICE_PRICING_PROBLEM_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "arrival/rate_function.h"
 #include "util/result.h"
 
 namespace crowdprice::pricing {
+
+/// The most states one plan may hold: (N+1) x (NT+1) for a deadline or
+/// adaptive plan, (N1+1) x (N2+1) x (NT+1) for a two-type plan. Solvers
+/// and decoders both check it before they size a table, so neither a user's
+/// task count nor a crafted text can make the process allocate without
+/// bound.
+inline constexpr int64_t kMaxPlanStates = int64_t{1} << 24;
 
 /// A batch of N identical tasks that must be finished within NT discrete
 /// time intervals. The MDP state is (n, t): n tasks remaining at the start
@@ -30,6 +38,10 @@ struct DeadlineProblem {
   double truncation_epsilon = 1e-9;
 
   Status Validate() const;
+
+  /// InvalidArgument("implausible <kind> dimensions: N tasks x NT
+  /// intervals") when the (N+1) x (NT+1) plan would exceed kMaxPlanStates.
+  Status CheckPlanStates(const char* kind) const;
 
   double TerminalPenalty(int remaining) const {
     if (remaining <= 0) return 0.0;

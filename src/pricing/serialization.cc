@@ -23,11 +23,9 @@ void AppendPlan(const DeadlinePlan& plan, std::string* out) {
   // Every field at its longest, plus a separator: the text is reserved once
   // and each table row written in place through a cursor.
   const size_t policy_row = intervals * (kMaxIntChars + 1);
-  const size_t opt_row = (intervals + 1) * (kMaxHexChars + 1);
   const size_t head = 256 + intervals * (kMaxHexChars + 1) +
                       plan.actions().size() * (2 * kMaxHexChars + 24);
-  out->reserve(out->size() + head + tasks * policy_row +
-               (tasks + 1) * opt_row);
+  out->reserve(out->size() + head + tasks * policy_row);
   *out += kHeader;
   *out += "\nproblem ";
   AppendInt(p.num_tasks, out);
@@ -66,17 +64,6 @@ void AppendPlan(const DeadlinePlan& plan, std::string* out) {
       return c;
     });
   }
-  *out += "opt\n";
-  for (int n = 0; n <= p.num_tasks; ++n) {
-    AppendRow(out, opt_row, [&](char* c) {
-      for (int t = 0; t <= p.num_intervals; ++t) {
-        if (t > 0) *c++ = ' ';
-        c = PutHex(plan.OptUnchecked(n, t), c);
-      }
-      *c++ = '\n';
-      return c;
-    });
-  }
 }
 
 std::string SerializePlan(const DeadlinePlan& plan) {
@@ -85,8 +72,24 @@ std::string SerializePlan(const DeadlinePlan& plan) {
   return out;
 }
 
+Status SkipLegacyOpt(LineReader* reader, uint64_t rows, size_t fields,
+                     const char* what) {
+  if (reader->Rest().starts_with("opt\n")) {
+    CP_RETURN_IF_ERROR(reader->Next("opt marker").status());
+    for (uint64_t r = 0; r < rows; ++r) {
+      CP_ASSIGN_OR_RETURN(auto line, reader->Next("opt row"));
+      CP_RETURN_IF_ERROR(ForEachToken(
+          line, fields, "opt row", [](size_t, std::string_view token) {
+            return ParseDouble(token, "opt value").status();
+          }));
+    }
+  }
+  return reader->ExpectEnd(what);
+}
+
 Result<DeadlinePlan> DeserializePlan(std::string_view text) {
   LineReader reader(text, "plan");
+  CP_RETURN_IF_ERROR(reader.ExpectFinalNewline());
   CP_ASSIGN_OR_RETURN(auto header, reader.Next("header"));
   if (header != kHeader) {
     return Status::InvalidArgument(
@@ -111,6 +114,7 @@ Result<DeadlinePlan> DeserializePlan(std::string_view text) {
   CP_ASSIGN_OR_RETURN(problem.truncation_epsilon,
                       ParseDouble(ptokens[5], "epsilon"));
   CP_RETURN_IF_ERROR(problem.Validate());
+  CP_RETURN_IF_ERROR(problem.CheckPlanStates("deadline"));
 
   CP_ASSIGN_OR_RETURN(auto lambda_line, reader.Next("lambdas line"));
   CP_ASSIGN_OR_RETURN(
@@ -152,13 +156,13 @@ Result<DeadlinePlan> DeserializePlan(std::string_view text) {
     return Status::Internal("action set changed size during validation");
   }
 
-  // The plan is sized from the header, so first check that the text left
-  // can hold the policy and opt tables it claims.
+  // The policy table is sized from the header, so first check that the
+  // text left can hold it.
   const auto tasks = static_cast<uint64_t>(problem.num_tasks);
   const auto intervals = static_cast<uint64_t>(problem.num_intervals);
-  const uint64_t entries = tasks * intervals + (tasks + 1) * (intervals + 1);
-  CP_RETURN_IF_ERROR(reader.ExpectRoomFor(entries, "policy and opt"));
-  DeadlinePlan plan(problem, std::move(action_set), std::move(lambdas));
+  CP_RETURN_IF_ERROR(reader.ExpectRoomFor(tasks * intervals, "policy"));
+  DeadlinePlan plan = DeadlinePlan::PolicyOnly(problem, std::move(action_set),
+                                               std::move(lambdas));
 
   CP_ASSIGN_OR_RETURN(auto policy_marker, reader.Next("policy marker"));
   if (policy_marker != "policy") {
@@ -181,20 +185,7 @@ Result<DeadlinePlan> DeserializePlan(std::string_view text) {
         }));
   }
 
-  CP_ASSIGN_OR_RETURN(auto opt_marker, reader.Next("opt marker"));
-  if (opt_marker != "opt") {
-    return Status::InvalidArgument("expected 'opt' marker");
-  }
-  for (int n = 0; n <= problem.num_tasks; ++n) {
-    CP_ASSIGN_OR_RETURN(auto line, reader.Next("opt row"));
-    CP_RETURN_IF_ERROR(ForEachToken(
-        line, static_cast<size_t>(problem.num_intervals) + 1, "opt row",
-        [&](size_t t, std::string_view token) -> Status {
-          CP_ASSIGN_OR_RETURN(const double v, ParseDouble(token, "opt value"));
-          plan.SetOpt(n, static_cast<int>(t), v);
-          return Status::OK();
-        }));
-  }
+  CP_RETURN_IF_ERROR(SkipLegacyOpt(&reader, tasks + 1, intervals + 1, "plan"));
   return plan;
 }
 

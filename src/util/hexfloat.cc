@@ -282,4 +282,12 @@ Status LineReader::ExpectEnd(const char* what) const {
   return Status::OK();
 }
 
+Status LineReader::ExpectFinalNewline() const {
+  if (!text_.ends_with('\n')) {
+    return Status::InvalidArgument(
+        StringF("%s truncated: last line has no newline", noun_));
+  }
+  return Status::OK();
+}
+
 }  // namespace crowdprice

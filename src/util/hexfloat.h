@@ -158,6 +158,11 @@ class LineReader {
   /// been read.
   Status ExpectEnd(const char* what) const;
 
+  /// InvalidArgument("<noun> truncated: last line has no newline") unless
+  /// the whole text ends in '\n': what a decoder checks when a text cut
+  /// inside its last number would otherwise still parse.
+  Status ExpectFinalNewline() const;
+
  private:
   std::string_view text_;
   const char* noun_;

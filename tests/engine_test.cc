@@ -331,6 +331,30 @@ TEST(EngineTest, MultiTypeSpecSolvesAndPlays) {
                   .IsInvalidArgument());
 }
 
+TEST(EngineTest, HugeDimensionsAreRejectedBeforeAnyTableIsSized) {
+  // A 2e9-task plan would need tens of GB; the solve must say so rather
+  // than abort on bad_alloc or length_error.
+  DeadlineDpSpec deadline = SmallDeadlineSpec();
+  deadline.problem.num_tasks = 2000000000;
+  const Status d = Solve(deadline).status();
+  EXPECT_TRUE(d.IsInvalidArgument()) << d;
+  EXPECT_NE(d.message().find("implausible deadline dimensions"),
+            std::string::npos)
+      << d;
+  deadline.expected_remaining_bound = 0.5;  // the bisection's solves too
+  EXPECT_TRUE(Solve(deadline).status().IsInvalidArgument());
+
+  // 2e9 + 2e9 tasks also overflows an int sum of the two counts.
+  MultiTypeSpec multi = SmallMultiTypeSpec();
+  multi.problem.num_tasks_1 = 2000000000;
+  multi.problem.num_tasks_2 = 2000000000;
+  const Status m = Solve(multi).status();
+  EXPECT_TRUE(m.IsInvalidArgument()) << m;
+  EXPECT_NE(m.message().find("implausible multitype dimensions"),
+            std::string::npos)
+      << m;
+}
+
 TEST(EngineTest, EveryPolicyKindIsPlayable) {
   // The ROADMAP "engine coverage" criterion: MakeController succeeds for
   // all six kinds -- no Unimplemented path left.

@@ -3,7 +3,9 @@
 // non-NaN value back bit-for-bit. One small artifact of every kind, every
 // control and export payload form, and a decide batch must still serialize to
 // the exact texts older builds wrote, so committed artifacts and mixed-version
-// wire peers keep working.
+// wire peers keep working. The deadline and multitype kinds now write their
+// policy only; their legacy texts, cost-to-go section included, must still
+// decode to the same policy.
 
 #include "util/hexfloat.h"
 
@@ -32,8 +34,12 @@
 #include "util/rng.h"
 #include "util/stringf.h"
 
+#include "pinned_texts.h"
+
 namespace crowdprice {
 namespace {
+
+using namespace pinned;
 
 uint64_t TestSeed() {
   const char* env = std::getenv("CROWDPRICE_TEST_SEED");
@@ -270,7 +276,8 @@ TEST(HexFloatTest, TokensAndLinesAreViewsOfTheText) {
 
 // --- Pinned texts ----------------------------------------------------------
 // Written by earlier builds; committed artifacts and older wire peers depend
-// on these bytes, so a codec change must reproduce them exactly.
+// on these bytes, so a codec change must reproduce them exactly. The artifact
+// texts live in pinned_texts.h.
 
 /// A hand-built deadline artifact (no solve, so no kernel or libm in the
 /// way): every byte of its text is fixed by the values below.
@@ -290,35 +297,9 @@ engine::PolicyArtifact PinnedArtifact() {
   plan.SetActionIndex(1, 1, 2);
   plan.SetActionIndex(2, 0, 1);
   plan.SetActionIndex(2, 1, -1);
-  const double opt[3][3] = {
-      {0.0, 0.0, 0.0},
-      {1.0 / 3.0, std::numeric_limits<double>::denorm_min(), 150.0},
-      {-0.0, std::numeric_limits<double>::min(), 1e300}};
-  for (int n = 0; n <= 2; ++n) {
-    for (int t = 0; t <= 2; ++t) plan.SetOpt(n, t, opt[n][t]);
-  }
   return engine::PolicyArtifact(
       engine::DeadlinePolicy{std::move(plan), 150.0, 3, std::nullopt});
 }
-
-constexpr char kPinnedArtifact[] =
-    "crowdprice-artifact v1\n"
-    "kind deadline-dp\n"
-    "deadline-meta 0x1.2cp+7 3\n"
-    "crowdprice-plan v1\n"
-    "problem 2 2 0x1.2cp+7 0x1p-1 0x1.b7cdfd9d7bdbbp-34\n"
-    "lambdas 0x1.ep+5 0x1.999999999999ap-4\n"
-    "actions 3\n"
-    "0x1.9p+3 1 0x1p-3\n"
-    "0x1.5555555555555p-2 3 0x1.3333333333333p-2\n"
-    "0x1.4p+5 1 0x1.cp-1\n"
-    "policy\n"
-    "0 2\n"
-    "1 -1\n"
-    "opt\n"
-    "0x0p+0 0x0p+0 0x0p+0\n"
-    "0x1.5555555555555p-2 0x0.0000000000001p-1022 0x1.2cp+7\n"
-    "-0x0p+0 0x1p-1022 0x1.7e43c8800759cp+996\n";
 
 std::vector<serving::DecideRequest> PinnedRequests() {
   serving::DecideRequest multi;
@@ -398,9 +379,6 @@ engine::PolicyArtifact PinnedMultiTypeArtifact() {
   for (size_t i = 0; i < plan.policy().size(); ++i) {
     plan.policy()[i] = i == 0 ? -1 : static_cast<int32_t>(4096 * i + 8);
   }
-  for (size_t i = 0; i < plan.opt().size(); ++i) {
-    plan.opt()[i] = static_cast<double>(i) / 7.0;
-  }
   return engine::PolicyArtifact(std::move(plan));
 }
 
@@ -460,56 +438,6 @@ serving::CampaignExport PinnedExport() {
   return exported;
 }
 
-constexpr char kPinnedBudgetArtifact[] =
-    "crowdprice-artifact v1\n"
-    "kind budget-static\n"
-    "budget-meta 3 0x1.5555555555555p-2 0x1.7e43c8800759cp+996\n"
-    "12 30\n"
-    "7 123456789012\n"
-    "0 1\n";
-
-constexpr char kPinnedFixedArtifact[] =
-    "crowdprice-artifact v1\n"
-    "kind fixed-price\n"
-    "fixed 77 0x1.999999999999ap-4 0x0.0000000000001p-1022 -0x0p+0\n";
-
-constexpr char kPinnedTradeoffArtifact[] =
-    "crowdprice-artifact v1\n"
-    "kind tradeoff\n"
-    "tradeoff 15 0x1.8p+0 0x1.5555555555555p-2 3\n"
-    "inf 0x1p-2 0x1.5555555555555p-1\n";
-
-constexpr char kPinnedEmptyTradeoffArtifact[] =
-    "crowdprice-artifact v1\n"
-    "kind tradeoff\n"
-    "tradeoff 15 0x1.8p+0 0x1.5555555555555p-2 0\n";
-
-constexpr char kPinnedMultiTypeArtifact[] =
-    "crowdprice-artifact v1\n"
-    "kind multitype\n"
-    "multitype-meta 1 1 2 16 4 0x1.05p+7 0x1.b9p+6 0x1.12e0be826d695p-30\n"
-    "lambdas 0x1.58p+4 0x1.999999999999ap-4\n"
-    "policy\n"
-    "-1 16392\n"
-    "4104 20488\n"
-    "8200 24584\n"
-    "12296 28680\n"
-    "opt\n"
-    "0x0p+0 0x1.2492492492492p-1 0x1.2492492492492p+0\n"
-    "0x1.2492492492492p-3 0x1.6db6db6db6db7p-1 0x1.4924924924925p+0\n"
-    "0x1.2492492492492p-2 0x1.b6db6db6db6dbp-1 0x1.6db6db6db6db7p+0\n"
-    "0x1.b6db6db6db6dbp-2 0x1p+0 0x1.9249249249249p+0\n";
-
-constexpr char kPinnedAdaptiveArtifact[] =
-    "crowdprice-artifact v1\n"
-    "kind adaptive\n"
-    "adaptive-meta 3 2 0x1.19p+7 0x1.4p+0 0x1.12e0be826d695p-30 0x1.4p+3\n"
-    "adaptive-options 2 0x1.8p-2 0x1p-1 0x1.8p+1 1 0 3\n"
-    "lambdas 0x1.a4p+7 0x1.999999999999ap-4\n"
-    "actions 2\n"
-    "0x1.4p+3 1 0x1p-3\n"
-    "0x1.5555555555555p-2 3 0x1.3333333333333p-2\n";
-
 constexpr char kPinnedExportOk[] =
     "export ok 42 123456789012 0x1.999999999999ap-4 -0x0p+0 artifact 102\n"
     "crowdprice-artifact v1\n"
@@ -564,8 +492,34 @@ TEST(PinnedTextTest, EveryArtifactKindSerializesToItsPinnedText) {
   ExpectArtifactPinned(PinnedTradeoffArtifact(true), kPinnedTradeoffArtifact);
   ExpectArtifactPinned(PinnedTradeoffArtifact(false),
                        kPinnedEmptyTradeoffArtifact);
-  ExpectArtifactPinned(PinnedMultiTypeArtifact(), kPinnedMultiTypeArtifact);
+  ExpectArtifactPinned(PinnedMultiTypeArtifact(),
+                       kPinnedMultiTypeArtifactPolicyOnly);
   ExpectArtifactPinned(PinnedAdaptiveArtifact(), kPinnedAdaptiveArtifact);
+}
+
+/// `legacy` with its `opt` section -- the marker line and every line after
+/// it -- deleted.
+std::string WithoutOptSection(const std::string& legacy) {
+  const size_t opt = legacy.find("\nopt\n");
+  return opt == std::string::npos ? legacy : legacy.substr(0, opt + 1);
+}
+
+TEST(PinnedTextTest, LegacyMultiTypeArtifactDecodesToItsPolicy) {
+  EXPECT_EQ(WithoutOptSection(kPinnedMultiTypeArtifact),
+            kPinnedMultiTypeArtifactPolicyOnly);
+  const auto reloaded =
+      engine::PolicyArtifact::Deserialize(kPinnedMultiTypeArtifact);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(reloaded->Serialize().value(), kPinnedMultiTypeArtifactPolicyOnly);
+
+  const engine::PolicyArtifact built = PinnedMultiTypeArtifact();
+  const pricing::MultiTypePlan& want = *built.multitype_plan().value();
+  const pricing::MultiTypePlan& got = *reloaded->multitype_plan().value();
+  EXPECT_EQ(got.policy(), want.policy());
+  EXPECT_EQ(got.interval_lambdas(), want.interval_lambdas());
+  EXPECT_TRUE(got.opt().empty());
+  EXPECT_TRUE(got.OptAt(1, 1, 0).status().IsFailedPrecondition());
+  EXPECT_TRUE(std::isnan(got.TotalObjective()));
 }
 
 TEST(PinnedTextTest, ControlAndExportPayloadsSerializeToThePinnedText) {
@@ -606,10 +560,40 @@ TEST(PinnedTextTest, ControlAndExportPayloadsSerializeToThePinnedText) {
 }
 
 TEST(PinnedTextTest, DeadlineArtifactSerializesToThePinnedText) {
-  EXPECT_EQ(PinnedArtifact().Serialize().value(), kPinnedArtifact);
+  EXPECT_EQ(PinnedArtifact().Serialize().value(), kPinnedArtifactPolicyOnly);
+  const auto reloaded =
+      engine::PolicyArtifact::Deserialize(kPinnedArtifactPolicyOnly);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(reloaded->Serialize().value(), kPinnedArtifactPolicyOnly);
+}
+
+TEST(PinnedTextTest, LegacyDeadlineArtifactDecodesToItsPolicy) {
+  EXPECT_EQ(WithoutOptSection(kPinnedArtifact), kPinnedArtifactPolicyOnly);
   const auto reloaded = engine::PolicyArtifact::Deserialize(kPinnedArtifact);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  EXPECT_EQ(reloaded->Serialize().value(), kPinnedArtifact);
+  EXPECT_EQ(reloaded->Serialize().value(), kPinnedArtifactPolicyOnly);
+  EXPECT_EQ(reloaded->penalty_used(), 150.0);
+  EXPECT_EQ(reloaded->dp_solves(), 3);
+
+  const engine::PolicyArtifact built = PinnedArtifact();
+  const pricing::DeadlinePlan& want = *built.deadline_plan().value();
+  const pricing::DeadlinePlan& got = *reloaded->deadline_plan().value();
+  for (int n = 1; n <= 2; ++n) {
+    for (int t = 0; t < 2; ++t) {
+      EXPECT_EQ(got.ActionIndexUnchecked(n, t), want.ActionIndexUnchecked(n, t))
+          << "n=" << n << " t=" << t;
+    }
+  }
+  EXPECT_EQ(got.interval_lambdas(), want.interval_lambdas());
+  ASSERT_EQ(got.actions().size(), want.actions().size());
+  for (size_t i = 0; i < want.actions().size(); ++i) {
+    EXPECT_EQ(got.actions()[i].cost_per_task_cents,
+              want.actions()[i].cost_per_task_cents);
+    EXPECT_EQ(got.actions()[i].bundle, want.actions()[i].bundle);
+    EXPECT_EQ(got.actions()[i].acceptance, want.actions()[i].acceptance);
+  }
+  EXPECT_TRUE(got.OptAt(1, 0).status().IsFailedPrecondition());
+  EXPECT_TRUE(std::isnan(got.TotalObjective()));
 }
 
 TEST(PinnedTextTest, DecideBatchSerializesToThePinnedText) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -16,9 +18,11 @@
 #include "net/wire.h"
 #include "pricing/deadline_dp.h"
 #include "pricing/policy_eval.h"
+#include "util/hexfloat.h"
 #include "util/rng.h"
 #include "util/stringf.h"
 
+#include "pinned_texts.h"
 #include "test_util.h"
 
 namespace crowdprice::pricing {
@@ -56,11 +60,13 @@ TEST(SerializationTest, RoundTripIsBitExact) {
                      plan.actions()[i].acceptance);
     EXPECT_EQ(restored->actions()[i].bundle, plan.actions()[i].bundle);
   }
+  // The text carries the policy only: the decoded plan has no Opt(n, t).
   for (int n = 0; n <= p.num_tasks; ++n) {
     for (int t = 0; t <= p.num_intervals; ++t) {
-      ASSERT_DOUBLE_EQ(restored->OptUnchecked(n, t), plan.OptUnchecked(n, t));
+      ASSERT_TRUE(restored->OptAt(n, t).status().IsFailedPrecondition());
     }
   }
+  EXPECT_TRUE(std::isnan(restored->TotalObjective()));
   for (int n = 1; n <= p.num_tasks; ++n) {
     for (int t = 0; t < p.num_intervals; ++t) {
       ASSERT_EQ(restored->ActionIndexUnchecked(n, t),
@@ -250,8 +256,9 @@ TEST(SerializationTest, MultiTypeArtifactRoundTripIsBitExact) {
   EXPECT_EQ(restored->kind(), engine::PolicyKind::kMultiType);
   const MultiTypePlan& reloaded = *restored->multitype_plan().value();
 
-  // Bit-exact: re-serializing reproduces the text, and every table entry,
-  // lambda and problem field survives unchanged.
+  // Bit-exact: re-serializing reproduces the text, and every policy entry,
+  // lambda and problem field survives unchanged. The text carries no
+  // cost-to-go table, so the decoded plan has none.
   EXPECT_EQ(restored->Serialize().value(), text);
   EXPECT_EQ(reloaded.problem().num_tasks_1, plan.problem().num_tasks_1);
   EXPECT_EQ(reloaded.problem().num_tasks_2, plan.problem().num_tasks_2);
@@ -265,8 +272,7 @@ TEST(SerializationTest, MultiTypeArtifactRoundTripIsBitExact) {
   for (int n1 = 0; n1 <= 5; ++n1) {
     for (int n2 = 0; n2 <= 4; ++n2) {
       for (int t = 0; t <= 3; ++t) {
-        ASSERT_DOUBLE_EQ(reloaded.OptAt(n1, n2, t).value(),
-                         plan.OptAt(n1, n2, t).value());
+        ASSERT_TRUE(reloaded.OptAt(n1, n2, t).status().IsFailedPrecondition());
         if (t < 3 && n1 + n2 > 0) {
           ASSERT_EQ(reloaded.PricesAt(n1, n2, t).value(),
                     plan.PricesAt(n1, n2, t).value());
@@ -274,7 +280,7 @@ TEST(SerializationTest, MultiTypeArtifactRoundTripIsBitExact) {
       }
     }
   }
-  EXPECT_DOUBLE_EQ(reloaded.TotalObjective(), plan.TotalObjective());
+  EXPECT_TRUE(std::isnan(reloaded.TotalObjective()));
 }
 
 /// An 18-task, 5-interval adaptive campaign.
@@ -349,38 +355,34 @@ std::string Printf(double v) {
 }
 
 TEST(SerializationTest, LongestNumbersSerializeAsPrintfAndRoundTrip) {
-  // The longest texts a double prints as: a row of them must fit the room
-  // the row encoder reserves for it.
+  // The longest texts a double prints as: a line of them must fit the room
+  // the encoder reserves for it.
   const double longest[] = {-DBL_MAX,
                             -std::numeric_limits<double>::denorm_min()};
   DeadlineProblem problem;
   problem.num_tasks = 3;
   problem.num_intervals = 4;
   problem.penalty_cents = 150.0;
+  std::vector<double> lambdas;
+  std::string lambdas_line = "lambdas";
+  for (int t = 0; t < problem.num_intervals; ++t) {
+    lambdas.push_back(longest[t % 2]);
+    lambdas_line += ' ' + Printf(lambdas.back());
+  }
   DeadlinePlan plan(
       problem,
       ActionSet::FromActions({{12.5, 1, 0.125}, {40.0, 1, 0.875}}).value(),
-      {60.0, 0.1, 1e300, -DBL_MAX});
-  std::string opt_rows;
-  for (int n = 0; n <= problem.num_tasks; ++n) {
-    for (int t = 0; t <= problem.num_intervals; ++t) {
-      const double v = longest[(n + t) % 2];
-      plan.SetOpt(n, t, v);
-      if (t > 0) opt_rows += ' ';
-      opt_rows += Printf(v);
-      if (n > 0 && t < problem.num_intervals) {
-        plan.SetActionIndex(n, t, (n + t) % 3 - 1);
-      }
+      lambdas);
+  for (int n = 1; n <= problem.num_tasks; ++n) {
+    for (int t = 0; t < problem.num_intervals; ++t) {
+      plan.SetActionIndex(n, t, (n + t) % 3 - 1);
     }
-    opt_rows += '\n';
   }
   EXPECT_EQ(Printf(longest[0]), "-0x1.fffffffffffffp+1023");
   EXPECT_EQ(Printf(longest[1]), "-0x0.0000000000001p-1022");
 
   const std::string text = SerializePlan(plan);
-  const size_t opt = text.find("\nopt\n");
-  ASSERT_NE(opt, std::string::npos);
-  EXPECT_EQ(text.substr(opt + 5), opt_rows);
+  EXPECT_NE(text.find("\n" + lambdas_line + "\n"), std::string::npos);
   const auto restored = DeserializePlan(text);
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(SerializePlan(*restored), text);
@@ -400,32 +402,146 @@ std::string ResizeFirstRow(const std::string& text, const std::string& marker,
   return text.substr(0, end) + " " + first + text.substr(end);
 }
 
+/// `text` with the `opt` section older writers appended: a marker line,
+/// then `rows` rows of `fields` hex floats, value(row, field) each.
+std::string WithLegacyOpt(std::string text, size_t rows, size_t fields,
+                          const std::function<double(size_t, size_t)>& value) {
+  text += "opt\n";
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t f = 0; f < fields; ++f) {
+      if (f > 0) text += ' ';
+      text += FormatHex(value(r, f));
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+/// SerializePlan's text for a solved plan, as older writers wrote it: with
+/// Opt(n, t) as rows n = 0..N of t = 0..NT.
+std::string LegacyPlanText(const DeadlinePlan& plan) {
+  return WithLegacyOpt(SerializePlan(plan),
+                       static_cast<size_t>(plan.num_tasks()) + 1,
+                       static_cast<size_t>(plan.num_intervals()) + 1,
+                       [&](size_t n, size_t t) {
+                         return plan.OptUnchecked(static_cast<int>(n),
+                                                  static_cast<int>(t));
+                       });
+}
+
+/// A multitype artifact's text as older writers wrote it: with the
+/// cost-to-go as one row per (n1, n2), row-major, of t = 0..NT.
+std::string LegacyMultiTypeText(const engine::PolicyArtifact& artifact) {
+  const MultiTypePlan& plan = *artifact.multitype_plan().value();
+  const size_t layer = plan.states_per_layer();
+  return WithLegacyOpt(
+      artifact.Serialize().value(), layer,
+      static_cast<size_t>(plan.problem().num_intervals) + 1,
+      [&](size_t row, size_t t) { return plan.opt()[t * layer + row]; });
+}
+
+TEST(SerializationTest, LegacyTextsWithOptSectionsDecodeToTheSamePolicy) {
+  const DeadlinePlan plan = SolveSample();
+  const std::string legacy_plan = LegacyPlanText(plan);
+  const auto restored = DeserializePlan(legacy_plan);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(SerializePlan(*restored), SerializePlan(plan));
+  EXPECT_TRUE(std::isnan(restored->TotalObjective()));
+
+  const engine::PolicyArtifact multitype =
+      engine::Engine::Solve(SampleMultiTypeSpec()).value();
+  const auto reloaded =
+      engine::PolicyArtifact::Deserialize(LegacyMultiTypeText(multitype));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(reloaded->Serialize().value(), multitype.Serialize().value());
+
+  // A legacy section is read in full: a bad number in it is still an error.
+  std::string bad = legacy_plan;
+  bad.replace(bad.rfind(' ') + 1, 2, "zz");
+  EXPECT_TRUE(DeserializePlan(bad).status().IsInvalidArgument());
+}
+
 TEST(SerializationTest, RowsOneTokenShortOrLongNameTheirFieldCount) {
-  const std::string plan = SerializePlan(SolveSample());  // 5 intervals
-  const std::string multitype = engine::Engine::Solve(SampleMultiTypeSpec())
-                                    .value()
-                                    .Serialize()
-                                    .value();  // 3 intervals
+  const DeadlinePlan solved = SolveSample();  // 5 intervals
+  const engine::PolicyArtifact artifact =
+      engine::Engine::Solve(SampleMultiTypeSpec()).value();  // 3 intervals
+  const std::string plan = SerializePlan(solved);
+  const std::string multitype = artifact.Serialize().value();
+  // Writers no longer emit `opt` rows; readers check them in legacy texts.
+  const std::string legacy_plan = LegacyPlanText(solved);
+  const std::string legacy_multitype = LegacyMultiTypeText(artifact);
   ASSERT_TRUE(DeserializePlan(plan).ok());
   ASSERT_TRUE(engine::PolicyArtifact::Deserialize(multitype).ok());
+  ASSERT_TRUE(DeserializePlan(legacy_plan).ok());
+  ASSERT_TRUE(engine::PolicyArtifact::Deserialize(legacy_multitype).ok());
   for (const std::string marker : {"policy", "opt"}) {
     const size_t extra = marker == "opt" ? 1 : 0;  // opt rows include t = NT
+    const std::string& plan_text = extra ? legacy_plan : plan;
+    const std::string& multitype_text = extra ? legacy_multitype : multitype;
     for (const int delta : {-1, 1}) {
       const Status in_plan =
-          DeserializePlan(ResizeFirstRow(plan, marker, delta)).status();
+          DeserializePlan(ResizeFirstRow(plan_text, marker, delta)).status();
       EXPECT_TRUE(in_plan.IsInvalidArgument()) << in_plan;
       EXPECT_EQ(in_plan.message(),
                 StringF("%s row: expected %zu fields, found %zu",
                         marker.c_str(), 5 + extra, 5 + extra + delta));
       const Status in_multitype =
           engine::PolicyArtifact::Deserialize(
-              ResizeFirstRow(multitype, marker, delta))
+              ResizeFirstRow(multitype_text, marker, delta))
               .status();
       EXPECT_TRUE(in_multitype.IsInvalidArgument()) << in_multitype;
       EXPECT_EQ(in_multitype.message(),
                 StringF("%s row: expected %zu fields, found %zu",
                         marker.c_str(), 3 + extra, 3 + extra + delta));
     }
+  }
+}
+
+TEST(SerializationTest, EveryStrictPrefixAndEveryTrailingByteIsRejected) {
+  // A text cut inside its last number would otherwise decode to a different
+  // price ("12" cut to "1"), and bytes after the last section were never
+  // written by any writer.
+  struct Case {
+    std::string name;
+    std::string text;
+    std::function<Status(std::string_view)> decode;
+  };
+  const auto plan = [](std::string_view text) {
+    return DeserializePlan(text).status();
+  };
+  const auto artifact = [](std::string_view text) {
+    return engine::PolicyArtifact::Deserialize(text).status();
+  };
+  std::vector<Case> cases = {
+      {"plan", SerializePlan(SolveSample()), plan},
+      {"multitype artifact",
+       engine::Engine::Solve(SampleMultiTypeSpec()).value().Serialize().value(),
+       artifact}};
+  for (size_t i = 0; i < std::size(pinned::kEveryPinnedArtifact); ++i) {
+    cases.push_back({StringF("pinned artifact %zu", i),
+                     pinned::kEveryPinnedArtifact[i], artifact});
+  }
+  for (const Case& c : cases) {
+    ASSERT_TRUE(c.decode(c.text).ok()) << c.name;
+    // A legacy text cut where its `opt` section starts is exactly the
+    // policy-only text current writers produce: that one prefix decodes.
+    const size_t opt = c.text.find("\nopt\n");
+    const size_t policy_end = opt == std::string::npos ? opt : opt + 1;
+    for (size_t i = 0; i < c.text.size(); ++i) {
+      // An exactly sized copy: a read past the prefix is an ASan error.
+      const std::unique_ptr<char[]> bytes(new char[i]);
+      std::memcpy(bytes.get(), c.text.data(), i);
+      const Status status = c.decode(std::string_view(bytes.get(), i));
+      if (i == policy_end) {
+        EXPECT_TRUE(status.ok()) << c.name << ": " << status;
+        continue;
+      }
+      EXPECT_TRUE(status.IsInvalidArgument())
+          << c.name << " cut to " << i << " of " << c.text.size()
+          << " bytes: " << status;
+    }
+    const Status padded = c.decode(c.text + "junk\n");
+    EXPECT_TRUE(padded.IsInvalidArgument()) << c.name << ": " << padded;
   }
 }
 

@@ -1,6 +1,7 @@
 // SolveWave tests: batched solving over a ThreadPool farm is
-// bit-identical to sequential Engine::Solve (Serialize() equality), for
-// any pool size and for waves run side by side or nested on one pool;
+// bit-identical to sequential Engine::Solve (Serialize() equality, plus the
+// cost-to-go tables the policy-only texts leave out), for any pool size
+// and for waves run side by side or nested on one pool;
 // mixed-kind waves keep spec order with per-slot errors;
 // coinciding rate profiles share pmf blocks through the wave's cache; and
 // evaluate=true precomputes the same nominal evaluation Evaluate() would.
@@ -8,6 +9,7 @@
 #include "engine/solve_wave.h"
 
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <string>
 #include <thread>
@@ -45,6 +47,20 @@ DeadlineDpSpec DeadlineSpec(int num_tasks, double lambda,
 // A fleet-shaped wave: many campaigns stamped from few rate profiles (the
 // sharing opportunity SolveWave exists for), plus non-deadline kinds.
 std::vector<PolicySpec> MixedWave() {
+  MultiTypeSpec multitype;
+  multitype.s1 = 10.0;
+  multitype.b1 = 1.2;
+  multitype.s2 = 10.0;
+  multitype.b2 = 1.0;
+  multitype.m = 200.0;
+  multitype.problem.num_tasks_1 = 4;
+  multitype.problem.num_tasks_2 = 3;
+  multitype.problem.num_intervals = 3;
+  multitype.problem.penalty_1_cents = 100.0;
+  multitype.problem.penalty_2_cents = 90.0;
+  multitype.problem.max_price_cents = 20;
+  multitype.problem.price_stride = 4;
+  multitype.interval_lambdas.assign(3, 30.0);
   std::vector<PolicySpec> specs;
   for (int i = 0; i < 6; ++i) {
     // Two distinct profiles, three campaigns each; tasks vary per campaign.
@@ -62,16 +78,43 @@ std::vector<PolicySpec> MixedWave() {
   budget.acceptance = &PaperAcceptance();
   budget.max_price_cents = 40;
   specs.push_back(budget);
+  specs.push_back(multitype);
   return specs;
+}
+
+// Serialize() carries a plan's policy only, so the cost-to-go tables of
+// deadline and multitype artifacts are compared here, bit for bit.
+void ExpectSameOptTables(const PolicyArtifact& got, const PolicyArtifact& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.kind(), want.kind()) << where;
+  if (want.kind() == PolicyKind::kDeadlineDp) {
+    const pricing::DeadlinePlan& a = *got.deadline_plan().value();
+    const pricing::DeadlinePlan& b = *want.deadline_plan().value();
+    ASSERT_EQ(a.num_tasks(), b.num_tasks()) << where;
+    ASSERT_EQ(a.num_intervals(), b.num_intervals()) << where;
+    const size_t cells = static_cast<size_t>(b.num_tasks() + 1) *
+                         static_cast<size_t>(b.num_intervals() + 1);
+    EXPECT_EQ(std::memcmp(a.OptLayer(0), b.OptLayer(0), cells * sizeof(double)),
+              0)
+        << where << ": deadline opt tables differ";
+  } else if (want.kind() == PolicyKind::kMultiType) {
+    const std::vector<double>& a = got.multitype_plan().value()->opt();
+    const std::vector<double>& b = want.multitype_plan().value()->opt();
+    ASSERT_EQ(a.size(), b.size()) << where;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), b.size() * sizeof(double)), 0)
+        << where << ": multitype opt tables differ";
+  }
 }
 
 TEST(SolveWaveTest, BitIdenticalToSequentialSolveForAnyPoolSize) {
   std::vector<PolicySpec> specs = MixedWave();
+  std::vector<PolicyArtifact> solved;
   std::vector<std::string> sequential;
   for (const PolicySpec& spec : specs) {
     auto artifact = Engine::Solve(spec);
     ASSERT_TRUE(artifact.ok()) << artifact.status();
     sequential.push_back(artifact->Serialize().value());
+    solved.push_back(std::move(artifact).value());
   }
 
   for (int threads : {1, 2, 3}) {
@@ -88,6 +131,9 @@ TEST(SolveWaveTest, BitIdenticalToSequentialSolveForAnyPoolSize) {
           << results[i].status();
       EXPECT_EQ(results[i]->Serialize().value(), sequential[i])
           << "pool=" << threads << " slot " << i;
+      ExpectSameOptTables(*results[i], solved[i],
+                          "pool=" + std::to_string(threads) + " slot " +
+                              std::to_string(i));
     }
   }
 }
@@ -206,11 +252,13 @@ TEST(SolveWaveTest, PoolCountersBalanceAfterWaves) {
 
 TEST(SolveWaveTest, ConcurrentAndNestedWavesMatchSequential) {
   const std::vector<PolicySpec> specs = MixedWave();
+  std::vector<PolicyArtifact> solved;
   std::vector<std::string> sequential;
   for (const PolicySpec& spec : specs) {
     auto artifact = Engine::Solve(spec);
     ASSERT_TRUE(artifact.ok()) << artifact.status();
     sequential.push_back(artifact->Serialize().value());
+    solved.push_back(std::move(artifact).value());
   }
 
   // Two caller threads each run a wave on one pool while a third wave runs
@@ -242,6 +290,9 @@ TEST(SolveWaveTest, ConcurrentAndNestedWavesMatchSequential) {
           << "wave " << w << " slot " << i << ": " << waves[w][i].status();
       EXPECT_EQ(waves[w][i]->Serialize().value(), sequential[i])
           << "wave " << w << " slot " << i;
+      ExpectSameOptTables(*waves[w][i], solved[i],
+                          "wave " + std::to_string(w) + " slot " +
+                              std::to_string(i));
     }
   }
 }
