@@ -33,6 +33,7 @@
 namespace crowdprice::bench {
 
 inline int g_checks_failed = 0;
+inline int g_exact_checks_failed = 0;
 
 // ---------------------------------------------------------------------------
 // Smoke mode
@@ -42,7 +43,8 @@ inline int g_checks_failed = 0;
 /// bench binary with --smoke (or BENCH_SMOKE=1) to exercise the full code
 /// path and the BENCH_*.json emission in seconds instead of minutes.
 /// Smoke-sized runs are statistically meaningless, so Finish() reports
-/// CHECK failures without failing the process.
+/// Check failures without failing the process; CheckExact failures still
+/// fail it.
 inline bool g_smoke = [] {
   const char* env = std::getenv("BENCH_SMOKE");
   return env != nullptr && *env != '\0' && *env != '0';
@@ -70,11 +72,20 @@ inline void Check(bool ok, const std::string& claim) {
   if (!ok) ++g_checks_failed;
 }
 
+/// Check for a determinism or exactness claim (bit-identical plans, equal
+/// answers): no run size can excuse it, so Finish() fails on it in smoke
+/// mode too.
+inline void CheckExact(bool ok, const std::string& claim) {
+  Check(ok, claim);
+  if (!ok) ++g_exact_checks_failed;
+}
+
 /// Exit code for main(): 0 when every Check passed (smoke mode tolerates
-/// CHECK failures -- reduced sizes break the statistical claims by design).
+/// Check failures -- reduced sizes break the statistical claims by design
+/// -- but never a CheckExact failure).
 inline int Finish() {
   if (g_checks_failed > 0) {
-    if (g_smoke) {
+    if (g_smoke && g_exact_checks_failed == 0) {
       std::cout << "\n" << g_checks_failed
                 << " check(s) failed (tolerated in --smoke mode)\n";
       return 0;

@@ -1,5 +1,5 @@
-// Fleet solve farm: batched wave solving, kernel-backed batched
-// evaluation, and serving latency under a re-solve storm.
+// Fleet solve farm: batched wave solving and kernel-backed batched
+// evaluation.
 //
 // Part 1 -- wave solving: stamp a 10k-campaign wave from 16 rate profiles
 // (N=36, NT=24, 20-action grid) and solve it through engine::SolveWave
@@ -19,21 +19,12 @@
 // kernel layer), so it holds on any core count; smoke runs only gate
 // against outright pathology.
 //
-// Part 3 -- re-solve storm: DecideBatch p99 while a ResolveLane floods the
-// farm with rescale triggers, against the quiet p99 of the same map. The
-// farm runs at background priority and artifact swaps publish RCU
-// snapshots, so the storm must not degrade serving p99 by more than 2x on
-// a full run (16x collapse-only in smoke).
-//
 // Emits BENCH_fleet_solve.json; check_bench_json re-derives the gates.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,9 +34,6 @@
 #include "engine/solve_wave.h"
 #include "kernel/pmf_cache.h"
 #include "pricing/policy_eval.h"
-#include "serving/campaign_shard_map.h"
-#include "serving/resolve_lane.h"
-#include "stats/descriptive.h"
 #include "stats/poisson.h"
 #include "util/stringf.h"
 #include "util/table.h"
@@ -157,7 +145,7 @@ int main(int argc, char** argv) {
   const int kCampaigns = bench::SmokeN(10000, 192);
 
   bench::BenchRecord record("fleet_solve");
-  record.Label("layer", "engine+serving");
+  record.Label("layer", "engine");
   record.Param("campaigns", kCampaigns);
   record.Param("profiles", kNumProfiles);
   record.Param("num_tasks", kNumTasks);
@@ -204,7 +192,7 @@ int main(int argc, char** argv) {
 
   bool wave_ok = wave.size() == specs.size();
   for (const auto& r : wave) wave_ok = wave_ok && r.ok();
-  bench::Check(wave_ok, "every wave slot solved");
+  bench::CheckExact(wave_ok, "every wave slot solved");
   bool identical = true;
   for (int i = 0, s = 0; i < kCampaigns && wave_ok; i += kSampleStride, ++s) {
     auto text = wave[static_cast<size_t>(i)]->Serialize();
@@ -225,11 +213,11 @@ int main(int argc, char** argv) {
                 std::memcmp(a.OptLayer(0), b.OptLayer(0),
                             cells * sizeof(double)) == 0;
   }
-  bench::Check(identical,
-               StringF("sampled wave artifacts (every %dth of %d) serialize "
-                       "and hold opt tables bit-identical to sequential "
-                       "Engine::Solve",
-                       kSampleStride, kCampaigns));
+  bench::CheckExact(
+      identical, StringF("sampled wave artifacts (every %dth of %d) serialize "
+                         "and hold opt tables bit-identical to sequential "
+                         "Engine::Solve",
+                         kSampleStride, kCampaigns));
 
   const kernel::PmfArena::Stats share = wave_cache.stats();
   std::cout << StringF(
@@ -324,102 +312,6 @@ int main(int argc, char** argv) {
   record.Metric("eval_sequential_seconds", eval_sequential_seconds);
   record.Metric("eval_batched_seconds", eval_batched_seconds);
   record.Metric("eval_batched_speedup", eval_speedup);
-
-  // ------------------------------------------------------------------ 3.
-  const int kServed = bench::SmokeN(512, 64);
-  const int kPasses = bench::SmokeN(200, 20);
-  record.Param("served_campaigns", kServed);
-  record.Param("decide_passes", kPasses);
-  auto map_result = serving::CampaignShardMap::Create(4);
-  bench::DieOnError(map_result.status(), "shard map");
-  serving::CampaignShardMap map = std::move(map_result).value();
-  std::vector<serving::DecideRequest> requests;
-  std::vector<serving::CampaignId> ids;
-  for (int i = 0; i < kServed; ++i) {
-    const auto& artifact = wave[static_cast<size_t>(i % kCampaigns)];
-    serving::CampaignLimits limits;
-    limits.total_tasks = (*artifact->deadline_plan())->num_tasks();
-    limits.deadline_hours = 8.0;
-    auto admitted = map.Apply(serving::ControlOp::AdmitShared(
-        std::make_shared<const engine::PolicyArtifact>(*artifact), limits));
-    bench::DieOnError(admitted.status(), "admit");
-    ids.push_back(admitted->id);
-    requests.push_back(serving::DecideRequest::Single(
-        admitted->id, 1.0 + i % 7, 1 + i % 30));
-  }
-
-  auto time_passes = [&map, &requests, kPasses]() {
-    std::vector<double> ms;
-    ms.reserve(static_cast<size_t>(kPasses));
-    for (int pass = 0; pass < kPasses; ++pass) {
-      const auto start = std::chrono::steady_clock::now();
-      const auto responses = map.DecideBatch(requests);
-      ms.push_back(Seconds(start) * 1000.0);
-      for (const auto& response : responses) {
-        bench::DieOnError(response.status, "decide during timing");
-      }
-    }
-    return ms;
-  };
-
-  BENCH_ASSIGN(const double p99_quiet, stats::Percentile(time_passes(), 0.99));
-
-  // Storm: a background-priority farm chews re-solves while the same
-  // passes are timed. The lane coalesces per campaign, so keep re-arming
-  // until the timed passes finish.
-  ThreadPool storm_pool(static_cast<int>(hw_threads), /*background=*/true);
-  serving::ResolveLane lane(&map, &storm_pool);
-  // Prime the farm synchronously (one re-solve per campaign) so the timed
-  // passes are guaranteed to overlap live solving, then keep re-arming
-  // from a storm thread for as long as the timing runs.
-  for (size_t i = 0; i < ids.size(); ++i) {
-    bench::DieOnError(lane.EnqueueRescale(ids[i], i % 2 == 0 ? 1.3 : 0.77),
-                      "storm prime");
-  }
-  std::atomic<bool> storm_done{false};
-  std::thread storm([&lane, &ids, &storm_done] {
-    uint64_t i = 0;
-    while (!storm_done.load(std::memory_order_relaxed)) {
-      const double factor = i % 2 == 0 ? 1.3 : 0.77;
-      (void)lane.EnqueueRescale(ids[i % ids.size()], factor);
-      ++i;
-      if (i % ids.size() == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-  });
-  BENCH_ASSIGN(const double p99_storm, stats::Percentile(time_passes(), 0.99));
-  storm_done.store(true, std::memory_order_relaxed);
-  storm.join();
-  lane.Drain();
-
-  const serving::ResolveLane::Stats lane_stats = lane.stats();
-  const double ratio = p99_quiet > 0.0 ? p99_storm / p99_quiet : 0.0;
-  std::cout << StringF(
-      "\nserving %d campaigns: DecideBatch p99 %.3f ms quiet, %.3f ms "
-      "under re-solve storm (%.2fx; %lld re-solves landed, %lld "
-      "coalesced)\n",
-      kServed, p99_quiet, p99_storm, ratio,
-      static_cast<long long>(lane_stats.swapped),
-      static_cast<long long>(lane_stats.coalesced));
-  bench::Check(lane_stats.swapped > 0, "the storm actually re-solved and "
-                                       "hot-swapped campaigns");
-  // The <= 2x no-interference claim needs cores for the background farm to
-  // yield onto. On a narrow host a decide can stall for one scheduler
-  // timeslice behind an already-running solve, so the gate relaxes to
-  // collapse-only there -- and since ratios amplify sub-timeslice absolute
-  // numbers, a storm p99 under 5 ms is never a stall regardless of ratio.
-  const double storm_ceiling =
-      !bench::Smoke() && hw_threads >= 4 ? 2.0 : bench::Smoke() ? 16.0 : 32.0;
-  bench::Check(ratio <= storm_ceiling || p99_storm <= 5.0,
-               StringF("storm p99 <= %.1fx quiet p99 or < one timeslice "
-                       "(measured %.2fx, %.3f ms)",
-                       storm_ceiling, ratio, p99_storm));
-  record.Metric("decide_p99_quiet_ms", p99_quiet);
-  record.Metric("decide_p99_storm_ms", p99_storm);
-  record.Metric("decide_p99_storm_over_quiet", ratio);
-  record.Metric("storm_resolves_swapped",
-                static_cast<double>(lane_stats.swapped));
 
   bench::DieOnError(record.Write(), "bench record");
   return bench::Finish();

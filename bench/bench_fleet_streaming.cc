@@ -137,9 +137,9 @@ int main(int argc, char** argv) {
                       serial[i].completion_time_hours &&
                   got.events.size() == serial[i].events.size();
     }
-    bench::Check(identical,
-                 "streaming outcomes bit-identical to serial RunSimulation "
-                 "started at each admit time");
+    bench::CheckExact(identical,
+                      "streaming outcomes bit-identical to serial "
+                      "RunSimulation started at each admit time");
   }
 
   // ------------------------------------------------------------------ 2.

@@ -125,9 +125,10 @@ int main(int argc, char** argv) {
                   warm[i].sheet.offers[0].group_size ==
                       serial->offers[0].group_size;
     }
-    bench::Check(identical,
-                 StringF("shards=%d: DecideBatch == serial Decide bit-for-bit",
-                         num_shards));
+    bench::CheckExact(
+        identical,
+        StringF("shards=%d: DecideBatch == serial Decide bit-for-bit",
+                num_shards));
 
     double best_elapsed = 0.0, decides_per_sec = 0.0;
     for (int rep = 0; rep < kRepeats; ++rep) {
@@ -135,7 +136,7 @@ int main(int argc, char** argv) {
       for (int pass = 0; pass < kPasses; ++pass) {
         const auto responses = map.DecideBatch(requests);
         if (responses.size() != requests.size()) {
-          bench::Check(false, "batch response size");
+          bench::CheckExact(false, "batch response size");
           break;
         }
       }
@@ -247,10 +248,10 @@ int main(int argc, char** argv) {
                 got.completion_time_hours == serial[i].completion_time_hours &&
                 got.events.size() == serial[i].events.size();
   }
-  bench::Check(identical,
-               StringF("%d-campaign fleet outcomes bit-identical to serial "
-                       "RunSimulation",
-                       kFleet));
+  bench::CheckExact(identical,
+                    StringF("%d-campaign fleet outcomes bit-identical to "
+                            "serial RunSimulation",
+                            kFleet));
   bench::Check(fleet.shard_map().live_campaigns() == 0,
                "every campaign retired from the serving layer");
 

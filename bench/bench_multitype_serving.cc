@@ -119,15 +119,15 @@ int main(int argc, char** argv) {
                         .per_task_reward_cents;
       }
     }
-    bench::Check(identical,
-                 StringF("shards=%d: batched 2-offer sheets == serial",
-                         num_shards));
+    bench::CheckExact(identical,
+                      StringF("shards=%d: batched 2-offer sheets == serial",
+                              num_shards));
 
     const auto start = std::chrono::steady_clock::now();
     for (int pass = 0; pass < kPasses; ++pass) {
       const auto responses = map.DecideBatch(requests);
       if (responses.size() != requests.size()) {
-        bench::Check(false, "batch response size");
+        bench::CheckExact(false, "batch response size");
         break;
       }
     }

@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
   std::cout << "\n";
-  bench::Check(all_match, "s0 values match the paper's Table 1 exactly");
+  bench::CheckExact(all_match,
+                    "s0 values match the paper's Table 1 exactly");
 
   // Extended sweep (beyond the paper): s0 grows ~ lambda + O(sqrt(lambda)).
   Table sweep({"lambda", "s0(1e-6)", "s0(1e-9)", "s0(1e-12)"});

@@ -45,7 +45,6 @@
 #include "pricing/quality.h"        // IWYU pragma: export
 #include "pricing/tradeoff.h"       // IWYU pragma: export
 #include "serving/campaign_shard_map.h"  // IWYU pragma: export
-#include "serving/resolve_lane.h"   // IWYU pragma: export
 #include "stats/convex_hull.h"      // IWYU pragma: export
 #include "stats/descriptive.h"      // IWYU pragma: export
 #include "stats/distributions.h"    // IWYU pragma: export

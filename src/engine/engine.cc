@@ -98,11 +98,10 @@ Result<PolicyArtifact> SolveAdaptive(const PolicySpec& spec) {
   if (!s.actions.has_value()) {
     return Status::InvalidArgument("AdaptiveSpec.actions is required");
   }
-  // Validate eagerly so a bad spec fails at Solve time, not mid-campaign.
-  CP_RETURN_IF_ERROR(pricing::AdaptiveRateController::Create(
-                         s.problem, s.believed_lambdas, *s.actions,
-                         s.horizon_hours, s.options)
-                         .status());
+  // Validate eagerly so a bad spec fails at Solve time, not at admission;
+  // the plan itself is solved when a controller is built.
+  CP_RETURN_IF_ERROR(pricing::AdaptiveRateController::Validate(
+      s.problem, s.believed_lambdas, s.horizon_hours, s.options));
   return PolicyArtifact(AdaptivePolicy{s.problem, s.believed_lambdas,
                                        *s.actions, s.horizon_hours, s.options});
 }

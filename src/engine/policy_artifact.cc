@@ -540,9 +540,9 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
                         ParseInt<int>(otokens[6], "time_prune"));
     CP_ASSIGN_OR_RETURN(const int num_threads,
                         ParseInt<int>(otokens[7], "num_threads"));
-    // The controller's Create does not inspect dp_options, so reject a
-    // corrupt thread count here rather than at the first mid-campaign
-    // re-solve (0 = auto, like DpOptions).
+    // The controller's Validate does not inspect dp_options, so reject a
+    // corrupt thread count here rather than when a controller solves its
+    // plan (0 = auto, like DpOptions).
     if (num_threads < 0 || num_threads > (1 << 12)) {
       return Status::InvalidArgument(
           StringF("implausible num_threads %d", num_threads));
@@ -591,10 +591,8 @@ Result<PolicyArtifact> PolicyArtifact::Deserialize(std::string_view text) {
                         pricing::ActionSet::FromActions(std::move(actions)));
     // The same eager validation Solve applies: a reloaded checkpoint must
     // be able to instantiate controllers.
-    CP_RETURN_IF_ERROR(pricing::AdaptiveRateController::Create(
-                           problem, believed_lambdas, action_set,
-                           horizon_hours, options)
-                           .status());
+    CP_RETURN_IF_ERROR(pricing::AdaptiveRateController::Validate(
+        problem, believed_lambdas, horizon_hours, options));
     CP_RETURN_IF_ERROR(reader.ExpectEnd("adaptive actions"));
     return PolicyArtifact(AdaptivePolicy{problem, std::move(believed_lambdas),
                                          std::move(action_set), horizon_hours,

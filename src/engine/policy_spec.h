@@ -102,8 +102,8 @@ struct FixedPriceSpec {
 };
 
 /// The §5.2.5 adaptive re-planner. Solving an adaptive spec validates it
-/// and packages the belief; the MDP solves happen inside the controller as
-/// the campaign runs.
+/// and packages the belief; building a controller solves the initial plan,
+/// and the controller re-plans inside Decide as the campaign runs.
 struct AdaptiveSpec {
   pricing::DeadlineProblem problem;
   std::vector<double> believed_lambdas;

@@ -37,8 +37,8 @@ Result<PolicyArtifact> SolveOne(const PolicySpec& spec,
 
 std::vector<Result<PolicyArtifact>> SolveWave(std::span<const PolicySpec> specs,
                                               const SolveWaveOptions& options) {
-  ThreadPool& pool = options.pool != nullptr ? *options.pool
-                                             : ThreadPool::Background();
+  ThreadPool& pool =
+      options.pool != nullptr ? *options.pool : ThreadPool::Shared();
   std::vector<Result<PolicyArtifact>> results(
       specs.size(), Status::Internal("wave slot never solved"));
   pool.ParallelFor(static_cast<int64_t>(specs.size()), [&](int64_t i) {

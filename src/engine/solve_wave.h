@@ -15,10 +15,10 @@
 // thread-count-independent, so scheduling changes nothing. Results arrive
 // in spec order, errors per slot (one bad spec never poisons the wave).
 //
-// Non-deadline kinds (including adaptive, whose DP solves happen later
-// inside controllers) pass through to Engine::Solve untouched: their
-// artifacts may outlive the wave, so no wave-scoped cache pointer is ever
-// planted in them.
+// Non-deadline kinds (including adaptive, whose DP solve runs when a
+// controller is built from the artifact) pass through to Engine::Solve
+// untouched: their artifacts may outlive the wave, so no wave-scoped cache
+// pointer is ever planted in them.
 
 #ifndef CROWDPRICE_ENGINE_SOLVE_WAVE_H_
 #define CROWDPRICE_ENGINE_SOLVE_WAVE_H_
@@ -38,7 +38,8 @@ namespace crowdprice::engine {
 using SolverPool = ThreadPool;
 
 struct SolveWaveOptions {
-  /// Farm to run on; null uses ThreadPool::Background().
+  /// Farm to run on; null uses ThreadPool::Shared(). Artifacts are
+  /// bit-identical whatever the pool.
   ThreadPool* pool = nullptr;
   /// Cross-campaign pmf sharing for the wave's deadline solves (and, with
   /// `evaluate`, their forward passes). Null disables sharing; the default

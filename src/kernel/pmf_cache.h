@@ -45,8 +45,8 @@ class PmfShareCache {
   explicit PmfShareCache(size_t max_bytes = kDefaultMaxBytes)
       : max_bytes_(max_bytes) {}
 
-  /// The process-wide cache the solve farm (engine::SolveWave, the serving
-  /// re-solve lane) shares by default; the `kernels` CLI prints its stats.
+  /// The process-wide cache engine::SolveWave shares by default; the
+  /// `kernels` CLI prints its stats.
   static PmfShareCache& Global();
 
   /// The block for (rate, epsilon): the cached one when the exact rate bits

@@ -476,14 +476,6 @@ Result<FleetSimulator> FleetSimulator::Create(int num_shards) {
   return FleetSimulator(std::move(map));
 }
 
-Result<serving::CampaignId> FleetSimulator::Admit(
-    engine::PolicyArtifact artifact, const SimulatorConfig& config,
-    const choice::AcceptanceFunction& acceptance, Rng rng) {
-  return AdmitShared(
-      std::make_shared<const engine::PolicyArtifact>(std::move(artifact)),
-      config, acceptance, rng);
-}
-
 Result<serving::CampaignId> FleetSimulator::AdmitShared(
     std::shared_ptr<const engine::PolicyArtifact> artifact,
     const SimulatorConfig& config, const choice::AcceptanceFunction& acceptance,

@@ -159,15 +159,11 @@ class FleetSimulator {
   FleetSimulator(FleetSimulator&&) = default;
   FleetSimulator& operator=(FleetSimulator&&) = default;
 
-  /// Admits a campaign played by a solved policy. The acceptance function
-  /// is borrowed and must outlive Run(); the Rng is the campaign's own
-  /// stream (fork one per campaign for independence).
-  Result<serving::CampaignId> Admit(
-      engine::PolicyArtifact artifact, const SimulatorConfig& config,
-      const choice::AcceptanceFunction& acceptance, Rng rng);
-
-  /// Same, sharing one immutable artifact across many campaigns (one copy
-  /// of the solved tables however large the fleet).
+  /// Admits a campaign played by a solved policy; one immutable artifact
+  /// may back many campaigns (one copy of the solved tables however large
+  /// the fleet). The acceptance function is borrowed and must outlive
+  /// Run(); the Rng is the campaign's own stream (fork one per campaign
+  /// for independence).
   Result<serving::CampaignId> AdmitShared(
       std::shared_ptr<const engine::PolicyArtifact> artifact,
       const SimulatorConfig& config,
@@ -213,8 +209,6 @@ class FleetSimulator {
   /// Mutable access for serving-plane calls (DecideBatch, extra admits)
   /// between fleet waves -- see the Run() concurrency contract.
   serving::CampaignShardMap& mutable_shard_map() { return map_; }
-
-  size_t pending_campaigns() const { return pending_.size(); }
 
  private:
   struct Pending {

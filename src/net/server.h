@@ -43,10 +43,11 @@
 // open ones (least-connections: independent connections land on different
 // reactors, and a closed connection frees its slot). Control and export
 // frames run on a side lane (a ThreadPool of its own as wide as the
-// reactors, at normal priority), so a multi-millisecond artifact decode or
-// a router forward never stalls the decides on a reactor. While its op
-// runs the connection is parked -- no further frame of it is parsed and
-// its socket is not read -- and the lane posts the encoded reply back to
+// reactors, at normal priority), so a multi-millisecond artifact decode,
+// an adaptive campaign's initial plan solve (built with its controller at
+// admit) or a router forward never stalls the decides on a reactor. While
+// its op runs the connection is parked -- no further frame of it is parsed
+// and its socket is not read -- and the lane posts the encoded reply back to
 // the owning reactor's eventfd inbox (the same inbox the acceptor hands
 // sockets over by) under the connection's id, so replies leave in request
 // order on every connection and a reply for a connection that has since

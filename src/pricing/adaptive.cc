@@ -8,13 +8,13 @@
 
 namespace crowdprice::pricing {
 
-Result<AdaptiveRateController> AdaptiveRateController::Create(
-    const DeadlineProblem& problem, std::vector<double> believed_lambdas,
-    ActionSet actions, double horizon_hours, AdaptiveOptions options) {
+Status AdaptiveRateController::Validate(
+    const DeadlineProblem& problem, const std::vector<double>& believed_lambdas,
+    double horizon_hours, const AdaptiveOptions& options) {
   CP_RETURN_IF_ERROR(problem.Validate());
-  // Every Decide may re-solve an (N+1) x (NT+1) plan, so bound the state
-  // table here: a checkpoint that claims two billion tasks would otherwise
-  // load fine and abort the process on the first Decide.
+  // Create and every re-plan solve an (N+1) x (NT+1) plan, so bound the
+  // state table here: a checkpoint that claims two billion tasks would
+  // otherwise load fine and abort the process when its controller is built.
   CP_RETURN_IF_ERROR(problem.CheckPlanStates("adaptive"));
   if (believed_lambdas.size() != static_cast<size_t>(problem.num_intervals)) {
     return Status::InvalidArgument(
@@ -35,8 +35,19 @@ Result<AdaptiveRateController> AdaptiveRateController::Create(
     return Status::InvalidArgument(
         "need 0 < min_factor <= 1 <= max_factor");
   }
-  return AdaptiveRateController(problem, std::move(believed_lambdas),
-                                std::move(actions), horizon_hours, options);
+  return Status::OK();
+}
+
+Result<AdaptiveRateController> AdaptiveRateController::Create(
+    const DeadlineProblem& problem, std::vector<double> believed_lambdas,
+    ActionSet actions, double horizon_hours, AdaptiveOptions options) {
+  CP_RETURN_IF_ERROR(
+      Validate(problem, believed_lambdas, horizon_hours, options));
+  AdaptiveRateController controller(problem, std::move(believed_lambdas),
+                                    std::move(actions), horizon_hours,
+                                    options);
+  CP_RETURN_IF_ERROR(controller.ReplanFrom(0));
+  return controller;
 }
 
 Status AdaptiveRateController::ReplanFrom(int interval) {
@@ -55,15 +66,6 @@ Status AdaptiveRateController::ReplanFrom(int interval) {
   plan_.emplace(std::move(solved).value());
   plan_start_ = interval;
   ++resolves_;
-  if (options_.forecast_on_replan) {
-    // Kernel-backed forward pass over the plan's own solve arena: no pmf
-    // rebuilds, and purely diagnostic (Decide never reads it).
-    EvalOptions eval_options;
-    eval_options.kernel_backend = options_.dp_options.kernel_backend;
-    CP_ASSIGN_OR_RETURN(PolicyEvaluation forecast,
-                        EvaluatePolicyNominal(*plan_, eval_options));
-    last_forecast_ = std::move(forecast);
-  }
   return Status::OK();
 }
 
@@ -79,9 +81,6 @@ Result<market::OfferSheet> AdaptiveRateController::Decide(
   int t = static_cast<int>(request.campaign_hours / interval_hours + 1e-9);
   t = std::clamp(t, 0, problem_.num_intervals - 1);
 
-  if (!plan_.has_value()) {
-    CP_RETURN_IF_ERROR(ReplanFrom(0));
-  }
   if (t > last_interval_ && last_interval_ >= 0) {
     // Close the book on the elapsed interval(s): what did the belief
     // predict, what materialized?

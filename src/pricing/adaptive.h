@@ -28,7 +28,6 @@
 
 #include "market/controller.h"
 #include "pricing/deadline_dp.h"
-#include "pricing/policy_eval.h"
 #include "util/result.h"
 
 namespace crowdprice::pricing {
@@ -43,11 +42,6 @@ struct AdaptiveOptions {
   double min_factor = 0.25;
   double max_factor = 4.0;
   DpOptions dp_options;
-  /// Diagnostic: after every re-solve, run the kernel-backed nominal
-  /// forward pass over the fresh plan (reusing its solve arena -- no pmf
-  /// rebuilds) and keep the result as last_forecast(). Never changes what
-  /// Decide returns. Not part of the serialized wire format.
-  bool forecast_on_replan = false;
 };
 
 /// A marketplace controller that replans against the observed completion
@@ -55,9 +49,16 @@ struct AdaptiveOptions {
 /// the penalty and action set fixed and rescales only the arrival belief.
 class AdaptiveRateController final : public market::PricingController {
  public:
-  /// `problem` must validate; believed_lambdas must have
-  /// problem.num_intervals entries. horizon_hours > 0 maps wall-clock time
-  /// to intervals.
+  /// Checks Create's inputs without solving anything: `problem` must
+  /// validate and fit kMaxPlanStates; believed_lambdas must have
+  /// problem.num_intervals entries; horizon_hours > 0 maps wall-clock time
+  /// to intervals; `options` must be in range.
+  static Status Validate(const DeadlineProblem& problem,
+                         const std::vector<double>& believed_lambdas,
+                         double horizon_hours, const AdaptiveOptions& options);
+
+  /// Validates, then solves the whole-horizon plan, so a Decide re-plans
+  /// only when a rate correction calls for it.
   static Result<AdaptiveRateController> Create(
       const DeadlineProblem& problem, std::vector<double> believed_lambdas,
       ActionSet actions, double horizon_hours, AdaptiveOptions options = {});
@@ -67,14 +68,8 @@ class AdaptiveRateController final : public market::PricingController {
 
   /// The most recent rate-correction factor (1 until the first re-solve).
   double current_factor() const { return factor_; }
-  /// Number of MDP re-solves performed so far.
+  /// Number of MDP solves performed so far, Create's initial one included.
   int resolves() const { return resolves_; }
-  /// Nominal forecast of the most recent plan (empty unless
-  /// AdaptiveOptions::forecast_on_replan is set): the re-solved policy's
-  /// expected remaining-horizon cost/completion outlook.
-  const std::optional<PolicyEvaluation>& last_forecast() const {
-    return last_forecast_;
-  }
 
  private:
   AdaptiveRateController(DeadlineProblem problem,
@@ -95,7 +90,7 @@ class AdaptiveRateController final : public market::PricingController {
   double horizon_hours_;
   AdaptiveOptions options_;
 
-  /// Plan covering intervals [plan_start_, NT); lazily built on first use.
+  /// Plan covering intervals [plan_start_, NT); Create builds the first.
   std::optional<DeadlinePlan> plan_;
   int plan_start_ = 0;
 
@@ -107,7 +102,6 @@ class AdaptiveRateController final : public market::PricingController {
   double pending_prediction_ = 0.0;  ///< prediction for the interval in flight
   double factor_ = 1.0;
   int resolves_ = 0;
-  std::optional<PolicyEvaluation> last_forecast_;
 };
 
 }  // namespace crowdprice::pricing

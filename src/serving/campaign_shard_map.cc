@@ -78,13 +78,6 @@ Status CampaignLimits::Validate() const {
   return Status::OK();
 }
 
-ControlOp ControlOp::Admit(engine::PolicyArtifact artifact,
-                           const CampaignLimits& limits) {
-  return AdmitShared(
-      std::make_shared<const engine::PolicyArtifact>(std::move(artifact)),
-      limits);
-}
-
 ControlOp ControlOp::AdmitShared(
     std::shared_ptr<const engine::PolicyArtifact> artifact,
     const CampaignLimits& limits) {
@@ -111,12 +104,6 @@ ControlOp ControlOp::AdmitController(
   op.limits = limits;
   op.controller = std::move(controller);
   return op;
-}
-
-ControlOp ControlOp::SwapArtifact(CampaignId id,
-                                  engine::PolicyArtifact artifact) {
-  return SwapArtifactShared(
-      id, std::make_shared<const engine::PolicyArtifact>(std::move(artifact)));
 }
 
 ControlOp ControlOp::SwapArtifactShared(

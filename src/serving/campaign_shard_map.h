@@ -115,8 +115,6 @@ struct ControlOp {
 
   /// One named constructor per lifecycle mutation, plus Tick (whose
   /// retiring arm is a mutation like any other).
-  static ControlOp Admit(engine::PolicyArtifact artifact,
-                         const CampaignLimits& limits);
   static ControlOp AdmitShared(
       std::shared_ptr<const engine::PolicyArtifact> artifact,
       const CampaignLimits& limits);
@@ -128,7 +126,6 @@ struct ControlOp {
   static ControlOp AdmitController(
       std::unique_ptr<market::PricingController> controller,
       const CampaignLimits& limits);
-  static ControlOp SwapArtifact(CampaignId id, engine::PolicyArtifact artifact);
   static ControlOp SwapArtifactShared(
       CampaignId id, std::shared_ptr<const engine::PolicyArtifact> artifact);
   static ControlOp Retire(CampaignId id);

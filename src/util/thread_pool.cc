@@ -13,8 +13,8 @@ namespace {
 
 void DropToBackgroundPriority() {
 #if defined(__linux__)
-  // SCHED_IDLE is per-thread, unprivileged, and exactly the contract the
-  // farm wants: run only when nothing latency-sensitive is runnable.
+  // SCHED_IDLE is per-thread, unprivileged, and exactly the contract a
+  // background pool wants: run only when nothing else is runnable.
   sched_param param{};
   sched_setscheduler(0, SCHED_IDLE, &param);
 #endif
@@ -107,12 +107,11 @@ void ThreadPool::Submit(std::function<void()> job) {
 
 bool ThreadPool::PopJob(int home, std::function<void()>* job) {
   const size_t count = queues_.size();
-  const size_t start = home >= 0 ? static_cast<size_t>(home) : 0;
   for (size_t i = 0; i < count; ++i) {
-    Queue& q = *queues_[(start + i) % count];
+    Queue& q = *queues_[(static_cast<size_t>(home) + i) % count];
     std::lock_guard<std::mutex> lock(q.mu);
     if (q.jobs.empty()) continue;
-    if (i == 0 && home >= 0) {
+    if (i == 0) {
       // Owner drains its own queue in FIFO order...
       *job = std::move(q.jobs.front());
       q.jobs.pop_front();
@@ -128,18 +127,14 @@ bool ThreadPool::PopJob(int home, std::function<void()>* job) {
   return false;
 }
 
-void ThreadPool::RunJob(std::function<void()>* job) {
-  (*job)();
-  *job = nullptr;
-  completed_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void ThreadPool::WorkerLoop(int index, bool background) {
   if (background) DropToBackgroundPriority();
   std::function<void()> job;
   for (;;) {
     if (PopJob(index, &job)) {
-      RunJob(&job);
+      job();
+      job = nullptr;
+      completed_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     std::unique_lock<std::mutex> lock(sleep_mu_);
@@ -147,13 +142,6 @@ void ThreadPool::WorkerLoop(int index, bool background) {
     if (shutdown_ && queued_ == 0) return;
     work_cv_.wait(lock, [this] { return queued_ > 0 || shutdown_; });
   }
-}
-
-bool ThreadPool::TryRunOne() {
-  std::function<void()> job;
-  if (!PopJob(/*home=*/-1, &job)) return false;
-  RunJob(&job);
-  return true;
 }
 
 void ThreadPool::ParallelFor(int64_t count,
@@ -184,12 +172,6 @@ int ThreadPool::DefaultThreads() {
 ThreadPool& ThreadPool::Shared() {
   static ThreadPool* pool =
       new ThreadPool(Workers{DefaultThreads() - 1}, /*background=*/false);
-  return *pool;
-}
-
-ThreadPool& ThreadPool::Background() {
-  static ThreadPool* pool =
-      new ThreadPool(DefaultThreads(), /*background=*/true);
   return *pool;
 }
 

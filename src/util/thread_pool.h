@@ -1,22 +1,20 @@
 // ThreadPool: the process's one worker-pool type.
 //
-// Each worker owns a job deque: Submit pushes round-robin, a worker drains
-// its own deque front first and steals from the back of the others, and
-// any thread can help drain the pool with TryRunOne (how
-// ResolveLane::Drain lends its own thread instead of sleeping). ParallelFor
-// is built on Submit (SolveWave is one region over its specs): the
-// caller queues helper jobs and runs indices itself, and then waits only
-// for the helpers that already entered its region -- a helper that starts
-// later finds the region closed and returns. So regions from different
-// callers run side by side, and a region may nest inside another on the
-// same pool (a shard pass that re-plans an adaptive campaign runs the DP's
-// layer scans on the pool that runs the pass).
+// Each worker owns a job deque: Submit pushes round-robin, and a worker
+// drains its own deque front first and steals from the back of the others.
+// ParallelFor is built on Submit (SolveWave is one region over its specs):
+// the caller queues helper jobs and runs indices itself, and then waits
+// only for the helpers that already entered its region -- a helper that
+// starts later finds the region closed and returns. So regions from
+// different callers run side by side, and a region may nest inside another
+// on the same pool (a shard pass that re-plans an adaptive campaign runs
+// the DP's layer scans on the pool that runs the pass).
 //
-// Two process-wide instances: Shared() at normal priority for the DP
-// layer scans and the serving map's shard passes, and Background() for the
-// solve farm, whose workers run at idle priority (SCHED_IDLE on Linux,
-// per thread and unprivileged; no-op elsewhere) so a re-solve storm yields
-// the CPU to serving threads.
+// One process-wide instance, Shared(), runs the DP layer scans, the
+// serving map's shard passes and, by default, SolveWave. A pool built with
+// `background` runs its workers at idle priority (SCHED_IDLE on Linux, per
+// thread and unprivileged; no-op elsewhere), so its jobs yield the CPU to
+// every normal-priority thread.
 //
 // Jobs must not throw and must not wait for another queued job, which may
 // never start while every worker waits.
@@ -55,10 +53,6 @@ class ThreadPool {
   /// Enqueues a job. Any thread may submit, a running job included.
   void Submit(std::function<void()> job);
 
-  /// Runs one queued job on the calling thread if any is queued; returns
-  /// whether it ran one. Lets waiters help drain the pool.
-  bool TryRunOne();
-
   /// Runs fn(i) for every i in [0, count), load-balanced over the calling
   /// thread and up to min(size(), max_parallelism - 1) workers
   /// (max_parallelism <= 0: no cap beyond the pool), and returns when
@@ -83,14 +77,9 @@ class ThreadPool {
 
   /// Process-wide normal-priority pool with DefaultThreads() - 1 workers
   /// (the caller of a region is the last thread; a one-core host gets no
-  /// workers and runs regions inline): DP layer scans and shard passes.
-  /// Started on first use, never destroyed.
+  /// workers and runs regions inline): DP layer scans, shard passes and
+  /// SolveWave's default. Started on first use, never destroyed.
   static ThreadPool& Shared();
-
-  /// Process-wide idle-priority pool with DefaultThreads() workers: the
-  /// default farm for SolveWave and ResolveLane. Started on first use,
-  /// never destroyed.
-  static ThreadPool& Background();
 
  private:
   struct Workers {
@@ -106,7 +95,6 @@ class ThreadPool {
 
   void WorkerLoop(int index, bool background);
   bool PopJob(int home, std::function<void()>* job);
-  void RunJob(std::function<void()>* job);
 
   std::vector<std::unique_ptr<Queue>> queues_;  ///< one per worker (>= 1)
   std::atomic<uint64_t> next_queue_{0};         ///< round-robin submit cursor

@@ -55,6 +55,23 @@ TEST(AdaptiveControllerTest, CreateValidation) {
       AdaptiveRateController::Create(s.problem, s.believed, s.actions, 24.0).ok());
 }
 
+// Validate checks Create's inputs and solves nothing; Create solves the
+// whole-horizon plan, so the first Decide is a lookup.
+TEST(AdaptiveControllerTest, CreateSolvesTheInitialPlanValidateDoesNot) {
+  Env s = Env::Make();
+  EXPECT_TRUE(AdaptiveRateController::Validate(s.problem, {1.0}, 24.0, {})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      AdaptiveRateController::Validate(s.problem, s.believed, 24.0, {}).ok());
+
+  auto controller =
+      AdaptiveRateController::Create(s.problem, s.believed, s.actions, 24.0)
+          .value();
+  EXPECT_EQ(controller.resolves(), 1);
+  ASSERT_TRUE(test_util::SingleOffer(controller, 0.0, 100).ok());
+  EXPECT_EQ(controller.resolves(), 1);
+}
+
 TEST(AdaptiveControllerTest, FirstDecisionMatchesStaticPlan) {
   Env s = Env::Make();
   auto adaptive =

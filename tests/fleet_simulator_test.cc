@@ -159,16 +159,15 @@ TEST(FleetSimulatorTest, OutcomesMatchSerialAndLifecycleRetiresEveryCampaign) {
     for (const Blueprint& bp : blueprints) {
       Rng child = master.Fork();
       if (bp.use_artifact) {
-        // Alternate the owned-copy and shared-artifact admission paths;
-        // both must be bit-identical to the serial reference.
-        if (artifact_index++ % 2 == 0) {
-          engine::PolicyArtifact copy = solved;
-          ASSERT_TRUE(
-              fleet.Admit(std::move(copy), bp.config, acceptance, child).ok());
-        } else {
-          ASSERT_TRUE(
-              fleet.AdmitShared(shared, bp.config, acceptance, child).ok());
-        }
+        // Alternate a campaign's own artifact copy with one artifact
+        // shared fleet-wide; both must be bit-identical to the serial
+        // reference.
+        const auto artifact =
+            artifact_index++ % 2 == 0
+                ? std::make_shared<const engine::PolicyArtifact>(solved)
+                : shared;
+        ASSERT_TRUE(
+            fleet.AdmitShared(artifact, bp.config, acceptance, child).ok());
       } else {
         ASSERT_TRUE(fleet
                         .AdmitController(

@@ -6,7 +6,8 @@
 // soak test replays a 256-campaign streaming schedule -- admits, hot
 // swaps, and retirements mid-run -- through a loopback socket, asserting
 // per-campaign outcomes bit-identical to FleetSimulator::RunStreaming on
-// the same schedule.
+// the same schedule. An adaptive admit solves its plan on the side lane,
+// so another connection's decides never wait out that solve.
 //
 // The soak draws its campaign mix from CROWDPRICE_TEST_SEED when set (the
 // CI matrix runs several seeds); the bit-identity property must hold for
@@ -306,6 +307,109 @@ TEST(RemoteServingTest, ConcurrentConnectionsShareTheWaitFreeReadPath) {
 }
 
 using Clock = std::chrono::steady_clock;
+
+double MsSince(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
+// An adaptive campaign's whole-horizon plan is solved when it is admitted,
+// on the side lane, so its first decide is a lookup. With one reactor, a
+// neighbour connection deciding throughout the admit and that first decide
+// must never wait out the solve: its worst round trip stays well under the
+// time the admitting connection spends.
+TEST(RemoteServingTest, AdaptiveAdmitSolvesOffTheReactor) {
+  auto map = serving::CampaignShardMap::Create(2);
+  ASSERT_TRUE(map.ok());
+  ServerOptions options;
+  options.port = 0;
+  options.num_workers = 1;
+  auto server = PricingServer::Create(&map.value(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server->Start().ok());
+  const uint16_t port = server->port();
+
+  serving::CampaignLimits small_limits;
+  small_limits.total_tasks = 20;
+  small_limits.deadline_hours = 8.0;
+  auto b = PricingClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(b.ok()) << b.status();
+  const auto small_id = b->AdmitShared(
+      std::make_shared<const engine::PolicyArtifact>(SmallDeadlineArtifact()),
+      small_limits);
+  ASSERT_TRUE(small_id.ok()) << small_id.status();
+
+  engine::AdaptiveSpec spec;
+  spec.problem.num_tasks = 4000;
+  spec.problem.num_intervals = 1000;
+  spec.problem.penalty_cents = 500.0;
+  spec.believed_lambdas.assign(1000, 60.0);
+  spec.actions = pricing::ActionSet::FromPriceGrid(
+                     50, choice::LogitAcceptance::Paper2014())
+                     .value();
+  spec.horizon_hours = 24.0;
+  const auto adaptive = engine::Engine::Solve(spec);
+  ASSERT_TRUE(adaptive.ok()) << adaptive.status();
+  serving::CampaignLimits adaptive_limits;
+  adaptive_limits.total_tasks = 4000;
+  adaptive_limits.deadline_hours = 24.0;
+
+  auto a = PricingClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(a.ok()) << a.status();
+
+  // B decides in a loop from before A's admit until after A's first
+  // decide answers. Nothing between here and the join may return early.
+  std::atomic<bool> stop{false};
+  std::atomic<int> b_decides{0};
+  std::atomic<int> b_failures{0};
+  double b_worst_ms = 0.0;
+  std::thread neighbour([&] {
+    const market::DecisionRequest request =
+        market::DecisionRequest::Single(1.0, 10);
+    while (!stop.load()) {
+      const Clock::time_point sent = Clock::now();
+      if (!b->Decide(*small_id, request).ok()) {
+        b_failures.fetch_add(1);
+        return;
+      }
+      b_worst_ms = std::max(b_worst_ms, MsSince(sent));
+      b_decides.fetch_add(1);
+    }
+  });
+  while (b_decides.load() < 8 && b_failures.load() == 0) {
+    std::this_thread::yield();
+  }
+
+  const Clock::time_point admit_start = Clock::now();
+  const auto adaptive_id = a->AdmitShared(
+      std::make_shared<const engine::PolicyArtifact>(*adaptive),
+      adaptive_limits);
+  const double admit_ms = MsSince(admit_start);
+  const Clock::time_point decide_start = Clock::now();
+  const auto first = adaptive_id.ok()
+                         ? a->Decide(*adaptive_id,
+                                     market::DecisionRequest::Single(0.0, 4000))
+                         : Result<market::OfferSheet>(adaptive_id.status());
+  const double first_decide_ms = MsSince(decide_start);
+  stop.store(true);
+  neighbour.join();
+  ASSERT_TRUE(adaptive_id.ok()) << adaptive_id.status();
+  ASSERT_TRUE(first.ok()) << first.status();
+
+  const double spent_ms = admit_ms + first_decide_ms;
+  RecordProperty("admit_ms", std::to_string(admit_ms));
+  RecordProperty("first_decide_ms", std::to_string(first_decide_ms));
+  RecordProperty("neighbour_worst_ms", std::to_string(b_worst_ms));
+  EXPECT_EQ(b_failures.load(), 0);
+  // The solve is large enough to see...
+  EXPECT_GE(spent_ms, 40.0) << "admit " << admit_ms << " ms + first decide "
+                            << first_decide_ms << " ms";
+  // ...and the neighbour never waited it out.
+  EXPECT_LT(b_worst_ms, spent_ms / 4.0)
+      << "neighbour's worst decide " << b_worst_ms << " ms; admit "
+      << admit_ms << " ms + first decide " << first_decide_ms << " ms";
+  ASSERT_TRUE(server->Stop().ok());
+}
 
 /// A blocking loopback TCP socket connected to `port`, or -1. Reads give
 /// up after `recv_timeout_ms`, so a server that never answers fails the

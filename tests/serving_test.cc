@@ -55,7 +55,9 @@ Result<CampaignId> Admit(CampaignShardMap& map, engine::PolicyArtifact artifact,
                          const CampaignLimits& limits) {
   CP_ASSIGN_OR_RETURN(
       const ControlOutcome outcome,
-      map.Apply(ControlOp::Admit(std::move(artifact), limits)));
+      map.Apply(ControlOp::AdmitShared(
+          std::make_shared<const engine::PolicyArtifact>(std::move(artifact)),
+          limits)));
   return outcome.id;
 }
 
@@ -93,7 +95,11 @@ Status Retire(CampaignShardMap& map, CampaignId id) {
 
 Status SwapArtifact(CampaignShardMap& map, CampaignId id,
                     engine::PolicyArtifact artifact) {
-  return map.Apply(ControlOp::SwapArtifact(id, std::move(artifact))).status();
+  return map
+      .Apply(ControlOp::SwapArtifactShared(
+          id,
+          std::make_shared<const engine::PolicyArtifact>(std::move(artifact))))
+      .status();
 }
 
 Status SwapArtifactShared(

@@ -166,7 +166,7 @@ TEST(SolveWaveTest, PerSlotErrorsNeverPoisonTheWave) {
   specs.push_back(bad);
   specs.push_back(DeadlineSpec(18, 2100.0));
 
-  ThreadPool pool(2);
+  // No pool: the wave runs on ThreadPool::Shared().
   auto results = SolveWave(specs);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].ok()) << results[0].status();

@@ -34,11 +34,8 @@
 // pre-kernel per-campaign evaluator is algorithmic -- shared pmf blocks
 // plus kernel layer scans -- so it holds on any core count); smoke waves
 // are too small to amortize and only gate against being slower (>= 0.5).
-// (2) decide_p99_storm_over_quiet <= 2 on full records from hosts with
-// hw_threads >= 4; on narrower hosts a decide can stall one scheduler
-// timeslice behind an already-running background solve, so the gate
-// relaxes to collapse-only (32x, 16x for smoke) with an absolute escape:
-// a storm p99 under 5 ms is never a stall whatever the ratio.
+// (2) share_blocks_shared > 0: a wave stamped from repeated rate profiles
+// must share pmf blocks.
 //
 // The serving_remote and serving_router records carry a latency-quantile
 // gate: every p50 metric (p50_ms, p50_ms_<cell>, direct_p50_ms) must be
@@ -352,9 +349,8 @@ const std::vector<BenchRequirements>& KnownBenches() {
         "p99_overhead_vs_direct_backends_"}},
       {"fleet_solve",
        {"wave_seconds", "sequential_solve_seconds", "eval_sequential_seconds",
-        "eval_batched_seconds", "eval_batched_speedup", "decide_p99_quiet_ms",
-        "decide_p99_storm_ms", "decide_p99_storm_over_quiet",
-        "share_blocks_built", "share_blocks_shared"},
+        "eval_batched_seconds", "eval_batched_speedup", "share_blocks_built",
+        "share_blocks_shared"},
        {"waves_per_sec_threads_"}},
   };
   return known;
@@ -490,20 +486,13 @@ bool ValidateLatencyQuantiles(const JsonObject& metrics, std::string& error) {
 }
 
 // The solve-farm gates for the fleet_solve record (see file comment):
-// batched evaluation speedup and storm-vs-quiet serving p99, re-derived
-// from the record's own hw_threads/smoke params exactly as the bench
-// derives them at measurement time.
+// batched evaluation speedup, re-derived from the record's own smoke param
+// exactly as the bench derives it at measurement time, and pmf sharing.
 bool ValidateFleetSolve(const JsonObject& params, const JsonObject& metrics,
                         std::string& error) {
-  double hw_threads = 0.0, smoke = 0.0;
-  double eval_speedup = 0.0, ratio = 0.0, storm_ms = 0.0, shared = 0.0;
-  if (!RequireNumber(params, "param", "hw_threads", hw_threads, error) ||
-      !RequireNumber(params, "param", "smoke", smoke, error) ||
+  double smoke = 0.0, eval_speedup = 0.0, shared = 0.0;
+  if (!RequireNumber(params, "param", "smoke", smoke, error) ||
       !RequireNumber(metrics, "metric", "eval_batched_speedup", eval_speedup,
-                     error) ||
-      !RequireNumber(metrics, "metric", "decide_p99_storm_over_quiet", ratio,
-                     error) ||
-      !RequireNumber(metrics, "metric", "decide_p99_storm_ms", storm_ms,
                      error) ||
       !RequireNumber(metrics, "metric", "share_blocks_shared", shared,
                      error)) {
@@ -523,22 +512,9 @@ bool ValidateFleetSolve(const JsonObject& params, const JsonObject& metrics,
             std::to_string(eval_floor) + (is_smoke ? " [smoke]" : " [full]");
     return false;
   }
-  const double storm_ceiling =
-      !is_smoke && hw_threads >= 4.0 ? 2.0 : is_smoke ? 16.0 : 32.0;
-  if (ratio > storm_ceiling && storm_ms > 5.0) {
-    error = "re-solve storm gate: decide_p99_storm_over_quiet (" +
-            std::to_string(ratio) + ") > " + std::to_string(storm_ceiling) +
-            " and decide_p99_storm_ms (" + std::to_string(storm_ms) +
-            ") > 5 ms [hw_threads=" + std::to_string(hw_threads) +
-            ", smoke=" + std::to_string(smoke) + "]";
-    return false;
-  }
-  std::printf(
-      "     fleet_solve gates: eval %.2fx (floor %.1fx), storm p99 %.2fx "
-      "quiet / %.3f ms (%s)\n",
-      eval_speedup, eval_floor, ratio, storm_ms,
-      is_smoke ? "smoke/pathology-only"
-               : (hw_threads >= 4.0 ? "strict 2x" : "narrow-host"));
+  std::printf("     fleet_solve gates: eval %.2fx (floor %.1fx, %s)\n",
+              eval_speedup, eval_floor,
+              is_smoke ? "smoke/pathology-only" : "full");
   return true;
 }
 
