@@ -7,37 +7,19 @@
 
 namespace crowdprice::kernel {
 
-KernelRegistry& KernelRegistry::Global() {
-  static KernelRegistry* registry = [] {
+const KernelRegistry& KernelRegistry::Global() {
+  static const KernelRegistry* registry = [] {
     auto* r = new KernelRegistry();
-    (void)r->Register(MakeScalarKernel());
-    // Feature-probed backends, ascending preference; factories return
-    // nullptr on hosts that cannot run them.
-    if (auto neon = MakeNeonKernel()) {
-      (void)r->Register(std::move(neon));
-    }
-    if (auto avx2 = MakeAvx2Kernel()) {
-      (void)r->Register(std::move(avx2));
+    // Ascending preference; the SIMD factories return nullptr on hosts
+    // that cannot run them.
+    std::unique_ptr<LayerScanKernel> probed[] = {
+        MakeScalarKernel(), MakeNeonKernel(), MakeAvx2Kernel()};
+    for (auto& kernel : probed) {
+      if (kernel != nullptr) r->kernels_.push_back(std::move(kernel));
     }
     return r;
   }();
   return *registry;
-}
-
-Status KernelRegistry::Register(std::unique_ptr<LayerScanKernel> kernel) {
-  if (!kernel) {
-    return Status::InvalidArgument("cannot register a null kernel backend");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string name = kernel->name();
-  for (size_t i = 0; i < kernels_.size(); ++i) {
-    if (kernels_[i]->name() == name) {
-      kernels_.erase(kernels_.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
-  }
-  kernels_.push_back(std::move(kernel));
-  return Status::OK();
 }
 
 Result<const LayerScanKernel*> KernelRegistry::Resolve(
@@ -46,10 +28,6 @@ Result<const LayerScanKernel*> KernelRegistry::Resolve(
   if (wanted.empty()) {
     const char* env = std::getenv("CROWDPRICE_KERNEL");
     if (env != nullptr && env[0] != '\0') wanted = env;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (kernels_.empty()) {
-    return Status::NotFound("no kernel backends registered");
   }
   if (wanted.empty()) {
     return kernels_.back().get();
@@ -70,7 +48,6 @@ Result<const LayerScanKernel*> KernelRegistry::Resolve(
 }
 
 std::vector<std::string> KernelRegistry::Available() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
   out.reserve(kernels_.size());
   for (const auto& k : kernels_) out.push_back(k->name());

@@ -16,10 +16,10 @@
 // per-term arithmetic is bit-identical to the historical hand-rolled
 // loops, so scalar plans never drift across refactors), "avx2" (x86 FMA,
 // states evaluated four per vector) and "neon" (aarch64, two per vector).
-// KernelRegistry::Global() registers whatever the host supports -- probed
-// via cpu feature detection at startup -- and resolves the empty name to
-// the $CROWDPRICE_KERNEL override or the fastest registered backend, so
-// tests and benches can force any backend per solve.
+// KernelRegistry::Global() holds whatever the host supports -- probed via
+// cpu feature detection once, on first use -- and resolves the empty name
+// to the $CROWDPRICE_KERNEL override or the fastest backend, so tests and
+// benches can force any backend per solve.
 //
 // Contract every backend must honor:
 //  * Within one backend, ScanLayer and ScanState evaluate a given (n, a)
@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -118,39 +117,36 @@ class LayerScanKernel {
                           int32_t* best_arg) const = 0;
 };
 
-/// Backend factories. Each returns nullptr when the host CPU (or build
-/// architecture) cannot execute the backend, so registration is safe to
-/// attempt unconditionally.
+/// Backend factories. The SIMD ones return nullptr when the host CPU (or
+/// build architecture) cannot execute the backend, so the registry probes
+/// them unconditionally; MakeScalarKernel never does.
 std::unique_ptr<LayerScanKernel> MakeScalarKernel();
 std::unique_ptr<LayerScanKernel> MakeAvx2Kernel();
 std::unique_ptr<LayerScanKernel> MakeNeonKernel();
 
-/// Process-wide backend table. Later registrations take precedence for
-/// automatic selection, so an accelerator backend registered at startup
-/// becomes the default without touching solver call sites.
+/// Process-wide backend table, built once and immutable afterwards, so
+/// lookups take no lock.
 class KernelRegistry {
  public:
-  /// The global registry, populated on first use with "scalar" plus every
-  /// SIMD backend the host supports (feature-probed, in ascending
-  /// preference order).
-  static KernelRegistry& Global();
-
-  /// Registers a backend (its name() is the key; re-registering a name
-  /// replaces it and moves it to highest preference).
-  Status Register(std::unique_ptr<LayerScanKernel> kernel);
+  /// The global registry, built on first use with "scalar" plus every SIMD
+  /// backend the host supports, in ascending preference order: scalar,
+  /// neon, avx2. A new backend adds its factory there, at the preference
+  /// it should have.
+  static const KernelRegistry& Global();
 
   /// Resolves a backend by name. The empty name selects, in order: the
   /// $CROWDPRICE_KERNEL environment override when set (unknown values are
   /// an error, so typos surface instead of silently falling back), else
-  /// the highest-preference registered backend. Unknown non-empty names
-  /// are NotFound listing what is available.
+  /// the highest-preference backend. Unknown non-empty names are NotFound
+  /// listing what is available.
   Result<const LayerScanKernel*> Resolve(const std::string& name) const;
 
-  /// Registered backend names, ascending preference.
+  /// Backend names, ascending preference.
   std::vector<std::string> Available() const;
 
  private:
-  mutable std::mutex mu_;
+  KernelRegistry() = default;
+
   std::vector<std::unique_ptr<LayerScanKernel>> kernels_;
 };
 

@@ -34,14 +34,13 @@ class PricingController {
   /// remaining entry is > 0. (The pre-sheet Decide(now, remaining) shim
   /// completed its one-PR deprecation cycle and is gone; build a
   /// DecisionRequest::Single and read sheet.offers[0].)
+  ///
+  /// May be called from several threads at once: the serving map calls
+  /// it on whichever reader thread serves the campaign. A controller that
+  /// keeps state between decides guards that state itself
+  /// (pricing::AdaptiveRateController holds a mutex). The one exception
+  /// is net::RemoteController, which stays one session per client.
   virtual Result<OfferSheet> Decide(const DecisionRequest& request) = 0;
-
-  /// True when Decide is a pure function of immutable state and may be
-  /// called concurrently from any number of threads with no external
-  /// serialization. Controllers that track anything across calls
-  /// (adaptive re-solving, in-flight counts) keep the default false and
-  /// the serving layer serializes their decides per campaign.
-  virtual bool ThreadSafeDecide() const { return false; }
 };
 
 /// Validates that `request` prices exactly one task type and returns its
@@ -67,7 +66,6 @@ class FixedOfferController final : public PricingController {
  public:
   explicit FixedOfferController(Offer offer) : offer_(offer) {}
   Result<OfferSheet> Decide(const DecisionRequest& request) override;
-  bool ThreadSafeDecide() const override { return true; }
 
  private:
   Offer offer_;
@@ -81,7 +79,6 @@ class ScheduleController final : public PricingController {
   static Result<ScheduleController> Create(std::vector<Offer> schedule,
                                            double interval_hours);
   Result<OfferSheet> Decide(const DecisionRequest& request) override;
-  bool ThreadSafeDecide() const override { return true; }
 
  private:
   ScheduleController(std::vector<Offer> schedule, double interval_hours)
@@ -102,7 +99,6 @@ class SemiStaticController final : public PricingController {
   static Result<SemiStaticController> Create(std::vector<double> prices_cents);
 
   Result<OfferSheet> Decide(const DecisionRequest& request) override;
-  bool ThreadSafeDecide() const override { return true; }
 
  private:
   explicit SemiStaticController(std::vector<double> prices)
@@ -124,7 +120,6 @@ class StaticTierController final : public PricingController {
   /// Requires tiers non-empty, counts > 0. Sorts descending by price.
   static Result<StaticTierController> Create(std::vector<Tier> tiers);
   Result<OfferSheet> Decide(const DecisionRequest& request) override;
-  bool ThreadSafeDecide() const override { return true; }
 
  private:
   explicit StaticTierController(std::vector<Tier> tiers)

@@ -28,6 +28,25 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// A fleet session's controller: each decide goes through the serving
+/// map's read path by campaign id, so the map counts it on the campaign's
+/// shard and, after a swap, answers from the new snapshot. The map puts
+/// the request on the campaign clock as now - admit_hours, which equals
+/// the session's when - origin_hours: both offsets are the admit edge.
+class MapController final : public PricingController {
+ public:
+  MapController(serving::CampaignShardMap& map, serving::CampaignId id)
+      : map_(&map), id_(id) {}
+
+  Result<OfferSheet> Decide(const DecisionRequest& request) override {
+    return map_->Decide(id_, request);
+  }
+
+ private:
+  serving::CampaignShardMap* map_;
+  serving::CampaignId id_;
+};
+
 /// One campaign the event loop must launch: either pre-admitted through
 /// the Admit* methods (id known, joins at edge 0) or scheduled (admitted
 /// into the live map on the admission lane at its edge).
@@ -70,15 +89,13 @@ Result<std::vector<FleetOutcome>> DriveFleet(
   const size_t n = launches.size();
 
   // Each live campaign rides on its shard's list; during a slice exactly
-  // one pool thread advances a given shard's campaigns, so sessions (and
-  // the controllers they borrow from the map) are never shared across
-  // threads. The borrow pins the campaign's snapshot, keeping the
-  // controller (and the artifact tables it points into) alive even if a
-  // swap or retirement races ahead of the session's next barrier.
+  // one pool thread advances a given shard's campaigns, so a session is
+  // never shared across threads. The session points at `controller`,
+  // which the heap keeps in place while Running moves.
   struct Running {
     size_t index = 0;
     serving::CampaignId id = 0;
-    serving::BorrowedController controller;
+    std::unique_ptr<MapController> controller;
     CampaignSession session;
   };
   std::vector<std::vector<Running>> by_shard(static_cast<size_t>(num_shards));
@@ -152,15 +169,10 @@ Result<std::vector<FleetOutcome>> DriveFleet(
         id = admitted->id;
         ++stats.admitted;
       }
-      Result<serving::BorrowedController> controller =
-          map.BorrowController(id);
-      if (!controller.ok()) {
-        admit_status = controller.status();
-        return;
-      }
+      auto controller = std::make_unique<MapController>(map, id);
       Result<CampaignSession> session =
           CampaignSession::CreateAt(launch.config, rate, *launch.acceptance,
-                                    **controller, launch.rng, admit_wall);
+                                    *controller, launch.rng, admit_wall);
       if (!session.ok()) {
         admit_status = session.status();
         return;
@@ -171,7 +183,7 @@ Result<std::vector<FleetOutcome>> DriveFleet(
       outcome.admit_hours = admit_wall;
       staged.emplace_back(
           map.ShardOf(id),
-          Running{launch.index, id, std::move(*controller),
+          Running{launch.index, id, std::move(controller),
                   std::move(*session)});
     }
   };
@@ -201,7 +213,6 @@ Result<std::vector<FleetOutcome>> DriveFleet(
         ++it;
         continue;
       }
-      map.AddDecides(shard_index, it->session.decides());
       FleetOutcome& outcome = outcomes[it->index];
       Result<serving::ControlOutcome> ticked =
           map.Apply(serving::ControlOp::Tick(it->id, it->session.end_hours(),
@@ -230,8 +241,7 @@ Result<std::vector<FleetOutcome>> DriveFleet(
       const Control& control = controls[next_control++];
       if (finished[control.launch]) continue;
       const serving::CampaignId id = outcomes[control.launch].campaign_id;
-      const int shard_index = map.ShardOf(id);
-      auto& running = by_shard[static_cast<size_t>(shard_index)];
+      auto& running = by_shard[static_cast<size_t>(map.ShardOf(id))];
       const auto it =
           std::find_if(running.begin(), running.end(), [&](const Running& r) {
             return r.index == control.launch;
@@ -247,7 +257,6 @@ Result<std::vector<FleetOutcome>> DriveFleet(
             map.Apply(serving::ControlOp::Retire(id)).status());
         CP_RETURN_IF_ERROR(
             it->session.Curtail(static_cast<double>(k) * bucket));
-        map.AddDecides(shard_index, it->session.decides());
         FleetOutcome& outcome = outcomes[control.launch];
         outcome.final_state = serving::CampaignState::kRetiredExplicit;
         CP_ASSIGN_OR_RETURN(outcome.result,
@@ -256,16 +265,11 @@ Result<std::vector<FleetOutcome>> DriveFleet(
         running.erase(it);
         ++stats.retired_by_event;
       } else {
+        // The session's next decide reads the new snapshot.
         CP_RETURN_IF_ERROR(
             map.Apply(serving::ControlOp::SwapArtifactShared(id,
                                                              control.artifact))
                 .status());
-        CP_ASSIGN_OR_RETURN(serving::BorrowedController controller,
-                            map.BorrowController(id));
-        it->session.RebindController(*controller);
-        // Replace the pin after rebinding: the old snapshot stays alive
-        // until the session has stopped pointing at its controller.
-        it->controller = std::move(controller);
         ++stats.swapped;
       }
     }

@@ -17,10 +17,12 @@
 // arrival-bucket edge, and each campaign is admitted into the live shard
 // map on the event loop's admission lane -- which runs concurrently with
 // the shard passes still ticking earlier campaigns, taking only the
-// target shard's mutex (no global barrier). Mid-life events apply at
-// bucket-edge barriers: SwapArtifact re-pins the campaign's policy and
-// rebinds its session's controller; retire pulls the campaign and
-// finalizes its truncated outcome.
+// target shard's mutex (no global barrier). Every session decides through
+// CampaignShardMap::Decide by campaign id, the same read path a server
+// serves from. Mid-life events apply at bucket-edge barriers: SwapArtifact
+// re-pins the campaign's policy, and the session's next decide reads it
+// (no rebind); retire pulls the campaign and finalizes its truncated
+// outcome.
 //
 // Determinism: each campaign owns its Rng and its CampaignSession, and a
 // session only ever plays whole arrival buckets (see market/session.h), so
@@ -97,8 +99,9 @@ class ArrivalSchedule {
   /// Schedules a hot artifact swap on entry `index` at wall-clock
   /// `at_hours` (>= the entry's admit time; quantized to a bucket edge).
   /// The swap re-pins the live campaign's policy through
-  /// CampaignShardMap::SwapArtifactShared and rebinds the session's
-  /// controller; a campaign that already completed skips the event.
+  /// CampaignShardMap::SwapArtifactShared, and the session's decides from
+  /// that edge on read the new policy; a campaign that already completed
+  /// skips the event.
   Status SwapArtifactAt(size_t index, double at_hours,
                         std::shared_ptr<const engine::PolicyArtifact> artifact);
 
@@ -180,12 +183,12 @@ class FleetSimulator {
   /// campaigns retire from the shard map as they finish; the pending set
   /// clears, so the simulator can be reused for another wave.
   ///
-  /// While Run is in flight the campaigns being simulated are driven by
-  /// borrowed controllers on their shard's thread, outside the shard
-  /// mutex: do not Decide/Tick/Retire those campaigns through the map
-  /// concurrently (racing a stateful controller, or destroying one the
-  /// loop still holds). Serving-plane calls are safe before Run, after
-  /// Run, and against campaigns admitted for a later wave.
+  /// While Run is in flight each campaign decides through the map's read
+  /// path on its shard's thread, so a concurrent Decide/DecideBatch on a
+  /// running campaign is safe (a stateful controller guards itself; the
+  /// extra decide does shift that campaign's tracking state). A concurrent
+  /// Retire, or a Tick that retires a running campaign, makes the run fail
+  /// with NotFound at that campaign's next decide or tick.
   Result<std::vector<FleetOutcome>> Run(
       const arrival::PiecewiseConstantRate& rate);
 

@@ -170,7 +170,6 @@ Status CampaignSession::ProcessBucket(double seg_start, double seg_end) {
     ++result_.worker_arrivals;
     // Refresh the offer at every decision epoch boundary crossed so far.
     while (next_epoch_ <= t) {
-      ++decides_;
       CP_ASSIGN_OR_RETURN(
           offer_,
           DecideOffer(*controller_, next_epoch_, origin_hours_, remaining_));
@@ -178,7 +177,6 @@ Status CampaignSession::ProcessBucket(double seg_start, double seg_end) {
       next_epoch_ += config_.decision_interval_hours;
     }
     if (config_.decide_on_every_assignment || !offer_valid_) {
-      ++decides_;
       CP_ASSIGN_OR_RETURN(
           offer_, DecideOffer(*controller_, t, origin_hours_, remaining_));
       offer_valid_ = true;
@@ -204,7 +202,6 @@ Status CampaignSession::ProcessBucket(double seg_start, double seg_end) {
     Offer active = offer_;
     while (remaining_ > 0) {
       if (config_.decide_on_every_assignment) {
-        ++decides_;
         CP_ASSIGN_OR_RETURN(
             active, DecideOffer(*controller_, now, origin_hours_, remaining_));
       }

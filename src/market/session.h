@@ -31,6 +31,11 @@
 // AdvanceUntil(horizon) call -- which is what RunSimulation does, whatever
 // the start time. The fleet simulator's serial-equivalence property rests
 // on this.
+//
+// The session consults its controller through the PricingController
+// interface only. A fleet session's controller forwards each decide to
+// CampaignShardMap::Decide by campaign id, so a hot artifact swap needs no
+// rebind: the next decide reads the campaign's new snapshot.
 
 #ifndef CROWDPRICE_MARKET_SESSION_H_
 #define CROWDPRICE_MARKET_SESSION_H_
@@ -99,14 +104,6 @@ class CampaignSession {
   /// result reflects the truncated run.
   Status Curtail(double at_hours);
 
-  /// Points the session at a replacement controller (a hot artifact swap
-  /// re-pins a live campaign mid-run). The controller is borrowed like the
-  /// one passed at construction; decisions from the next consultation on
-  /// come from it.
-  void RebindController(PricingController& controller) {
-    controller_ = &controller;
-  }
-
   /// True once the batch is fully assigned or the clock reached the
   /// (possibly curtailed) horizon; AdvanceUntil becomes a no-op and
   /// TakeResult is available.
@@ -121,8 +118,6 @@ class CampaignSession {
   /// Start of the next unprocessed arrival bucket (wall clock).
   double clock_hours() const { return clock_hours_; }
   int64_t remaining_tasks() const { return remaining_; }
-  /// Controller consultations so far (decision epochs + per-assignment).
-  uint64_t decides() const { return decides_; }
   /// The owned generator; RunSimulation copies it back to its caller.
   const Rng& rng() const { return rng_; }
 
@@ -158,7 +153,6 @@ class CampaignSession {
   Offer offer_;
   bool offer_valid_ = false;
   double last_completion_ = 0.0;
-  uint64_t decides_ = 0;
   std::vector<double> arrivals_;  ///< Per-bucket scratch buffer.
 };
 

@@ -174,9 +174,9 @@ class PricingClient {
 /// Decide forwards a one-request batch for the bound campaign id over the
 /// borrowed client. The server rebases the request onto the campaign's
 /// clock exactly as the in-process map does, so a session priced through
-/// this controller draws the same offers bit-for-bit as one priced by a
-/// borrowed in-process controller. Not thread-safe (the client is
-/// single-stream); one session per client connection.
+/// this controller draws the same offers bit-for-bit as a fleet session,
+/// which decides through CampaignShardMap::Decide. Not thread-safe (the
+/// client is single-stream); one session per client connection.
 class RemoteController final : public market::PricingController {
  public:
   RemoteController(PricingClient* client, serving::CampaignId id)

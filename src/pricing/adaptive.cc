@@ -63,6 +63,9 @@ Status AdaptiveRateController::ReplanFrom(int interval) {
           ? SolveImprovedDp(sub, scaled, actions_, options_.dp_options)
           : SolveSimpleDp(sub, scaled, actions_);
   CP_RETURN_IF_ERROR(solved.status());
+  // Decide reads only Price(n, t): free the cost-to-go table and the
+  // solve arena before the plan goes live.
+  solved->DropToPolicy();
   plan_.emplace(std::move(solved).value());
   plan_start_ = interval;
   ++resolves_;
@@ -76,6 +79,7 @@ Result<market::OfferSheet> AdaptiveRateController::Decide(
   if (remaining_tasks <= 0) {
     return Status::InvalidArgument("Decide called with no remaining tasks");
   }
+  std::lock_guard<std::mutex> lock(*mu_);
   const double interval_hours =
       horizon_hours_ / static_cast<double>(problem_.num_intervals);
   int t = static_cast<int>(request.campaign_hours / interval_hours + 1e-9);

@@ -23,6 +23,7 @@
 #define CROWDPRICE_PRICING_ADAPTIVE_H_
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -47,6 +48,11 @@ struct AdaptiveOptions {
 /// A marketplace controller that replans against the observed completion
 /// rate. Create it with the *believed* per-interval worker means; it keeps
 /// the penalty and action set fixed and rescales only the arrival belief.
+///
+/// Thread-safe: a member mutex serializes Decide -- tracking state and
+/// re-plans included -- so concurrent decides on one campaign wait for
+/// each other and never for any other campaign. Between re-plans it holds
+/// the plan's policy table only (DeadlinePlan::DropToPolicy).
 class AdaptiveRateController final : public market::PricingController {
  public:
   /// Checks Create's inputs without solving anything: `problem` must
@@ -67,9 +73,15 @@ class AdaptiveRateController final : public market::PricingController {
       const market::DecisionRequest& request) override;
 
   /// The most recent rate-correction factor (1 until the first re-solve).
-  double current_factor() const { return factor_; }
+  double current_factor() const {
+    std::lock_guard<std::mutex> lock(*mu_);
+    return factor_;
+  }
   /// Number of MDP solves performed so far, Create's initial one included.
-  int resolves() const { return resolves_; }
+  int resolves() const {
+    std::lock_guard<std::mutex> lock(*mu_);
+    return resolves_;
+  }
 
  private:
   AdaptiveRateController(DeadlineProblem problem,
@@ -89,6 +101,11 @@ class AdaptiveRateController final : public market::PricingController {
   ActionSet actions_;
   double horizon_hours_;
   AdaptiveOptions options_;
+
+  /// Guards the members below; the ones above are fixed at Create. Held
+  /// by pointer so the controller stays movable: Create returns it by
+  /// value, before anything shares it.
+  std::unique_ptr<std::mutex> mu_ = std::make_unique<std::mutex>();
 
   /// Plan covering intervals [plan_start_, NT); Create builds the first.
   std::optional<DeadlinePlan> plan_;

@@ -20,10 +20,9 @@ class PlanController final : public market::PricingController {
   static Result<PlanController> Create(const DeadlinePlan* plan,
                                        double horizon_hours);
 
+  /// Pure lookup into the immutable plan table.
   Result<market::OfferSheet> Decide(
       const market::DecisionRequest& request) override;
-  /// Pure lookup into the immutable plan table.
-  bool ThreadSafeDecide() const override { return true; }
 
  private:
   PlanController(const DeadlinePlan* plan, double interval_hours)
@@ -43,11 +42,9 @@ class MultiTypeController final : public market::PricingController {
                                             double horizon_hours);
 
   int num_types() const override { return 2; }
+  /// Pure lookup into the immutable joint plan.
   Result<market::OfferSheet> Decide(
       const market::DecisionRequest& request) override;
-  /// Pure lookup into the immutable joint plan (no in-flight tracking;
-  /// if that ever lands, drop this override to restore serialization).
-  bool ThreadSafeDecide() const override { return true; }
 
  private:
   MultiTypeController(const MultiTypePlan* plan, double interval_hours)

@@ -36,6 +36,12 @@ DeadlinePlan::DeadlinePlan(DeadlineProblem problem, ActionSet actions,
   }
 }
 
+void DeadlinePlan::DropToPolicy() {
+  std::vector<double>().swap(opt_);
+  solve_arena_.reset();
+  std::vector<int>().swap(arena_table_ids_);
+}
+
 Status DeadlinePlan::CheckState(int n, int t, bool terminal_ok) const {
   if (n < 0 || n > problem_.num_tasks) {
     return Status::OutOfRange(

@@ -35,6 +35,11 @@ class DeadlinePlan {
   static DeadlinePlan PolicyOnly(DeadlineProblem problem, ActionSet actions,
                                  std::vector<double> interval_lambdas);
 
+  /// Converts a solved plan in place to the PolicyOnly form: frees the
+  /// Opt table and the solve arena and keeps Price(n, t), so ActionAt
+  /// answers as before. For holders that only play the plan.
+  void DropToPolicy();
+
   const DeadlineProblem& problem() const { return problem_; }
   const ActionSet& actions() const { return actions_; }
   /// lambda_t for t = 0..NT-1.

@@ -32,14 +32,13 @@ using Index = std::unordered_map<CampaignId, CampaignHandle*>;
 void ReclaimIndex(void* object) { delete static_cast<Index*>(object); }
 
 void ReclaimSnapshot(void* object) {
-  static_cast<CampaignSnapshot*>(object)->Unref();
+  delete static_cast<CampaignSnapshot*>(object);
 }
 
-/// Dropping a handle drops its campaign's published snapshot reference;
-/// borrowers holding their own references keep the snapshot alive.
+/// A retired handle takes its campaign's last snapshot with it.
 void ReclaimHandle(void* object) {
   auto* handle = static_cast<CampaignHandle*>(object);
-  handle->snapshot.load(std::memory_order_acquire)->Unref();
+  delete handle->snapshot.load(std::memory_order_acquire);
   delete handle;
 }
 
@@ -132,28 +131,6 @@ ControlOp ControlOp::Tick(CampaignId id, double now_hours,
   return op;
 }
 
-BorrowedController::BorrowedController(BorrowedController&& other) noexcept
-    : snapshot_(other.snapshot_), controller_(other.controller_) {
-  other.snapshot_ = nullptr;
-  other.controller_ = nullptr;
-}
-
-BorrowedController& BorrowedController::operator=(
-    BorrowedController&& other) noexcept {
-  if (this != &other) {
-    if (snapshot_ != nullptr) snapshot_->Unref();
-    snapshot_ = other.snapshot_;
-    controller_ = other.controller_;
-    other.snapshot_ = nullptr;
-    other.controller_ = nullptr;
-  }
-  return *this;
-}
-
-BorrowedController::~BorrowedController() {
-  if (snapshot_ != nullptr) snapshot_->Unref();
-}
-
 namespace {
 
 /// Per-shard counters as relaxed atomics, the hot ones (bumped from
@@ -186,7 +163,7 @@ struct CampaignShardMap::Shard {
     // self-contained deleters).
     const Index* idx = index.load(std::memory_order_acquire);
     for (const auto& [id, handle] : *idx) {
-      handle->snapshot.load(std::memory_order_acquire)->Unref();
+      delete handle->snapshot.load(std::memory_order_acquire);
       delete handle;
     }
     delete idx;
@@ -213,7 +190,7 @@ struct CampaignShardMap::Impl {
   }
 
   /// Removes `id` from its shard under the writer mutex; the removed
-  /// handle (and its snapshot reference) is freed after the grace period.
+  /// handle (and its snapshot) is freed after the grace period.
   /// Returns false when the campaign is not live.
   bool Remove(CampaignId id) {
     Shard& shard = ShardFor(id);
@@ -316,11 +293,11 @@ Result<ControlOutcome> CampaignShardMap::Apply(ControlOp op) {
                    expected, id + 1, std::memory_order_relaxed)) {
         }
       }
-      auto* snapshot = new CampaignSnapshot(
-          id, std::move(op.artifact), std::move(controller), op.limits,
-          impl_->snapshot_counters);
+      auto* snapshot =
+          new CampaignSnapshot(std::move(op.artifact), std::move(controller),
+                               op.limits, impl_->snapshot_counters);
       if (!impl_->Publish(id, snapshot)) {
-        snapshot->Unref();
+        delete snapshot;
         return Status::FailedPrecondition(
             StringF("campaign %llu is already live",
                     static_cast<unsigned long long>(id)));
@@ -348,8 +325,8 @@ Result<ControlOutcome> CampaignShardMap::Apply(ControlOp op) {
       // read pass sees either the old snapshot or the new one, never a
       // mix.
       handle->snapshot.store(
-          new CampaignSnapshot(op.id, std::move(op.artifact),
-                               std::move(controller), old_snapshot->limits(),
+          new CampaignSnapshot(std::move(op.artifact), std::move(controller),
+                               old_snapshot->limits(),
                                impl_->snapshot_counters),
           std::memory_order_seq_cst);
       rcu::Domain::Global().Retire(const_cast<CampaignSnapshot*>(old_snapshot),
@@ -558,20 +535,6 @@ SnapshotStats CampaignShardMap::snapshot_stats() const {
 
 void CampaignShardMap::QuiesceReclamation() { rcu::Domain::Global().Drain(); }
 
-Result<BorrowedController> CampaignShardMap::BorrowController(CampaignId id) {
-  Shard& shard = impl_->ShardFor(id);
-  rcu::ReadGuard guard;
-  const Index* index = shard.index.load(std::memory_order_seq_cst);
-  auto it = index->find(id);
-  if (it == index->end()) return NotLive(id);
-  const CampaignSnapshot* snapshot =
-      it->second->snapshot.load(std::memory_order_seq_cst);
-  // The reference taken under the guard outlives it, pinning the snapshot
-  // (and the artifact tables the controller points into) for the borrow.
-  snapshot->Ref();
-  return BorrowedController(snapshot, snapshot->controller());
-}
-
 void CampaignShardMap::ParallelOverShardsWith(
     const std::function<void(int)>& fn, const std::function<void()>& extra) {
   // The extra lane rides the same region as index num_shards; the pool
@@ -587,14 +550,6 @@ void CampaignShardMap::ParallelOverShardsWith(
         }
       },
       impl_->num_shards);
-}
-
-void CampaignShardMap::AddDecides(int shard_index, uint64_t count) {
-  if (shard_index < 0 || shard_index >= impl_->num_shards || count == 0) {
-    return;
-  }
-  impl_->shards[static_cast<size_t>(shard_index)]
-      ->counters.decides.value.fetch_add(count, std::memory_order_relaxed);
 }
 
 }  // namespace crowdprice::serving

@@ -32,12 +32,10 @@
 // retiring arm of Tick) are the only writers: they serialize on a
 // per-shard writer mutex, publish replacement structures, and hand the
 // old ones to the RCU domain, which frees them only after every in-flight
-// read pass drains (grace-period reclamation; see SnapshotStats).
-// Controllers that declare ThreadSafeDecide() answer on any reader thread
-// directly; stateful controllers (adaptive) keep their per-campaign
-// serialization via a striped spinlock inside the snapshot. Controllers
-// handed out via BorrowController pin their snapshot by refcount and the
-// borrower serializes its own calls (see the fleet hooks below).
+// read pass drains (grace-period reclamation; see SnapshotStats). Every
+// controller answers on the reader's thread. One that keeps state between
+// decides (adaptive) guards that state itself: decides on that campaign
+// wait for each other, re-plans included, and never for another campaign.
 
 #ifndef CROWDPRICE_SERVING_CAMPAIGN_SHARD_MAP_H_
 #define CROWDPRICE_SERVING_CAMPAIGN_SHARD_MAP_H_
@@ -201,42 +199,8 @@ struct ShardStats {
   int64_t peak_live = 0;  ///< High-water mark of `live` (admission churn).
 };
 
-class CampaignSnapshot;  // serving/snapshot.h (internal to the read path)
-
-/// A refcount pin on one campaign's published snapshot, exposing its
-/// controller. The controller stays valid for the borrow's lifetime --
-/// across Retire and SwapArtifact, whose grace periods simply exclude
-/// pinned snapshots -- but goes stale after a swap (it keeps playing the
-/// old policy); re-borrow to pick up the new one. The borrower serializes
-/// its own calls per campaign.
-class BorrowedController {
- public:
-  BorrowedController() = default;
-  BorrowedController(BorrowedController&& other) noexcept;
-  BorrowedController& operator=(BorrowedController&& other) noexcept;
-  ~BorrowedController();
-
-  BorrowedController(const BorrowedController&) = delete;
-  BorrowedController& operator=(const BorrowedController&) = delete;
-
-  market::PricingController* get() const { return controller_; }
-  market::PricingController& operator*() const { return *controller_; }
-  market::PricingController* operator->() const { return controller_; }
-  explicit operator bool() const { return controller_ != nullptr; }
-
- private:
-  friend class CampaignShardMap;
-  BorrowedController(const CampaignSnapshot* snapshot,
-                     market::PricingController* controller)
-      : snapshot_(snapshot), controller_(controller) {}
-
-  const CampaignSnapshot* snapshot_ = nullptr;
-  market::PricingController* controller_ = nullptr;
-};
-
 /// Map-wide snapshot lifecycle counters (see snapshot_stats). After
-/// QuiesceReclamation with no outstanding borrows:
-/// published == reclaimed + live_campaigns.
+/// QuiesceReclamation: published == reclaimed + live_campaigns.
 struct SnapshotStats {
   uint64_t published = 0;   ///< Snapshots ever published (admits + swaps).
   uint64_t reclaimed = 0;   ///< Snapshots fully freed (grace period over).
@@ -284,9 +248,10 @@ class CampaignShardMap {
 
   /// One lookup: the sheet the campaign's policy posts for `request`.
   /// Wait-free against every other operation, including swaps and
-  /// retirements of the same campaign. (The single-offer shim finished
-  /// its deprecation cycle; single-type callers pass
-  /// DecisionRequest::Single and read sheet.offers[0].)
+  /// retirements of the same campaign; only decides on the same stateful
+  /// campaign wait for each other. (The single-offer shim finished its
+  /// deprecation cycle; single-type callers pass DecisionRequest::Single
+  /// and read sheet.offers[0].)
   ///
   /// Serving-plane requests carry the marketplace wall clock in
   /// `now_hours`; the map derives the campaign clock itself
@@ -321,25 +286,15 @@ class CampaignShardMap {
 
   /// Snapshot lifecycle counters (published / reclaimed / live). The
   /// reconciliation invariant published == reclaimed + live_campaigns
-  /// holds after QuiesceReclamation with no outstanding borrows; between
-  /// quiesce points `reclaimed` lags by the snapshots still inside a
-  /// grace period.
+  /// holds after QuiesceReclamation; between quiesce points `reclaimed`
+  /// lags by the snapshots still inside a grace period.
   SnapshotStats snapshot_stats() const;
 
   /// Waits for every in-flight read pass and frees every retired
-  /// structure (test/teardown hook; serving never needs it). Borrowed
-  /// snapshots are freed later, when their last borrow drops.
+  /// structure (test/teardown hook; serving never needs it).
   void QuiesceReclamation();
 
-  // --- Fleet-simulator hooks ---------------------------------------------
-
-  /// Borrows a live campaign's controller, pinning its current snapshot
-  /// by refcount: the controller stays valid for the borrow's lifetime,
-  /// even across Retire or SwapArtifact (after a swap it keeps playing
-  /// the old policy -- re-borrow to rebind). The caller must serialize
-  /// its own calls per campaign (the fleet simulator drives each campaign
-  /// from exactly one shard thread).
-  Result<BorrowedController> BorrowController(CampaignId id);
+  // --- Fleet-simulator hook ----------------------------------------------
 
   /// Runs fn(shard) for every shard concurrently on ThreadPool::Shared(),
   /// plus one `extra` task run concurrently with the shard passes (the
@@ -350,10 +305,6 @@ class CampaignShardMap {
   /// or read guard held, so they may call any public method.
   void ParallelOverShardsWith(const std::function<void(int)>& fn,
                               const std::function<void()>& extra);
-
-  /// Adds externally-served decide counts (fleet sessions call borrowed
-  /// controllers directly) to a shard's counters.
-  void AddDecides(int shard, uint64_t count);
 
  private:
   struct Shard;

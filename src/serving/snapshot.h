@@ -7,21 +7,13 @@
 // without ever observing a half-swapped campaign: SwapArtifact builds a
 // whole new snapshot and publishes it in one pointer store.
 //
-// Lifetime is a hybrid of RCU and intrusive refcounting. A snapshot is
-// born with one reference (the published one, owned by the campaign's
-// handle); Retire/Swap drop it through the RCU grace period, so in-flight
-// Decide/DecideBatch passes always drain first. Long-term borrowers (the
-// fleet simulator's BorrowController) take extra references under a read
-// guard and may outlive the swap that retires the snapshot; the snapshot
-// -- and the artifact tables its controller points into -- is freed when
-// the last reference drops, which is when SnapshotCounters::reclaimed
-// ticks.
+// Lifetime is RCU alone: Retire/Swap hand the unlinked snapshot to the
+// RCU domain, which deletes it once every in-flight Decide/DecideBatch
+// pass has drained. The destructor ticks SnapshotCounters::reclaimed.
 //
-// Concurrency split: a controller whose ThreadSafeDecide() is true (the
-// stateless table players) is called directly from any reader thread. A
-// stateful controller (adaptive) keeps its per-campaign serialization:
-// its decides funnel through a striped spinlock picked by campaign id, so
-// two campaigns rarely share a stripe and one campaign always does.
+// Concurrency: Decide calls the controller directly on the reader's
+// thread. Stateless controllers need nothing more; a controller that
+// keeps state between decides (adaptive) guards that state itself.
 
 #ifndef CROWDPRICE_SERVING_SNAPSHOT_H_
 #define CROWDPRICE_SERVING_SNAPSHOT_H_
@@ -29,8 +21,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "engine/policy_artifact.h"
@@ -43,82 +33,43 @@ namespace crowdprice::serving {
 
 /// Map-wide snapshot lifecycle counters (shared_ptr-held by the map and
 /// every snapshot, so late reclamations after map teardown still land).
-/// Invariant at any quiescent moment with no outstanding borrows:
-/// published == reclaimed + live campaigns.
+/// Invariant at any quiescent moment: published == reclaimed + live
+/// campaigns.
 struct SnapshotCounters {
   std::atomic<uint64_t> published{0};
   std::atomic<uint64_t> reclaimed{0};
 };
 
-/// Minimal TTAS spinlock (BasicLockable). Decide critical sections are
-/// microseconds, so spinning beats parking.
-class SpinLock {
- public:
-  void lock() {
-    while (locked_.exchange(true, std::memory_order_acquire)) {
-      while (locked_.load(std::memory_order_relaxed)) {
-        std::this_thread::yield();
-      }
-    }
-  }
-  void unlock() { locked_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> locked_{false};
-};
-
-/// The stripe serializing stateful decides for campaign `id`. Padded so
-/// neighboring stripes never share a cache line.
-inline SpinLock& DecideStripe(CampaignId id) {
-  struct alignas(64) PaddedSpinLock {
-    SpinLock lock;
-  };
-  static PaddedSpinLock stripes[64];
-  return stripes[id % 64].lock;
-}
-
 class CampaignSnapshot {
  public:
   /// `artifact` may be null (AdmitController campaigns); `controller` must
-  /// not be. Publication counts immediately and the new snapshot carries
-  /// the published reference.
-  CampaignSnapshot(CampaignId id,
-                   std::shared_ptr<const engine::PolicyArtifact> artifact,
+  /// not be. Publication counts immediately.
+  CampaignSnapshot(std::shared_ptr<const engine::PolicyArtifact> artifact,
                    std::unique_ptr<market::PricingController> controller,
                    const CampaignLimits& limits,
                    std::shared_ptr<SnapshotCounters> counters)
       : artifact_(std::move(artifact)),
         controller_(std::move(controller)),
         limits_(limits),
-        counters_(std::move(counters)),
-        serialize_(!controller_->ThreadSafeDecide()),
-        decide_mu_(&DecideStripe(id)) {
+        counters_(std::move(counters)) {
     if (counters_ != nullptr) {
       counters_->published.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  ~CampaignSnapshot() {
+    if (counters_ != nullptr) {
+      counters_->reclaimed.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   CampaignSnapshot(const CampaignSnapshot&) = delete;
   CampaignSnapshot& operator=(const CampaignSnapshot&) = delete;
 
-  void Ref() const { refs_.fetch_add(1, std::memory_order_relaxed); }
-
-  void Unref() const {
-    if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      if (counters_ != nullptr) {
-        counters_->reclaimed.fetch_add(1, std::memory_order_relaxed);
-      }
-      delete this;
-    }
-  }
-
-  /// Answers `request` (already rebased onto the campaign clock).
-  /// Stateless controllers run wait-free on the calling thread; stateful
-  /// ones serialize on the campaign's stripe.
+  /// Answers `request` (already rebased onto the campaign clock) on the
+  /// calling thread.
   Result<market::OfferSheet> Decide(
       const market::DecisionRequest& request) const {
-    if (!serialize_) return controller_->Decide(request);
-    std::lock_guard<SpinLock> lock(*decide_mu_);
     return controller_->Decide(request);
   }
 
@@ -131,20 +82,11 @@ class CampaignSnapshot {
     return artifact_;
   }
 
-  /// The controller itself, for borrowers that serialize their own calls.
-  /// Valid while the caller holds a reference.
-  market::PricingController* controller() const { return controller_.get(); }
-
  private:
-  ~CampaignSnapshot() = default;  ///< Via Unref only.
-
-  mutable std::atomic<uint64_t> refs_{1};
   std::shared_ptr<const engine::PolicyArtifact> artifact_;
   std::unique_ptr<market::PricingController> controller_;
   CampaignLimits limits_;
   std::shared_ptr<SnapshotCounters> counters_;
-  bool serialize_;
-  SpinLock* decide_mu_;
 };
 
 }  // namespace crowdprice::serving

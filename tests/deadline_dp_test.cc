@@ -408,6 +408,34 @@ TEST(DeadlinePlanTest, AccessorsValidateRanges) {
   EXPECT_TRUE(plan.PriceAt(20, 5).ok());
 }
 
+// Holders that only play a plan (the adaptive controller) drop it to its
+// policy: converted in place, a solved plan answers ActionAt exactly as
+// before at every state, and otherwise reads like a decoded plan.
+TEST(DeadlinePlanTest, DropToPolicyKeepsEveryAction) {
+  auto actions = ActionSet::FromPriceGrid(10, PaperAcceptance()).value();
+  DeadlineProblem p = SmallProblem();
+  const DeadlinePlan solved =
+      SolveImprovedDp(p, ConstantLambdas(6, 100.0), actions).value();
+  ASSERT_NE(solved.solve_arena(), nullptr);
+  DeadlinePlan policy = solved;
+  policy.DropToPolicy();
+  for (int t = 0; t < p.num_intervals; ++t) {
+    for (int n = 1; n <= p.num_tasks; ++n) {
+      const PricingAction want = solved.ActionAt(n, t).value();
+      const PricingAction got = policy.ActionAt(n, t).value();
+      ASSERT_EQ(got.cost_per_task_cents, want.cost_per_task_cents)
+          << "n = " << n << ", t = " << t;
+      ASSERT_EQ(got.bundle, want.bundle) << "n = " << n << ", t = " << t;
+      ASSERT_EQ(got.acceptance, want.acceptance)
+          << "n = " << n << ", t = " << t;
+    }
+  }
+  EXPECT_TRUE(policy.OptAt(p.num_tasks, 0).status().IsFailedPrecondition());
+  EXPECT_TRUE(std::isnan(policy.TotalObjective()));
+  EXPECT_EQ(policy.solve_arena(), nullptr);
+  EXPECT_TRUE(policy.arena_table_ids().empty());
+}
+
 TEST(ActionSetTest, FromPriceGridShape) {
   auto actions = ActionSet::FromPriceGrid(15, PaperAcceptance()).value();
   ASSERT_EQ(actions.size(), 16u);

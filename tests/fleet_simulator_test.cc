@@ -114,6 +114,18 @@ void ExpectBitIdentical(const SimulationResult& got,
   }
 }
 
+// Forwards every decide to `target`, which the test may repoint between
+// AdvanceUntil calls: the serial stand-in for a fleet session, whose
+// decides read whatever policy the map publishes at the time.
+class ForwardingController final : public PricingController {
+ public:
+  explicit ForwardingController(PricingController* target) : target(target) {}
+  Result<OfferSheet> Decide(const DecisionRequest& request) override {
+    return target->Decide(request);
+  }
+  PricingController* target;
+};
+
 TEST(FleetSimulatorTest, RunWithoutCampaignsFails) {
   FleetSimulator fleet = FleetSimulator::Create(4).value();
   auto rate = arrival::PiecewiseConstantRate::Constant(50.0, 8.0).value();
@@ -481,14 +493,15 @@ TEST(FleetStreamingTest, SwapAndRetireEventsMatchSerialSessions) {
     engine::PolicyArtifact copy = solved;
     auto before =
         copy.MakeController(swap_config.horizon_hours).value();
+    ForwardingController forward(before.get());
     CampaignSession session =
-        CampaignSession::CreateAt(swap_config, rate, acceptance, *before,
+        CampaignSession::CreateAt(swap_config, rate, acceptance, forward,
                                   swap_rng, 1.0)
             .value();
     ASSERT_TRUE(session.AdvanceUntil(3.0).ok());
     auto after =
         swap_artifact->MakeController(swap_config.horizon_hours).value();
-    session.RebindController(*after);
+    forward.target = after.get();
     ASSERT_TRUE(session.AdvanceUntil(session.end_hours()).ok());
     want_swap = std::move(session).TakeResult().value();
   }
@@ -613,6 +626,35 @@ TEST(ArrivalScheduleTest, ValidatesEntriesAndEvents) {
   EXPECT_TRUE(fleet.RunStreaming(rate, ArrivalSchedule())
                   .status()
                   .IsFailedPrecondition());
+
+  // Sessions play single-type campaigns. A two-type artifact admits fine,
+  // and the run fails InvalidArgument at the campaign's first decide.
+  engine::MultiTypeSpec multi;
+  multi.s1 = 10.0;
+  multi.b1 = 1.2;
+  multi.s2 = 10.0;
+  multi.b2 = 1.0;
+  multi.m = 200.0;
+  multi.problem.num_tasks_1 = 4;
+  multi.problem.num_tasks_2 = 4;
+  multi.problem.num_intervals = 3;
+  multi.problem.penalty_1_cents = 100.0;
+  multi.problem.penalty_2_cents = 100.0;
+  multi.problem.max_price_cents = 20;
+  multi.problem.price_stride = 4;
+  multi.interval_lambdas.assign(3, 30.0);
+  ArrivalSchedule two_types;
+  ASSERT_TRUE(two_types
+                  .AdmitShared(0.0,
+                               std::make_shared<const engine::PolicyArtifact>(
+                                   engine::Engine::Solve(multi).value()),
+                               config, acceptance, Rng(1))
+                  .ok());
+  const Status two_type_run =
+      fleet.RunStreaming(rate, std::move(two_types)).status();
+  EXPECT_TRUE(two_type_run.IsInvalidArgument()) << two_type_run;
+  EXPECT_EQ(fleet.streaming_stats().admitted, 1u);
+  EXPECT_EQ(fleet.shard_map().TotalStats().decides, 1u);
 }
 
 TEST(FleetStreamingTest, FarFutureEventOnFinishedCampaignEndsTheRunEarly) {

@@ -5,8 +5,11 @@
 
 #include "serving/campaign_shard_map.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,6 +38,29 @@ engine::PolicyArtifact SmallDeadlineArtifact() {
   spec.interval_lambdas.assign(6, 1600.0);
   spec.actions = pricing::ActionSet::FromPriceGrid(30, PaperAcceptance()).value();
   return engine::Engine::Solve(spec).value();
+}
+
+// An adaptive artifact with one-hour intervals over a 50-price grid.
+// Campaigns built from it solve their first plan at admit.
+std::shared_ptr<const engine::PolicyArtifact> AdaptiveArtifact(
+    int num_tasks, int num_intervals, const pricing::AdaptiveOptions& options) {
+  engine::AdaptiveSpec spec;
+  spec.problem.num_tasks = num_tasks;
+  spec.problem.num_intervals = num_intervals;
+  spec.problem.penalty_cents = 500.0;
+  spec.believed_lambdas.assign(static_cast<size_t>(num_intervals), 60.0);
+  spec.actions =
+      pricing::ActionSet::FromPriceGrid(50, PaperAcceptance()).value();
+  spec.horizon_hours = num_intervals;
+  spec.options = options;
+  return std::make_shared<const engine::PolicyArtifact>(
+      engine::Engine::Solve(spec).value());
+}
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 CampaignLimits SmallLimits() {
@@ -762,13 +788,150 @@ TEST(CampaignShardMapStressTest, SameCampaignSwapRetireRacesDecideBatch) {
   EXPECT_EQ(map.live_campaigns(), 0u);
 
   // Reclamation reconciles: one snapshot per admission plus one per swap,
-  // all freed once the grace period drains (no borrows outstanding).
+  // all freed once the grace period drains.
   map.QuiesceReclamation();
   const SnapshotStats snapshots = map.snapshot_stats();
   EXPECT_EQ(snapshots.published,
             static_cast<uint64_t>(kCampaigns) * (1 + kSwapsPerCampaign));
   EXPECT_EQ(snapshots.live_campaigns, 0u);
   EXPECT_EQ(snapshots.published, snapshots.reclaimed);
+}
+
+// An adaptive campaign re-plans inside Decide, holding its own lock for
+// the whole solve. A decide on another adaptive campaign must not wait for
+// it -- not even one whose id is 64 apart (1 and 65), which would share a
+// lock under any scheme that stripes locks by id mod 64.
+TEST(CampaignShardMapTest, AdaptiveReplanNeverStallsAnotherAdaptiveCampaign) {
+  pricing::AdaptiveOptions options;
+  // One solve thread: the re-plan and the neighbour's loop then never
+  // compete for a core, so the neighbour's worst decide measures waiting.
+  options.dp_options.num_threads = 1;
+  CampaignShardMap map = CampaignShardMap::Create(4).value();
+  CampaignLimits a_limits;
+  a_limits.total_tasks = 4000;
+  a_limits.deadline_hours = 1000.0;
+  CampaignLimits b_limits;
+  b_limits.total_tasks = 50;
+  b_limits.deadline_hours = 10.0;
+  ASSERT_TRUE(map.Apply(ControlOp::AdmitSharedWithId(
+                            1, AdaptiveArtifact(4000, 1000, options),
+                            a_limits))
+                  .ok());
+  ASSERT_TRUE(map.Apply(ControlOp::AdmitSharedWithId(
+                            65, AdaptiveArtifact(50, 10, options), b_limits))
+                  .ok());
+
+  // A's first decide predicts completions for interval 0. None arrive, so
+  // at interval 3 (a resolve_every edge) the factor clamps to 0.25 and A
+  // re-plans the remaining 997 intervals inside that decide.
+  ASSERT_TRUE(map.Decide(1, market::DecisionRequest::Single(0.0, 4000)).ok());
+
+  // B decides in a loop from before A's re-plan until after it answers.
+  // Nothing between here and the join may return early.
+  std::atomic<bool> stop{false};
+  std::atomic<int> b_decides{0};
+  std::atomic<int> b_failures{0};
+  double b_worst_ms = 0.0;
+  std::thread neighbour([&] {
+    const market::DecisionRequest request =
+        market::DecisionRequest::Single(0.0, 50);
+    while (!stop.load()) {
+      const auto sent = std::chrono::steady_clock::now();
+      if (!map.Decide(65, request).ok()) {
+        b_failures.fetch_add(1);
+        return;
+      }
+      b_worst_ms = std::max(b_worst_ms, MsSince(sent));
+      b_decides.fetch_add(1);
+    }
+  });
+  while (b_decides.load() < 8 && b_failures.load() == 0) {
+    std::this_thread::yield();
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const Result<market::OfferSheet> replanned =
+      map.Decide(1, market::DecisionRequest::Single(3.0, 4000));
+  const double replan_ms = MsSince(start);
+  stop.store(true);
+  neighbour.join();
+
+  RecordProperty("replan_ms", std::to_string(replan_ms));
+  RecordProperty("neighbour_worst_ms", std::to_string(b_worst_ms));
+  ASSERT_TRUE(replanned.ok()) << replanned.status();
+  EXPECT_EQ(b_failures.load(), 0);
+  EXPECT_GE(replan_ms, 40.0) << "too short a re-plan to show a stall";
+  EXPECT_LT(b_worst_ms, replan_ms / 4)
+      << "B's worst decide " << b_worst_ms << " ms against A's re-plan "
+      << replan_ms << " ms";
+}
+
+// Four threads decide one adaptive campaign through Decide and DecideBatch
+// while a fifth swaps it 50 times. With resolve_every 1 every interval
+// that a decide opens may re-plan, so decides race re-plans and swaps
+// race both. The controller guards its own state: every answer must be
+// ok. The TSan CI job repeats this test.
+TEST(CampaignShardMapStressTest, AdaptiveDecidesRaceReplansAndSwaps) {
+  constexpr int kTasks = 40;
+  constexpr int kIntervals = 48;
+  constexpr int kDeciders = 4;
+  constexpr int kSwaps = 50;
+  pricing::AdaptiveOptions options;
+  options.resolve_every = 1;
+  const auto artifact = AdaptiveArtifact(kTasks, kIntervals, options);
+  CampaignShardMap map = CampaignShardMap::Create(4).value();
+  CampaignLimits limits;
+  limits.total_tasks = kTasks;
+  limits.deadline_hours = kIntervals;
+  const CampaignId id = AdmitShared(map, artifact, limits).value();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> answered{0};
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> deciders;
+  for (int d = 0; d < kDeciders; ++d) {
+    deciders.emplace_back([&, d] {
+      while (!stop.load(std::memory_order_acquire)) {
+        // Each thread walks the horizon draining the backlog at its own
+        // pace, so the completions each new interval reports differ and
+        // the correction factor keeps moving.
+        for (int t = 0; t < kIntervals; ++t) {
+          const double hours = t + 0.5;
+          const int64_t remaining =
+              std::max<int64_t>(1, kTasks - (d + 1) * t / 2);
+          if (d % 2 == 0) {
+            if (!map.Decide(id, market::DecisionRequest::Single(hours,
+                                                                remaining))
+                     .ok()) {
+              failures.fetch_add(1);
+            }
+          } else {
+            const std::vector<DecideRequest> requests(
+                3, DecideRequest::Single(id, hours, remaining));
+            for (const DecideResponse& response : map.DecideBatch(requests)) {
+              if (!response.status.ok()) failures.fetch_add(1);
+            }
+          }
+          answered.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::thread swapper([&] {
+    for (int s = 0; s < kSwaps; ++s) {
+      // Let the deciders get well into the fresh controller's horizon.
+      while (answered.load() < static_cast<uint64_t>(s + 1) * 2 * kIntervals) {
+        std::this_thread::yield();
+      }
+      EXPECT_TRUE(SwapArtifactShared(map, id, artifact).ok());
+    }
+  });
+  swapper.join();
+  stop.store(true, std::memory_order_release);
+  for (std::thread& thread : deciders) thread.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(map.TotalStats().swapped, static_cast<uint64_t>(kSwaps));
+  EXPECT_TRUE(map.Contains(id));
 }
 
 }  // namespace
